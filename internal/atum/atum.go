@@ -26,6 +26,7 @@ package atum
 import (
 	"fmt"
 
+	"atum/internal/mem"
 	"atum/internal/micro"
 	"atum/internal/obs"
 	"atum/internal/trace"
@@ -98,6 +99,7 @@ func DefaultOptions() Options { return Options{CostPerRecord: 56} }
 // Collector is an installed ATUM patch set.
 type Collector struct {
 	m    *micro.Machine
+	phys *mem.Physical // m.Mem, held here so the trace store's Store64 call inlines
 	opts Options
 
 	base uint32 // physical base of the trace buffer
@@ -127,6 +129,11 @@ type Collector struct {
 	segDroppedMark uint64
 	segCyclesMark  uint64
 
+	// unpublished counts records per kind not yet added to the obs
+	// counters. The trace store bumps these plain fields; publish
+	// moves them into the registry once per segment.
+	unpublished [trace.NumKinds]uint64
+
 	met captureMetrics
 }
 
@@ -134,7 +141,10 @@ type Collector struct {
 // what the capture has recorded (total and per kind), what it has lost,
 // and how often the watermark and buffer-full interrupts fired. They
 // shadow the exported statistics fields so a monitoring goroutine can
-// watch a capture without touching the (unsynchronised) collector.
+// watch a capture without touching the (unsynchronised) collector. The
+// record counters advance once per segment — at every watermark, fill,
+// extraction and Uninstall — so they lag the capture by at most one
+// buffer.
 type captureMetrics struct {
 	records   *obs.Counter
 	dropped   *obs.Counter
@@ -199,7 +209,7 @@ func Install(m *micro.Machine, opts Options) (*Collector, error) {
 	if size < trace.RecordBytes {
 		return nil, fmt.Errorf("atum: reserved region too small (%d bytes)", size)
 	}
-	c := &Collector{m: m, opts: opts, base: base, size: size, recording: true, installed: true,
+	c := &Collector{m: m, phys: m.Mem, opts: opts, base: base, size: size, recording: true, installed: true,
 		met: newCaptureMetrics(opts.Metrics)}
 	if opts.Watermark != 0 {
 		// NaN compares false against every bound, so test for the valid
@@ -261,27 +271,26 @@ func (c *Collector) record(a micro.Access) {
 	}
 	c.m.ChargeCycles(c.opts.CostPerRecord)
 	c.DilationCycles += uint64(c.opts.CostPerRecord)
-	rec := toRecord(a)
-	var b [trace.RecordBytes]byte
-	rec.Encode(b[:])
-	for i, by := range b {
-		// Direct physical store, bypassing translation — the microcode
-		// writes through the memory controller like the 8200 patches.
-		if err := c.m.Mem.Store8(c.base+c.ptr+uint32(i), by); err != nil {
-			// The reserved region is inside RAM by construction.
-			panic(fmt.Sprintf("atum: trace store failed: %v", err))
-		}
+	// Micro-event classes and record kinds share their numbering
+	// (pinned by TestEventKindMapping), so the event is the kind.
+	k := trace.Kind(a.Ev)
+	rec := trace.Pack(k, a.VA, a.Width, a.PID, a.Mode == vax.ModeUser, a.Phys, a.Extra)
+	// Direct physical store, bypassing translation — the microcode
+	// writes through the memory controller like the 8200 patches.
+	if err := c.phys.Store64(c.base+c.ptr, rec); err != nil {
+		// The reserved region is inside RAM by construction.
+		panic(fmt.Sprintf("atum: trace store failed: %v", err))
 	}
 	c.ptr += trace.RecordBytes
 	c.Recorded++
-	c.met.records.Inc()
-	c.met.kind[rec.Kind].Inc()
+	c.unpublished[k]++
 	// The watermark interrupt fires before the full check so a spill
 	// service draining at Watermark = 1.0 runs ahead of the pause/drop
 	// path and loses nothing.
 	if c.wmArmed && c.ptr >= c.wmBytes {
 		c.wmArmed = false
 		c.met.watermark.Inc()
+		c.publish()
 		if c.opts.OnWatermark != nil {
 			c.opts.OnWatermark(c)
 		}
@@ -290,39 +299,25 @@ func (c *Collector) record(a micro.Access) {
 		c.Samples++
 		c.recording = false
 		c.met.fills.Inc()
+		c.publish()
 		if c.opts.OnFull != nil {
 			c.opts.OnFull(c)
 		}
 	}
 }
 
-func toRecord(a micro.Access) trace.Record {
-	var k trace.Kind
-	switch a.Ev {
-	case micro.EvIFetch:
-		k = trace.KindIFetch
-	case micro.EvDRead:
-		k = trace.KindDRead
-	case micro.EvDWrite:
-		k = trace.KindDWrite
-	case micro.EvPTERead:
-		k = trace.KindPTERead
-	case micro.EvPTEWrite:
-		k = trace.KindPTEWrite
-	case micro.EvCtxSwitch:
-		k = trace.KindCtxSwitch
-	case micro.EvException:
-		k = trace.KindException
+// publish adds the records counted since the last publish to the obs
+// counters.
+func (c *Collector) publish() {
+	var total uint64
+	for k, n := range c.unpublished {
+		if n != 0 {
+			c.met.kind[k].Add(n)
+			total += n
+		}
 	}
-	return trace.Record{
-		Kind:  k,
-		Addr:  a.VA,
-		Width: a.Width,
-		PID:   a.PID,
-		User:  a.Mode == vax.ModeUser,
-		Phys:  a.Phys,
-		Extra: a.Extra,
-	}
+	c.unpublished = [trace.NumKinds]uint64{}
+	c.met.records.Add(total)
 }
 
 // SegmentStats carries the capture-side counters for one extracted
@@ -337,23 +332,25 @@ type SegmentStats struct {
 // pointer, and resumes recording. It models the paper's procedure of
 // freezing the machine, dumping the reserved region, and continuing.
 func (c *Collector) Extract() ([]trace.Record, error) {
-	recs, _, err := c.ExtractSegment()
-	return recs, err
+	packed, _, err := c.ExtractSegment()
+	if err != nil {
+		return nil, err
+	}
+	return trace.ParseBuffer(packed)
 }
 
-// ExtractSegment is Extract plus the per-segment accounting a spill
-// service stores alongside the records: drops and dilation cycles
-// accumulated since the previous extraction. It also re-arms the
-// watermark.
-func (c *Collector) ExtractSegment() ([]trace.Record, SegmentStats, error) {
-	raw, err := c.m.Mem.Bytes(c.base, c.ptr)
+// ExtractSegment is the dump without the parse: it returns the packed
+// records accumulated so far — a view of reserved RAM, valid until the
+// collector records again — plus the per-segment accounting a spill
+// service stores alongside them: drops and dilation cycles accumulated
+// since the previous extraction. Like Extract it resets the buffer
+// pointer, resumes recording and re-arms the watermark.
+func (c *Collector) ExtractSegment() ([]byte, SegmentStats, error) {
+	packed, err := c.phys.Bytes(c.base, c.ptr)
 	if err != nil {
 		return nil, SegmentStats{}, err
 	}
-	recs, err := trace.ParseBuffer(raw)
-	if err != nil {
-		return nil, SegmentStats{}, err
-	}
+	c.publish()
 	st := SegmentStats{
 		Dropped:        c.Dropped - c.segDroppedMark,
 		DilationCycles: c.DilationCycles - c.segCyclesMark,
@@ -365,7 +362,7 @@ func (c *Collector) ExtractSegment() ([]trace.Record, SegmentStats, error) {
 	if c.wmBytes > 0 {
 		c.wmArmed = true
 	}
-	return recs, st, nil
+	return packed, st, nil
 }
 
 // Pause suspends recording (references are counted as dropped).
@@ -394,6 +391,7 @@ func (c *Collector) Uninstall() {
 	}
 	c.installed = false
 	c.recording = false
+	c.publish()
 	for _, rm := range c.removes {
 		rm()
 	}

@@ -457,3 +457,66 @@ func TestDeterministicCapture(t *testing.T) {
 		}
 	}
 }
+
+// TestEventKindMapping pins what the trace store relies on: every
+// micro-event class is stored as the record kind with the same number
+// and name, so the collector converts with trace.Kind(ev) and packs the
+// micro.Access fields straight into the record. An observer hook on
+// every event class sees the capture's events in order; the captured
+// records must be exactly those events, field for field.
+func TestEventKindMapping(t *testing.T) {
+	if int(micro.NumEvents) != int(trace.NumKinds) {
+		t.Fatalf("%d event classes, %d record kinds", micro.NumEvents, trace.NumKinds)
+	}
+	names := map[micro.Event]trace.Kind{
+		micro.EvIFetch:    trace.KindIFetch,
+		micro.EvDRead:     trace.KindDRead,
+		micro.EvDWrite:    trace.KindDWrite,
+		micro.EvPTERead:   trace.KindPTERead,
+		micro.EvPTEWrite:  trace.KindPTEWrite,
+		micro.EvCtxSwitch: trace.KindCtxSwitch,
+		micro.EvException: trace.KindException,
+	}
+	for ev, k := range names {
+		if trace.Kind(ev) != k || ev.String() != k.String() {
+			t.Errorf("event %v (%d) maps to kind %v, want %v (%d)", ev, ev, trace.Kind(ev), k, k)
+		}
+	}
+	if len(names) != int(micro.NumEvents) {
+		t.Fatalf("mapping table covers %d of %d event classes", len(names), micro.NumEvents)
+	}
+
+	sys := buildSystem(t, helloSrc, helloSrc)
+	var want []trace.Record
+	for ev := micro.Event(0); ev < micro.NumEvents; ev++ {
+		sys.M.AddHook(ev, func(_ *micro.Machine, a micro.Access) {
+			r := trace.Record{Kind: names[a.Ev], Addr: a.VA, PID: a.PID,
+				User: a.Mode == vax.ModeUser, Phys: a.Phys, Extra: a.Extra}
+			if r.Kind.IsMemRef() {
+				r.Width = a.Width
+			}
+			want = append(want, r)
+		})
+	}
+	cap, err := atum.Run(sys.M, atum.DefaultOptions(), func() error {
+		_, err := sys.Run(50_000_000)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := cap.All()
+	if len(got) != len(want) || len(got) == 0 {
+		t.Fatalf("captured %d records for %d events", len(got), len(want))
+	}
+	seen := map[trace.Kind]bool{}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("record %d: captured %v, event was %v", i, got[i], want[i])
+		}
+		seen[got[i].Kind] = true
+	}
+	if len(seen) != int(trace.NumKinds) {
+		t.Errorf("capture exercised %d of %d kinds", len(seen), trace.NumKinds)
+	}
+}

@@ -1,12 +1,16 @@
 package atum_test
 
 import (
+	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"atum/internal/atum"
 	"atum/internal/obs"
+	"atum/internal/trace"
 )
 
 // TestCaptureMetricsMirrorStatistics: the collector's obs counters must
@@ -85,4 +89,91 @@ func TestMetricsOffMeasurementPath(t *testing.T) {
 	if d1 != r1*56 {
 		t.Errorf("dilation %d cycles != %d records x 56: something besides trace stores charged the clock", d1, r1)
 	}
+}
+
+// TestCaptureCountersPublished: the trace store counts records in plain
+// fields and publishes them to the obs counters once per segment. By
+// the time OnWatermark runs, and after Uninstall, the published total
+// must equal Recorded and the per-kind counters must sum to it; a
+// goroutine polling the counters mid-capture must never see one
+// decrease (run under -race, it also checks the publication is
+// properly synchronised).
+func TestCaptureCountersPublished(t *testing.T) {
+	reg := obs.NewRegistry()
+	total := reg.Counter("atum_capture_records_total")
+	var kinds [trace.NumKinds]*obs.Counter
+	for k := range kinds {
+		kinds[k] = reg.Counter(fmt.Sprintf("atum_capture_records_kind_total{kind=%q}", trace.Kind(k)))
+	}
+	check := func(where string, c *atum.Collector) {
+		t.Helper()
+		if got := total.Value(); got != c.Recorded {
+			t.Errorf("%s: records counter %d, collector recorded %d", where, got, c.Recorded)
+		}
+		var sum uint64
+		for _, kc := range kinds {
+			sum += kc.Value()
+		}
+		if sum != c.Recorded {
+			t.Errorf("%s: per-kind counters sum to %d, collector recorded %d", where, sum, c.Recorded)
+		}
+	}
+
+	sys := buildSystem(t, helloSrc, helloSrc)
+	opts := atum.DefaultOptions()
+	opts.BufBytes = 4096
+	opts.Watermark = 0.75
+	opts.Metrics = reg
+	fires := 0
+	opts.OnWatermark = func(c *atum.Collector) {
+		fires++
+		check("OnWatermark", c)
+		if _, _, err := c.ExtractSegment(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	col, err := atum.Install(sys.M, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var last [trace.NumKinds + 1]uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var now [trace.NumKinds + 1]uint64
+			now[0] = total.Value()
+			for k, kc := range kinds {
+				now[k+1] = kc.Value()
+			}
+			for i := range now {
+				if now[i] < last[i] {
+					t.Errorf("counter %d went from %d to %d mid-capture", i, last[i], now[i])
+					return
+				}
+			}
+			last = now
+			runtime.Gosched()
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	if _, err := sys.Run(50_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if fires < 2 {
+		t.Fatalf("watermark fired %d times, want several", fires)
+	}
+	col.Uninstall()
+	check("after Uninstall", col)
 }

@@ -10,6 +10,21 @@ import (
 	"atum/internal/trace"
 )
 
+// extractSegment drains the collector and parses the packed dump at
+// once, while the view of reserved RAM is still valid.
+func extractSegment(t *testing.T, c *atum.Collector) ([]trace.Record, atum.SegmentStats) {
+	t.Helper()
+	packed, st, err := c.ExtractSegment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := trace.ParseBuffer(packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs, st
+}
+
 // TestWatermarkFires: with a watermark armed, the callback fires while
 // the collector is still recording, and a callback that drains the
 // buffer keeps the capture loss-free (OnFull never reached).
@@ -25,10 +40,7 @@ func TestWatermarkFires(t *testing.T) {
 		if !c.Recording() {
 			t.Error("collector not recording inside OnWatermark")
 		}
-		recs, _, err := c.ExtractSegment()
-		if err != nil {
-			t.Fatal(err)
-		}
+		recs, _ := extractSegment(t, c)
 		segs = append(segs, recs)
 	}
 	opts.OnFull = func(c *atum.Collector) { fulls++ }
@@ -70,10 +82,7 @@ func TestWatermarkSpillMatchesMonolithic(t *testing.T) {
 		sys := buildSystem(t, helloSrc)
 		var out []trace.Record
 		opts.OnWatermark = func(c *atum.Collector) {
-			recs, _, err := c.ExtractSegment()
-			if err != nil {
-				t.Fatal(err)
-			}
+			recs, _ := extractSegment(t, c)
 			out = append(out, recs...)
 		}
 		col, err := atum.Install(sys.M, opts)
@@ -83,10 +92,7 @@ func TestWatermarkSpillMatchesMonolithic(t *testing.T) {
 		if _, err := sys.Run(50_000_000); err != nil {
 			t.Fatal(err)
 		}
-		tail, _, err := col.ExtractSegment()
-		if err != nil {
-			t.Fatal(err)
-		}
+		tail, _ := extractSegment(t, col)
 		return append(out, tail...), col
 	}
 
@@ -121,10 +127,7 @@ func TestExtractSegmentStats(t *testing.T) {
 	if _, err := sys.Run(300); err != nil {
 		t.Fatal(err)
 	}
-	recs, st, err := col.ExtractSegment()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs, st := extractSegment(t, col)
 	if st.Dropped != 0 {
 		t.Errorf("segment 0 dropped=%d, want 0", st.Dropped)
 	}
@@ -141,10 +144,7 @@ func TestExtractSegmentStats(t *testing.T) {
 	if _, err := sys.Run(300); err != nil {
 		t.Fatal(err)
 	}
-	recs2, st2, err := col.ExtractSegment()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs2, st2 := extractSegment(t, col)
 	if st2.Dropped == 0 {
 		t.Error("segment 1 shows no drops despite the pause")
 	}
@@ -156,10 +156,7 @@ func TestExtractSegmentStats(t *testing.T) {
 	}
 
 	// A third, immediate extraction is an empty segment with zero deltas.
-	recs3, st3, err := col.ExtractSegment()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs3, st3 := extractSegment(t, col)
 	if len(recs3) != 0 || st3 != (atum.SegmentStats{}) {
 		t.Errorf("immediate re-extract = %d records, %+v; want empty", len(recs3), st3)
 	}

@@ -10,7 +10,11 @@
 // context switch, selectable per experiment.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"atum/internal/stats"
+)
 
 // Replacement selects a victim within a set.
 type Replacement uint8
@@ -132,7 +136,7 @@ type Cache struct {
 	clock    uint64
 	rng      uint32
 
-	seen *u64Set // block addresses ever touched (cold-miss accounting)
+	seen *stats.U64Set // block addresses ever touched (cold-miss accounting)
 
 	Stats Stats
 }
@@ -150,7 +154,7 @@ func New(cfg Config) (*Cache, error) {
 		// A trace that misses at all touches at least as many distinct
 		// blocks as the cache holds; presize for that so early misses
 		// don't rehash.
-		seen: newU64Set(int(sets * cfg.Assoc)),
+		seen: stats.NewU64Set(int(sets * cfg.Assoc)),
 	}
 	for cfg.BlockBytes>>c.blkShift != 1 {
 		c.blkShift++

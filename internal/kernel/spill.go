@@ -271,19 +271,23 @@ func (s *SpillService) spill(c *atum.Collector) {
 }
 
 func (s *SpillService) spillLocked(c *atum.Collector) {
-	recs, st, err := c.ExtractSegment()
+	// The packed records are a view of reserved RAM: the machine stays
+	// frozen until this returns, so they are written straight from
+	// there, never parsed.
+	packed, st, err := c.ExtractSegment()
 	if err != nil {
 		// Extraction reads simulated RAM; failure means the machine is
 		// torn down — treat it like a sink failure.
 		s.fail(c, err)
 		return
 	}
+	nrec := uint64(len(packed) / trace.RecordBytes)
 	if err := s.SinkErr(); err != nil {
-		s.addLost(uint64(len(recs)))
+		s.addLost(nrec)
 		s.fail(c, err)
 		return
 	}
-	if len(recs) == 0 && st == (atum.SegmentStats{}) {
+	if nrec == 0 && st == (atum.SegmentStats{}) {
 		// Nothing happened since the last spill (a capture ending exactly
 		// on a watermark boundary): no segment to write.
 		return
@@ -291,12 +295,12 @@ func (s *SpillService) spillLocked(c *atum.Collector) {
 	start := time.Now()
 	var info trace.SegmentInfo
 	if s.seq != nil {
-		info, err = s.sw.WriteSegmentSeq(recs, st.Dropped, st.DilationCycles, s.cpu, s.seq.Next())
+		info, err = s.sw.WritePackedSeq(packed, st.Dropped, st.DilationCycles, s.cpu, s.seq.Next())
 	} else {
-		info, err = s.sw.WriteSegment(recs, st.Dropped, st.DilationCycles)
+		info, err = s.sw.WritePacked(packed, st.Dropped, st.DilationCycles)
 	}
 	if err != nil {
-		s.addLost(uint64(len(recs)))
+		s.addLost(nrec)
 		s.fail(c, err)
 		return
 	}
@@ -307,8 +311,8 @@ func (s *SpillService) spillLocked(c *atum.Collector) {
 	s.segments.Add(1)
 	s.met.segments.Inc()
 	s.met.dropped.Add(st.Dropped)
-	s.spilled.Add(uint64(len(recs)))
-	s.met.records.Add(uint64(len(recs)))
+	s.spilled.Add(nrec)
+	s.met.records.Add(nrec)
 }
 
 // addLost charges records that will never reach the sink.

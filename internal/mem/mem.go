@@ -129,6 +129,16 @@ func (p *Physical) Store32(pa uint32, v uint32) error {
 	return nil
 }
 
+// Store64 stores a 64-bit little-endian quadword: one packed trace
+// record, in the ATUM trace store's single write.
+func (p *Physical) Store64(pa uint32, v uint64) error {
+	if pa+7 < pa || pa+8 > uint32(len(p.ram)) {
+		return &BoundsError{PA: pa, Size: 8}
+	}
+	binary.LittleEndian.PutUint64(p.ram[pa:], v)
+	return nil
+}
+
 // LoadBytes copies b into physical memory at pa (bootstrap/loader use).
 func (p *Physical) LoadBytes(pa uint32, b []byte) error {
 	if pa+uint32(len(b)) < pa || pa+uint32(len(b)) > uint32(len(p.ram)) {

@@ -65,6 +65,15 @@ func TestLoadStoreWidths(t *testing.T) {
 	if v, _ := p.Load8(0x300); v != 0xAB {
 		t.Error("store8")
 	}
+	if err := p.Store64(0x400, 0x0123456789ABCDEF); err != nil {
+		t.Fatal(err)
+	}
+	if lo, _ := p.Load32(0x400); lo != 0x89ABCDEF {
+		t.Errorf("store64 low longword %#x", lo)
+	}
+	if hi, _ := p.Load32(0x404); hi != 0x01234567 {
+		t.Errorf("store64 high longword %#x", hi)
+	}
 }
 
 func TestBounds(t *testing.T) {
@@ -77,6 +86,12 @@ func TestBounds(t *testing.T) {
 	}
 	if err := p.Store32(0xFFFFFFFE, 1); err == nil {
 		t.Error("wrapping store accepted")
+	}
+	if err := p.Store64(1<<16-4, 1); err == nil {
+		t.Error("straddling store64 accepted")
+	}
+	if err := p.Store64(0xFFFFFFFC, 1); err == nil {
+		t.Error("wrapping store64 accepted")
 	}
 	var be *BoundsError
 	if _, err := p.Load32(1 << 20); err == nil {

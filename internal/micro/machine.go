@@ -14,6 +14,7 @@ package micro
 
 import (
 	"fmt"
+	"slices"
 
 	"atum/internal/mem"
 	"atum/internal/mmu"
@@ -194,7 +195,7 @@ type Machine struct {
 	halted      bool
 	stopRequest bool
 
-	hooks [NumEvents][]Hook
+	hooks [NumEvents][]*hookEntry
 
 	// Per-instruction state for restartable faults.
 	instrPC  uint32 // address of current instruction's opcode
@@ -269,25 +270,31 @@ func (o *mmuObserver) PTEWrite(addr uint32, virt bool) {
 	m.fire(Access{Ev: EvPTEWrite, VA: addr, Width: 4, Mode: m.mode(), PID: m.CurPID, Phys: !virt})
 }
 
+// hookEntry is one registration on the hook bus. Removal clears h, so
+// a fire already walking the list skips it even after the list itself
+// has been replaced.
+type hookEntry struct{ h Hook }
+
 // AddHook registers a hook for an event class and returns a function that
 // removes it. Hooks run in installation order.
 func (m *Machine) AddHook(ev Event, h Hook) (remove func()) {
-	m.hooks[ev] = append(m.hooks[ev], h)
-	idx := len(m.hooks[ev]) - 1
-	removed := false
+	e := &hookEntry{h: h}
+	m.hooks[ev] = append(m.hooks[ev], e)
 	return func() {
-		if removed {
+		if e.h == nil {
 			return
 		}
-		removed = true
-		m.hooks[ev][idx] = nil
+		e.h = nil
+		// Compact into a fresh array: a fire in progress keeps walking
+		// the old one undisturbed, and later events walk live hooks only.
+		m.hooks[ev] = slices.DeleteFunc(slices.Clone(m.hooks[ev]), func(x *hookEntry) bool { return x == e })
 	}
 }
 
 func (m *Machine) fire(a Access) {
-	for _, h := range m.hooks[a.Ev] {
-		if h != nil {
-			h(m, a)
+	for _, e := range m.hooks[a.Ev] {
+		if e.h != nil {
+			e.h(m, a)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package micro
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -597,6 +598,54 @@ start:	incl	r0
 	m.Step()
 	if m.Cycles-base >= 100 {
 		t.Error("removed hook still charging")
+	}
+}
+
+// TestHookRemovalCompacts: removing a hook takes its slot off the bus,
+// so install/uninstall cycles (the monitor's trace on/off, the baseline
+// tracers) do not leave every later event walking dead slots. The hooks
+// that remain fire in installation order, and a hook removed mid-fire —
+// by itself or by an earlier hook — does not run again.
+func TestHookRemovalCompacts(t *testing.T) {
+	m, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		m.AddHook(EvIFetch, func(*Machine, Access) {})()
+	}
+	if n := len(m.hooks[EvIFetch]); n != 0 {
+		t.Fatalf("%d slots left after 100 add/remove cycles, want 0", n)
+	}
+
+	var order []string
+	hook := func(name string) Hook { return func(*Machine, Access) { order = append(order, name) } }
+	fire := func(want ...string) {
+		t.Helper()
+		order = nil
+		m.fire(Access{Ev: EvIFetch})
+		if !slices.Equal(order, want) {
+			t.Fatalf("hooks ran %v, want %v", order, want)
+		}
+	}
+	m.AddHook(EvIFetch, hook("a"))
+	removeB := m.AddHook(EvIFetch, hook("b"))
+	m.AddHook(EvIFetch, hook("c"))
+	removeB()
+	fire("a", "c")
+
+	var removeD, removeE func()
+	removeD = m.AddHook(EvIFetch, func(*Machine, Access) {
+		order = append(order, "d")
+		removeD()
+		removeE()
+	})
+	m.AddHook(EvIFetch, hook("x"))
+	removeE = m.AddHook(EvIFetch, hook("e"))
+	fire("a", "c", "d", "x")
+	fire("a", "c", "x")
+	if n := len(m.hooks[EvIFetch]); n != 3 {
+		t.Fatalf("%d slots for 3 live hooks", n)
 	}
 }
 

@@ -487,7 +487,7 @@ func (m *Monitor) trace(args []string) {
 		// the watermark crossing is loss-free and the run resumes.
 		opts.Watermark = 1.0
 		opts.OnWatermark = func(c *atum.Collector) {
-			recs, _, err := c.ExtractSegment()
+			recs, err := c.Extract()
 			if err == nil {
 				m.captured = append(m.captured, recs...)
 				m.spills++

@@ -58,16 +58,22 @@ func recordError(e *batchError, index uint64) error {
 
 // decodeRawBatch decodes as many whole raw records as dst and payload
 // allow and returns how many records it wrote and how many payload
-// bytes they consumed. The raw codec cannot be malformed, only short.
-func decodeRawBatch(dst []Record, payload []byte) (nrec, consumed int) {
+// bytes they consumed. A raw record is malformed only when it carries
+// the reserved kind 7, which no collector writes and no Summary can
+// count; decoding stops there with the delta codec's error for it.
+func decodeRawBatch(dst []Record, payload []byte) (nrec, consumed int, err *batchError) {
 	n := len(payload) / RecordBytes
 	if n > len(dst) {
 		n = len(dst)
 	}
 	for i := 0; i < n; i++ {
-		dst[i] = DecodeRecord(payload[i*RecordBytes:])
+		b := payload[i*RecordBytes:]
+		if k := b[0] & 7; k >= byte(NumKinds) {
+			return i, i * RecordBytes, &batchError{msg: fmt.Sprintf("invalid kind %d", k)}
+		}
+		dst[i] = DecodeRecord(b)
 	}
-	return n, n * RecordBytes
+	return n, n * RecordBytes, nil
 }
 
 // decodeDeltaBatch decodes delta records from payload into dst until

@@ -95,6 +95,9 @@ func WriteFileMeta(w io.Writer, recs []Record, codec uint16, meta string) error 
 	if len(meta) > maxMetaLen {
 		return fmt.Errorf("trace: metadata too long (%d bytes)", len(meta))
 	}
+	if codec != CodecRaw && codec != CodecDelta {
+		return fmt.Errorf("trace: unknown codec %d", codec)
+	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(magic[:]); err != nil {
 		return err
@@ -110,17 +113,12 @@ func WriteFileMeta(w io.Writer, recs []Record, codec uint16, meta string) error 
 	if _, err := bw.WriteString(meta); err != nil {
 		return err
 	}
-	switch codec {
-	case CodecRaw:
-		if err := writeRaw(bw, recs); err != nil {
-			return err
-		}
-	case CodecDelta:
-		if err := writeDelta(bw, recs); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("trace: unknown codec %d", codec)
+	payload := appendPacked(nil, recs)
+	if codec == CodecDelta {
+		payload = appendDelta(nil, payload)
+	}
+	if _, err := bw.Write(payload); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
@@ -416,16 +414,19 @@ func (d *Decoder) decodeBatch(dst []Record) (int, error) {
 		}
 
 		if d.codec == CodecRaw {
-			nrec, consumed := decodeRawBatch(dst, window)
+			nrec, consumed, derr := decodeRawBatch(dst, window)
+			d.consume(consumed)
+			d.read += uint64(nrec)
+			mDecodeRecords.Add(uint64(nrec))
+			if derr != nil {
+				return nrec, recordError(derr, d.read)
+			}
 			if nrec == 0 {
 				if hard {
 					return 0, d.windowError(&batchError{truncated: true}, readErr)
 				}
 				continue
 			}
-			d.consume(consumed)
-			d.read += uint64(nrec)
-			mDecodeRecords.Add(uint64(nrec))
 			return nrec, nil
 		}
 
@@ -574,73 +575,4 @@ func (d *Decoder) readStoredPayload(info SegmentInfo) (stored []byte, short bool
 	}
 	d.payBuf = buf
 	return buf, false, nil
-}
-
-// byteWriter is the sink the codec encoders write to; both bufio.Writer
-// and bytes.Buffer satisfy it.
-type byteWriter interface {
-	io.Writer
-	WriteByte(byte) error
-}
-
-func writeRaw(w byteWriter, recs []Record) error {
-	var b [RecordBytes]byte
-	for _, r := range recs {
-		r.Encode(b[:])
-		if _, err := w.Write(b[:]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Delta codec header byte: kind(3) | widthLog2(2) | user(1) | phys(1) |
-// pidChanged(1).
-const deltaPIDChanged = 1 << 7
-
-func writeDelta(w byteWriter, recs []Record) error {
-	var lastAddr [NumKinds]uint32
-	lastPID := uint8(0)
-	var buf [binary.MaxVarintLen64]byte
-	for _, r := range recs {
-		var wl byte
-		switch r.Width {
-		case 2:
-			wl = 1
-		case 4:
-			wl = 2
-		}
-		h := byte(r.Kind)&7 | wl<<3
-		if r.User {
-			h |= flagUser
-		}
-		if r.Phys {
-			h |= flagPhys
-		}
-		if r.PID != lastPID {
-			h |= deltaPIDChanged
-		}
-		if err := w.WriteByte(h); err != nil {
-			return err
-		}
-		if r.PID != lastPID {
-			if err := w.WriteByte(r.PID); err != nil {
-				return err
-			}
-			lastPID = r.PID
-		}
-		delta := int64(r.Addr) - int64(lastAddr[r.Kind])
-		n := binary.PutVarint(buf[:], delta)
-		if _, err := w.Write(buf[:n]); err != nil {
-			return err
-		}
-		lastAddr[r.Kind] = r.Addr
-		if r.Kind == KindCtxSwitch || r.Kind == KindException {
-			n = binary.PutUvarint(buf[:], uint64(r.Extra))
-			if _, err := w.Write(buf[:n]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

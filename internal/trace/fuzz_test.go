@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -65,6 +66,11 @@ func FuzzReadFile(f *testing.F) {
 	// marker(4).
 	rawLenFlip[8+8+4+4+37] ^= 0x01
 	f.Add(rawLenFlip)
+	// A raw segment holding one record of the reserved kind 7: it used
+	// to decode and then panic the summary.
+	kind7 := bytes.Clone(segRaw.Bytes())
+	kind7[len(kind7)-RecordBytes] = 0x07
+	f.Add(kind7)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		recs, err := readAll(bytes.NewReader(b))
 		// The random-access pipeline must agree with the streaming one
@@ -93,6 +99,11 @@ func FuzzReadFile(f *testing.F) {
 		var out bytes.Buffer
 		if err := WriteFile(&out, recs, CodecRaw); err != nil {
 			t.Fatalf("re-encode of parsed trace failed: %v", err)
+		}
+		// ... and summarize: atum-stats and serve's summary analysis run
+		// SummarizeSource on whatever a parse accepts.
+		if s := Summarize(recs); s.Total != uint64(len(recs)) {
+			t.Fatalf("summary counts %d records, parse gave %d", s.Total, len(recs))
 		}
 	})
 }
@@ -265,6 +276,51 @@ func FuzzParseBuffer(f *testing.F) {
 		}
 		if len(recs) != len(b)/RecordBytes {
 			t.Fatalf("record count %d for %d bytes", len(recs), len(b))
+		}
+	})
+}
+
+// FuzzPackedEncoder: each codec's one encoder works from the packed
+// layout, and its payload must equal byte for byte what the reference
+// []Record encoders (reference_test.go) build field by field — for
+// every kind the codecs carry, any width (the packed field keeps 2 and
+// 4 and packs everything else as 1), markers with stray widths and
+// memory references with stray Extra values alike.
+func FuzzPackedEncoder(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(make([]byte, 40))
+	f.Add([]byte{
+		0, 4, 1, 1, 0, 0, 0x00, 0x02, 0, 0, // user ifetch, pid 1
+		5, 0, 2, 2, 2, 0, 0x00, 0x10, 0, 0x80, // phys ctxswitch to pid 2
+		6, 4, 2, 0, 0xC0, 0, 0xFC, 0xFF, 0xFF, 0xFF, // exception with a width
+		2, 3, 2, 3, 7, 7, 0x04, 0x02, 0, 0, // dwrite, odd width, extra set
+	})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var recs []Record
+		for ; len(b) >= 10; b = b[10:] {
+			recs = append(recs, Record{
+				Kind:  Kind(b[0] % byte(NumKinds)),
+				Width: b[1],
+				PID:   b[2],
+				User:  b[3]&1 != 0,
+				Phys:  b[3]&2 != 0,
+				Extra: binary.LittleEndian.Uint16(b[4:]),
+				Addr:  binary.LittleEndian.Uint32(b[6:]),
+			})
+		}
+		packed := appendPacked(nil, recs)
+		var raw, delta bytes.Buffer
+		if err := writeRaw(&raw, recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeDelta(&delta, recs); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(packed, raw.Bytes()) {
+			t.Fatalf("raw codec: packed payload\n%x\nreference\n%x", packed, raw.Bytes())
+		}
+		if got := appendDelta(nil, packed); !bytes.Equal(got, delta.Bytes()) {
+			t.Fatalf("delta codec: packed encoder\n%x\nreference\n%x", got, delta.Bytes())
 		}
 	})
 }

@@ -482,7 +482,7 @@ func (f *File) Segment(i int) ([]Record, error) {
 	var nrec int
 	var derr *batchError
 	if f.codec == CodecRaw {
-		nrec, _ = decodeRawBatch(dst, payload)
+		nrec, _, derr = decodeRawBatch(dst, payload)
 	} else {
 		var st deltaState
 		nrec, _, derr = decodeDeltaBatch(dst, payload, &st)

@@ -7,12 +7,98 @@ import (
 	"io"
 )
 
+// byteWriter is the sink the reference encoders write to; both
+// bufio.Writer and bytes.Buffer satisfy it.
+type byteWriter interface {
+	io.Writer
+	WriteByte(byte) error
+}
+
+func writeRaw(w byteWriter, recs []Record) error {
+	var b [RecordBytes]byte
+	for _, r := range recs {
+		var wl byte
+		switch r.Width {
+		case 2:
+			wl = 1
+		case 4:
+			wl = 2
+		}
+		b[0] = byte(r.Kind)&7 | wl<<3
+		if r.User {
+			b[0] |= flagUser
+		}
+		if r.Phys {
+			b[0] |= flagPhys
+		}
+		b[1] = r.PID
+		binary.LittleEndian.PutUint16(b[2:], r.Extra)
+		binary.LittleEndian.PutUint32(b[4:], r.Addr)
+		if _, err := w.Write(b[:]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func writeDelta(w byteWriter, recs []Record) error {
+	var lastAddr [NumKinds]uint32
+	lastPID := uint8(0)
+	var buf [binary.MaxVarintLen64]byte
+	for _, r := range recs {
+		var wl byte
+		switch r.Width {
+		case 2:
+			wl = 1
+		case 4:
+			wl = 2
+		}
+		h := byte(r.Kind)&7 | wl<<3
+		if r.User {
+			h |= flagUser
+		}
+		if r.Phys {
+			h |= flagPhys
+		}
+		if r.PID != lastPID {
+			h |= deltaPIDChanged
+		}
+		if err := w.WriteByte(h); err != nil {
+			return err
+		}
+		if r.PID != lastPID {
+			if err := w.WriteByte(r.PID); err != nil {
+				return err
+			}
+			lastPID = r.PID
+		}
+		delta := int64(r.Addr) - int64(lastAddr[r.Kind])
+		n := binary.PutVarint(buf[:], delta)
+		if _, err := w.Write(buf[:n]); err != nil {
+			return err
+		}
+		lastAddr[r.Kind] = r.Addr
+		if r.Kind == KindCtxSwitch || r.Kind == KindException {
+			n = binary.PutUvarint(buf[:], uint64(r.Extra))
+			if _, err := w.Write(buf[:n]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // This file preserves the pre-batch decoder — one record at a time
 // through bufio.Reader, per-byte varint reads, per-record error
 // wrapping — as a test-only artifact. It is the benchmark baseline the
 // batch path is measured against (BENCH_decode.json) and an independent
 // oracle for the decode-equivalence tests: three implementations now
 // agree on every stream, two of which share no scanning code.
+//
+// It also keeps the two []Record encoders the writers used before every
+// encode went through the packed layout (encode.go). They build each
+// codec's bytes field by field from a Record, so they are an oracle the
+// packed encoders share no code with.
 
 type referenceDecoder struct {
 	br        *bufio.Reader
@@ -115,6 +201,9 @@ func (d *referenceDecoder) refDecodeOne() (Record, error) {
 		var b [RecordBytes]byte
 		if _, err := io.ReadFull(d.br, b[:]); err != nil {
 			return Record{}, fmt.Errorf("trace: record %d: %w", i, promisedEOF(err))
+		}
+		if k := b[0] & 7; k >= byte(NumKinds) {
+			return Record{}, fmt.Errorf("trace: record %d: invalid kind %d", i, k)
 		}
 		d.read++
 		return DecodeRecord(b[:]), nil

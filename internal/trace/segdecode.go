@@ -15,9 +15,10 @@ import (
 
 // StreamSegment is one written segment handed to a SegmentWriter tee:
 // the stream codec, the segment's header metadata, and its encoded
-// payload. The payload aliases the writer's reusable encode buffer, so
-// it is valid only for the duration of the tee call — consumers must
-// decode (or copy) before returning.
+// payload. The payload aliases the writer's reusable encode buffer (or
+// the packed records a raw segment was written from), so it is valid
+// only for the duration of the tee call — consumers must decode (or
+// copy) before returning.
 type StreamSegment struct {
 	Codec   uint16
 	Info    SegmentInfo
@@ -82,7 +83,7 @@ func DecodeSegment(codec uint16, info SegmentInfo, payload []byte, dst []Record,
 	var nrec int
 	var derr *batchError
 	if codec == CodecRaw {
-		nrec, _ = decodeRawBatch(dst, payload)
+		nrec, _, derr = decodeRawBatch(dst, payload)
 	} else {
 		var st deltaState
 		nrec, _, derr = decodeDeltaBatch(dst, payload, &st)

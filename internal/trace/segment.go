@@ -102,7 +102,8 @@ type SegmentWriter struct {
 	next    uint32
 	seqOn   bool         // v3 stream: segments carry cpu/seq stamps
 	lastSeq uint64       // last stamp written (stamps must strictly increase)
-	pay     bytes.Buffer // per-segment encode buffer, reused
+	packed  []byte       // WriteSegment's packing buffer, reused
+	pay     []byte       // per-segment delta encode buffer, reused
 	comp    bytes.Buffer // per-segment compression buffer, reused
 	closed  bool
 	err     error // first write error; sticky
@@ -126,11 +127,12 @@ func (sw *SegmentWriter) SetEncoding(enc uint8) error {
 // Tee arranges for fn to observe every subsequently written segment,
 // invoked after the segment has reached the sink — so fn only ever sees
 // data a re-read of the file would also see. The StreamSegment's
-// payload aliases the writer's reusable encode buffer and is valid only
-// during the call; fn must decode or copy before returning. The tee is
-// observational: its behaviour never affects the stream, and a slow fn
-// only delays the writer (the capture side already freezes the machine
-// during a spill, so the delay costs no simulated time).
+// payload aliases the writer's reusable encode buffer (or, for a raw
+// segment written with WritePacked, the caller's packed bytes) and is
+// valid only during the call; fn must decode or copy before returning.
+// The tee is observational: its behaviour never affects the stream, and
+// a slow fn only delays the writer (the capture side already freezes
+// the machine during a spill, so the delay costs no simulated time).
 func (sw *SegmentWriter) Tee(fn func(StreamSegment)) { sw.tee = fn }
 
 // NewSegmentWriter writes the segmented stream header to w and returns
@@ -187,10 +189,19 @@ func newSegmentWriter(w io.Writer, codec uint16, meta string, version uint16) (*
 // raw. Errors are sticky: once the sink fails, every later call reports
 // the same error so a capture loop can fall back to counted-drop mode.
 func (sw *SegmentWriter) WriteSegment(recs []Record, dropped, dilationCycles uint64) (SegmentInfo, error) {
+	sw.packed = appendPacked(sw.packed[:0], recs)
+	return sw.WritePacked(sw.packed, dropped, dilationCycles)
+}
+
+// WritePacked is WriteSegment for records already in the packed layout
+// the collector's trace store writes — a buffer dump as it sits in
+// reserved memory. packed must hold whole records; the writer reads it
+// only during the call.
+func (sw *SegmentWriter) WritePacked(packed []byte, dropped, dilationCycles uint64) (SegmentInfo, error) {
 	if sw.seqOn {
 		return SegmentInfo{}, fmt.Errorf("trace: sequence-stamped (v3) stream: use WriteSegmentSeq")
 	}
-	return sw.writeSegment(recs, dropped, dilationCycles, 0, 0)
+	return sw.writeSegment(packed, dropped, dilationCycles, 0, 0)
 }
 
 // WriteSegmentSeq appends one buffer dump to a v3 stream, stamped with
@@ -199,41 +210,44 @@ func (sw *SegmentWriter) WriteSegment(recs []Record, dropped, dilationCycles uin
 // from one shared counter satisfy this naturally; so does a merged
 // stream, whose marks are the union).
 func (sw *SegmentWriter) WriteSegmentSeq(recs []Record, dropped, dilationCycles uint64, cpu uint16, seq uint64) (SegmentInfo, error) {
+	sw.packed = appendPacked(sw.packed[:0], recs)
+	return sw.WritePackedSeq(sw.packed, dropped, dilationCycles, cpu, seq)
+}
+
+// WritePackedSeq is WriteSegmentSeq for packed records (see
+// WritePacked).
+func (sw *SegmentWriter) WritePackedSeq(packed []byte, dropped, dilationCycles uint64, cpu uint16, seq uint64) (SegmentInfo, error) {
 	if !sw.seqOn {
 		return SegmentInfo{}, fmt.Errorf("trace: not a sequence-stamped stream: use WriteSegment")
 	}
 	if seq <= sw.lastSeq {
 		return SegmentInfo{}, fmt.Errorf("trace: sequence mark %d not above previous %d", seq, sw.lastSeq)
 	}
-	info, err := sw.writeSegment(recs, dropped, dilationCycles, cpu, seq)
+	info, err := sw.writeSegment(packed, dropped, dilationCycles, cpu, seq)
 	if err == nil {
 		sw.lastSeq = seq
 	}
 	return info, err
 }
 
-func (sw *SegmentWriter) writeSegment(recs []Record, dropped, dilationCycles uint64, cpu uint16, seq uint64) (SegmentInfo, error) {
+func (sw *SegmentWriter) writeSegment(packed []byte, dropped, dilationCycles uint64, cpu uint16, seq uint64) (SegmentInfo, error) {
 	if sw.err != nil {
 		return SegmentInfo{}, sw.err
 	}
 	if sw.closed {
 		return SegmentInfo{}, fmt.Errorf("trace: segment writer closed")
 	}
+	if len(packed)%RecordBytes != 0 {
+		return SegmentInfo{}, fmt.Errorf("trace: packed segment length %d not a record multiple", len(packed))
+	}
 	// Encode to memory first: payLen must precede the payload, and a
 	// sink error mid-segment must not leave a half-written segment
 	// unaccounted for.
-	sw.pay.Reset()
-	var encErr error
-	switch sw.codec {
-	case CodecRaw:
-		encErr = writeRaw(&sw.pay, recs)
-	case CodecDelta:
-		encErr = writeDelta(&sw.pay, recs)
+	raw := packed // the raw codec's payload is the packed records
+	if sw.codec == CodecDelta {
+		sw.pay = appendDelta(sw.pay[:0], packed)
+		raw = sw.pay
 	}
-	if encErr != nil {
-		return SegmentInfo{}, encErr
-	}
-	raw := sw.pay.Bytes()
 	enc := SegEncRaw
 	stored := raw
 	if sw.enc == SegEncFlate && len(raw) > 0 {
@@ -247,7 +261,7 @@ func (sw *SegmentWriter) writeSegment(recs []Record, dropped, dilationCycles uin
 	}
 	info := SegmentInfo{
 		Index:          sw.next,
-		Records:        uint64(len(recs)),
+		Records:        uint64(len(packed) / RecordBytes),
 		Dropped:        dropped,
 		DilationCycles: dilationCycles,
 		PayloadBytes:   uint64(len(stored)),

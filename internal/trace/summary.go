@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"atum/internal/mem"
+	"atum/internal/stats"
 )
 
 // Summary aggregates the headline statistics of a trace — the columns of
@@ -35,20 +36,24 @@ func Summarize(recs []Record) Summary { return SummarizeSource(Records(recs)) }
 // Arena) in one streaming pass.
 func SummarizeSource(src Source) Summary {
 	var s Summary
-	pids := map[uint8]bool{}
-	pages := map[uint64]bool{}
+	var pids [256]bool
+	pages := stats.NewU64Set(0)
 	_ = src.EachChunk(func(chunk []Record) error {
 		for _, r := range chunk {
-			s.add(r, pids, pages)
+			s.add(r, &pids, pages)
 		}
 		return nil
 	})
-	s.DistinctPIDs = len(pids)
-	s.DistinctPages = len(pages)
+	for _, seen := range pids {
+		if seen {
+			s.DistinctPIDs++
+		}
+	}
+	s.DistinctPages = pages.Len()
 	return s
 }
 
-func (s *Summary) add(r Record, pids map[uint8]bool, pages map[uint64]bool) {
+func (s *Summary) add(r Record, pids *[256]bool, pages *stats.U64Set) {
 	s.Total++
 	s.ByKind[r.Kind]++
 	switch r.Kind {
@@ -81,7 +86,7 @@ func (s *Summary) add(r Record, pids map[uint8]bool, pages map[uint64]bool) {
 	if !r.Phys && r.Addr>>30 != 2 {
 		key |= uint64(r.PID) << 32
 	}
-	pages[key] = true
+	pages.Add(key)
 }
 
 // PercentUser returns user references as a percentage of memory refs.

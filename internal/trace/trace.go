@@ -88,26 +88,31 @@ const (
 	flagPhys = 1 << 6
 )
 
-// Encode packs the record into b (at least RecordBytes long).
-func (r Record) Encode(b []byte) {
-	var wl byte
-	switch r.Width {
+// Pack returns one record in the packed layout, read as a little-endian
+// uint64 — the value the collector's trace store writes with a single
+// 8-byte store. Encode goes through it too, so the layout is defined
+// here alone.
+func Pack(k Kind, addr uint32, width, pid uint8, user, phys bool, extra uint16) uint64 {
+	var wl uint64
+	switch width {
 	case 2:
 		wl = 1
 	case 4:
 		wl = 2
 	}
-	b0 := byte(r.Kind)&7 | wl<<3
-	if r.User {
+	b0 := uint64(k)&7 | wl<<3
+	if user {
 		b0 |= flagUser
 	}
-	if r.Phys {
+	if phys {
 		b0 |= flagPhys
 	}
-	b[0] = b0
-	b[1] = r.PID
-	binary.LittleEndian.PutUint16(b[2:], r.Extra)
-	binary.LittleEndian.PutUint32(b[4:], r.Addr)
+	return b0 | uint64(pid)<<8 | uint64(extra)<<16 | uint64(addr)<<32
+}
+
+// Encode packs the record into b (at least RecordBytes long).
+func (r Record) Encode(b []byte) {
+	binary.LittleEndian.PutUint64(b, Pack(r.Kind, r.Addr, r.Width, r.PID, r.User, r.Phys, r.Extra))
 }
 
 // DecodeRecord unpacks one record from b. The packed width field cannot

@@ -208,6 +208,52 @@ func TestDeltaRejectsInvalidKind(t *testing.T) {
 	}
 }
 
+// TestRawRejectsInvalidKind: a raw-codec record of the reserved kind 7
+// used to decode on every raw read path and then index past
+// Summary.ByKind in SummarizeSource. Each raw path now rejects it with
+// the record-indexed error the delta codec gives.
+func TestRawRejectsInvalidKind(t *testing.T) {
+	const want = "trace: record 1: invalid kind 7"
+	good := Record{Kind: KindIFetch, Addr: 0x200, Width: 4}
+	var seg, mono bytes.Buffer
+	sw, err := NewSegmentWriter(&seg, CodecRaw, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.WriteSegment([]Record{good, good}, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(&mono, []Record{good, good}, CodecRaw); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"segmented": seg.Bytes(), "monolithic": mono.Bytes()} {
+		data[len(data)-RecordBytes] = 0x07 // the second record's kind bits
+		if _, err := readAll(bytes.NewReader(data)); err == nil || err.Error() != want {
+			t.Errorf("%s, streaming: err %v, want %q", name, err, want)
+		}
+		f, err := OpenReaderAt(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := f.Arena(1); err == nil || err.Error() != want {
+			t.Errorf("%s, random access: err %v, want %q", name, err, want)
+		}
+		if name != "segmented" {
+			continue
+		}
+		payload, err := f.SegmentPayload(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeSegment(CodecRaw, f.Segments()[0], payload, nil, 0); err == nil || err.Error() != want {
+			t.Errorf("DecodeSegment: err %v, want %q", err, want)
+		}
+	}
+}
+
 func TestReadFileHugeCountDoesNotPreallocate(t *testing.T) {
 	// Regression (found by fuzzing): the header's record count is
 	// untrusted; a forged huge count must fail on truncated payload
