@@ -176,6 +176,47 @@ ok:	.ascii	"ok\n"
 	}
 }
 
+// TestPushStackGrowth grows the user stack on demand with PUSHL and
+// with MOVL to -(SP). Each stack-page fault restarts the push with SP
+// where it was, so 600 pushes then 600 pops return SP to its start and
+// pop back the sum of what was pushed. The exit status carries both:
+// the SP drift in bytes above bit 20, the sum below.
+func TestPushStackGrowth(t *testing.T) {
+	for _, tc := range []struct{ name, push string }{
+		{"pushl", "pushl\tr6"},
+		{"autodec", "movl\tr6, -(sp)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := `
+	.org	0x200
+start:	movl	sp, r7		; SP at entry
+	movl	#600, r6
+pu:	` + tc.push + `
+	sobgtr	r6, pu
+	clrl	r8
+	movl	#600, r6
+po:	addl2	(sp)+, r8	; sum of what was pushed
+	sobgtr	r6, po
+	subl3	sp, r7, r1	; SP drift
+	ashl	#20, r1, r1
+	bisl2	r8, r1
+	chmk	#0
+`
+			s := boot(t, DefaultConfig(), asm(t, src))
+			st, err := s.ExitStatus(s.Procs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if drift, sum := st>>20, st&(1<<20-1); drift != 0 || sum != 600*601/2 {
+				t.Errorf("exit status %#x: SP drift %d bytes, sum %d; want 0 and %d", st, drift, sum, 600*601/2)
+			}
+			if _, faults, _, err := s.Rusage(s.Procs[0]); err != nil || faults == 0 {
+				t.Errorf("stack faults = %d (err %v); the stack never grew", faults, err)
+			}
+		})
+	}
+}
+
 func TestStackOverflowKilled(t *testing.T) {
 	// Run past the P1 window: the process dies, the system still halts.
 	src := `

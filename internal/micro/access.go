@@ -57,7 +57,8 @@ func (m *Machine) fetchLong() uint32 {
 // flushIBuf invalidates the prefetch buffer (taken branches, REI, ...).
 func (m *Machine) flushIBuf() { m.ibufValid = false }
 
-// cpuFetcher adapts the machine to vax.Fetcher for operand decoding.
+// cpuFetcher adapts the machine to vax.Fetcher for skimOperand, the one
+// interpreter path that still decodes through vax.DecodeOperand.
 type cpuFetcher Machine
 
 func (f *cpuFetcher) Byte() (byte, error)   { return (*Machine)(f).fetchByte(), nil }
@@ -100,12 +101,6 @@ func (m *Machine) translate(va uint32, write bool) uint32 {
 func (m *Machine) readVirt(va uint32, width uint8) uint32 {
 	m.Cycles += uint64(m.Costs.DataRead)
 	m.fire(Access{Ev: EvDRead, VA: va, Width: width, Mode: m.mode(), PID: m.CurPID})
-	return m.readNoEvent(va, width)
-}
-
-// readNoEvent is readVirt without the micro-event (second half of a
-// modify access, which the 8200 recorded once).
-func (m *Machine) readNoEvent(va uint32, width uint8) uint32 {
 	if crossesPage(va, width) {
 		var v uint32
 		for i := uint32(0); i < uint32(width); i++ {
@@ -173,10 +168,13 @@ func crossesPage(va uint32, width uint8) bool {
 	return va>>9 != (va+uint32(width)-1)>>9
 }
 
-// push/pop operate on the current stack (R[SP]).
+// push/pop operate on the current stack (R[SP]). push decrements SP
+// through the undo log, so a fault on the stack write restarts the
+// instruction with SP where it was.
 func (m *Machine) push(v uint32) {
-	m.CPU.R[vax.SP] -= 4
-	m.writeVirt(m.CPU.R[vax.SP], 4, v)
+	sp := m.CPU.R[vax.SP] - 4
+	m.setReg(vax.SP, sp)
+	m.writeVirt(sp, 4, v)
 }
 
 func (m *Machine) pop() uint32 {
@@ -220,55 +218,91 @@ func (m *Machine) skimOperand(spec vax.OperandSpec) {
 	}
 }
 
-// evalOperand decodes the next operand specifier from the instruction
-// stream and computes its location, performing the architectural side
-// effects (autoincrement/autodecrement, deferred pointer reads).
+// evalOperand evaluates the next operand specifier straight off the
+// instruction stream and returns its location, performing the
+// architectural side effects (autoincrement/autodecrement, deferred
+// pointer reads). Every byte of the specifier is fetched before any of
+// its side effects, and an index term R[x]*width is added after the
+// base's side effects: the micro-event order and fault precedence of
+// vax.DecodeOperand followed by resolution, which FuzzOperandEval pins.
 func (m *Machine) evalOperand(spec vax.OperandSpec) opRef {
-	op, err := vax.DecodeOperand((*cpuFetcher)(m), spec)
-	if err != nil {
-		raise(vax.VecReserved, true)
-	}
-	return m.resolve(op, spec)
-}
-
-func (m *Machine) resolve(op vax.Operand, spec vax.OperandSpec) opRef {
-	width := uint32(spec.Width)
-	var ea uint32
-	switch op.Mode {
-	case vax.ModeLiteral:
-		return opRef{kind: refImm, val: uint32(op.Lit)}
-	case vax.ModeImmediate:
-		return opRef{kind: refImm, val: op.Imm}
-	case vax.ModeRegister:
-		if op.Reg == vax.PC {
+	sb := m.fetchByte()
+	indexed := sb>>4 == 4
+	x := sb & 0x0F
+	if indexed { // [Rx] prefix: the base specifier follows
+		if x == vax.PC {
 			raise(vax.VecReserved, true)
 		}
-		return opRef{kind: refReg, reg: op.Reg}
-	case vax.ModeRegDeferred:
-		ea = m.CPU.R[op.Reg]
-	case vax.ModeAutoDec:
-		m.setReg(op.Reg, m.CPU.R[op.Reg]-width)
-		ea = m.CPU.R[op.Reg]
-	case vax.ModeAutoInc:
-		ea = m.CPU.R[op.Reg]
-		m.setReg(op.Reg, ea+width)
-	case vax.ModeAutoIncDeferred:
-		ptr := m.CPU.R[op.Reg]
-		m.setReg(op.Reg, ptr+4)
-		ea = m.readVirt(ptr, 4)
-	case vax.ModeAbsolute:
-		ea = op.Imm
-	case vax.ModeByteDisp, vax.ModeWordDisp, vax.ModeLongDisp:
-		ea = m.CPU.R[op.Reg] + uint32(op.Disp)
-	case vax.ModeByteDispDef, vax.ModeWordDispDef, vax.ModeLongDispDef:
-		ea = m.readVirt(m.CPU.R[op.Reg]+uint32(op.Disp), 4)
-	default:
-		raise(vax.VecReserved, true)
+		sb = m.fetchByte()
 	}
-	if op.Indexed {
-		ea += m.CPU.R[op.Xreg] * width
+	reg := sb & 0x0F
+	var ea uint32
+	switch sb >> 4 {
+	case 0, 1, 2, 3: // S^#literal
+		if indexed {
+			raise(vax.VecReserved, true)
+		}
+		return opRef{kind: refImm, val: uint32(sb & 0x3F)}
+	case 4: // an index prefix as the base of another
+		raise(vax.VecReserved, true)
+	case 5: // Rn
+		if indexed || reg == vax.PC {
+			raise(vax.VecReserved, true)
+		}
+		return opRef{kind: refReg, reg: reg}
+	case 6: // (Rn)
+		ea = m.CPU.R[reg]
+	case 7: // -(Rn)
+		ea = m.CPU.R[reg] - uint32(spec.Width)
+		m.setReg(reg, ea)
+	case 8:
+		if reg == vax.PC { // #imm = (PC)+
+			v := m.fetchImmediate(spec.Width)
+			if indexed {
+				raise(vax.VecReserved, true)
+			}
+			return opRef{kind: refImm, val: v}
+		}
+		ea = m.CPU.R[reg] // (Rn)+
+		m.setReg(reg, ea+uint32(spec.Width))
+	case 9:
+		if reg == vax.PC { // @#addr = @(PC)+
+			ea = m.fetchLong()
+			break
+		}
+		ptr := m.CPU.R[reg] // @(Rn)+
+		m.setReg(reg, ptr+4)
+		ea = m.readVirt(ptr, 4)
+	default: // d(Rn) and @d(Rn), byte/word/long displacement
+		var d uint32
+		switch sb >> 4 {
+		case 0xA, 0xB:
+			d = uint32(int8(m.fetchByte()))
+		case 0xC, 0xD:
+			d = uint32(int16(m.fetchWord()))
+		default:
+			d = m.fetchLong()
+		}
+		ea = m.CPU.R[reg] + d // PC-relative: PC is past the displacement
+		if sb&0x10 != 0 {
+			ea = m.readVirt(ea, 4)
+		}
+	}
+	if indexed {
+		ea += m.CPU.R[x] * uint32(spec.Width)
 	}
 	return opRef{kind: refMem, addr: ea}
+}
+
+// fetchImmediate consumes an immediate constant of the operand width.
+func (m *Machine) fetchImmediate(w vax.Width) uint32 {
+	switch w {
+	case vax.B:
+		return uint32(m.fetchByte())
+	case vax.W:
+		return uint32(m.fetchWord())
+	}
+	return m.fetchLong()
 }
 
 // readRef reads the operand's value (width-sized, zero-extended raw bits).
@@ -281,14 +315,6 @@ func (m *Machine) readRef(r opRef, w vax.Width) uint32 {
 	default:
 		return m.readVirt(r.addr, uint8(w))
 	}
-}
-
-// readRefModify is the read half of a modify operand: the subsequent
-// writeRef to the same location is the traced reference (matching the
-// single read-modify-write bus transaction of the hardware for
-// registers; memory modifies trace both halves via readVirt/writeVirt).
-func (m *Machine) readRefModify(r opRef, w vax.Width) uint32 {
-	return m.readRef(r, w)
 }
 
 // writeRef stores a width-sized value into the operand location.

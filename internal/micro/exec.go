@@ -170,7 +170,7 @@ func stockExec(info *vax.InstrInfo) func(*Machine) {
 		return func(m *Machine) {
 			a := m.readRef(m.evalOperand(op[0]), w)
 			dst := m.evalOperand(op[1])
-			b := m.readRefModify(dst, w)
+			b := m.readRef(dst, w)
 			m.writeRef(dst, w, m.addCC(b, a, w))
 		}
 	case vax.OpADDB3, vax.OpADDW3, vax.OpADDL3:
@@ -186,7 +186,7 @@ func stockExec(info *vax.InstrInfo) func(*Machine) {
 		return func(m *Machine) {
 			a := m.readRef(m.evalOperand(op[0]), w)
 			dst := m.evalOperand(op[1])
-			b := m.readRefModify(dst, w)
+			b := m.readRef(dst, w)
 			m.writeRef(dst, w, m.subCC(b, a, w))
 		}
 	case vax.OpSUBB3, vax.OpSUBW3, vax.OpSUBL3:
@@ -201,14 +201,14 @@ func stockExec(info *vax.InstrInfo) func(*Machine) {
 		w := op[0].Width
 		return func(m *Machine) {
 			dst := m.evalOperand(op[0])
-			v := m.readRefModify(dst, w)
+			v := m.readRef(dst, w)
 			m.writeRef(dst, w, m.addCC(v, 1, w))
 		}
 	case vax.OpDECB, vax.OpDECW, vax.OpDECL:
 		w := op[0].Width
 		return func(m *Machine) {
 			dst := m.evalOperand(op[0])
-			v := m.readRefModify(dst, w)
+			v := m.readRef(dst, w)
 			m.writeRef(dst, w, m.subCC(v, 1, w))
 		}
 
@@ -216,7 +216,7 @@ func stockExec(info *vax.InstrInfo) func(*Machine) {
 		return func(m *Machine) {
 			a := m.readRef(m.evalOperand(op[0]), vax.L)
 			dst := m.evalOperand(op[1])
-			b := m.readRefModify(dst, vax.L)
+			b := m.readRef(dst, vax.L)
 			m.writeRef(dst, vax.L, m.mulCC(a, b))
 		}
 	case vax.OpMULL3:
@@ -230,7 +230,7 @@ func stockExec(info *vax.InstrInfo) func(*Machine) {
 		return func(m *Machine) {
 			a := m.readRef(m.evalOperand(op[0]), vax.L) // divisor
 			dst := m.evalOperand(op[1])
-			b := m.readRefModify(dst, vax.L)
+			b := m.readRef(dst, vax.L)
 			m.writeRef(dst, vax.L, m.divCC(b, a))
 		}
 	case vax.OpDIVL3:
@@ -287,7 +287,7 @@ func stockExec(info *vax.InstrInfo) func(*Machine) {
 		return func(m *Machine) {
 			a := m.readRef(m.evalOperand(op[0]), vax.L)
 			dst := m.evalOperand(op[1])
-			b := m.readRefModify(dst, vax.L)
+			b := m.readRef(dst, vax.L)
 			m.writeRef(dst, vax.L, m.carryChainCC(b, a, subtract))
 		}
 
@@ -481,7 +481,7 @@ func stockExec(info *vax.InstrInfo) func(*Machine) {
 			limit := int32(m.readRef(m.evalOperand(op[0]), vax.L))
 			idx := m.evalOperand(op[1])
 			d := m.evalBranch(op[2])
-			v := m.addCC(m.readRefModify(idx, vax.L), 1, vax.L)
+			v := m.addCC(m.readRef(idx, vax.L), 1, vax.L)
 			m.writeRef(idx, vax.L, v)
 			if int32(v) < limit || (orEqual && int32(v) == limit) {
 				m.branch(d)
@@ -492,7 +492,7 @@ func stockExec(info *vax.InstrInfo) func(*Machine) {
 		return func(m *Machine) {
 			idx := m.evalOperand(op[0])
 			d := m.evalBranch(op[1])
-			v := m.subCC(m.readRefModify(idx, vax.L), 1, vax.L)
+			v := m.subCC(m.readRef(idx, vax.L), 1, vax.L)
 			m.writeRef(idx, vax.L, v)
 			if int32(v) > 0 || (!strict && int32(v) == 0) {
 				m.branch(d)
@@ -504,7 +504,7 @@ func stockExec(info *vax.InstrInfo) func(*Machine) {
 			add := int32(m.readRef(m.evalOperand(op[1]), vax.L))
 			idx := m.evalOperand(op[2])
 			d := m.evalBranch(op[3])
-			v := m.addCC(m.readRefModify(idx, vax.L), uint32(add), vax.L)
+			v := m.addCC(m.readRef(idx, vax.L), uint32(add), vax.L)
 			m.writeRef(idx, vax.L, v)
 			if (add >= 0 && int32(v) <= limit) || (add < 0 && int32(v) >= limit) {
 				m.branch(d)
@@ -563,7 +563,7 @@ func logic2(op []vax.OperandSpec, f func(a, b uint32) uint32) func(*Machine) {
 	return func(m *Machine) {
 		a := m.readRef(m.evalOperand(op[0]), w)
 		dst := m.evalOperand(op[1])
-		b := m.readRefModify(dst, w)
+		b := m.readRef(dst, w)
 		r := truncate(f(a, b), w)
 		m.writeRef(dst, w, r)
 		m.ccNZ(r, w)
@@ -619,13 +619,16 @@ func (m *Machine) carryChainCC(a, b uint32, subtract bool) uint32 {
 	return r
 }
 
-// evalBranch decodes a branch displacement operand.
+// evalBranch fetches a branch displacement operand, sign-extended.
 func (m *Machine) evalBranch(spec vax.OperandSpec) int32 {
-	op, err := vax.DecodeOperand((*cpuFetcher)(m), spec)
-	if err != nil {
-		raise(vax.VecReserved, true)
+	switch spec.Width {
+	case vax.B:
+		return int32(int8(m.fetchByte()))
+	case vax.W:
+		return int32(int16(m.fetchWord()))
 	}
-	return op.Disp
+	raise(vax.VecReserved, true)
+	return 0
 }
 
 // branch adjusts PC by a taken branch displacement.

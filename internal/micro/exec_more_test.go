@@ -159,6 +159,46 @@ data:	.long	4
 	}
 }
 
+// TestPushFaultRestoresSP pins push's undo: a user-mode push whose
+// stack write faults (here past the end of RAM) restarts the
+// instruction with SP where it was, so the handler sees USP unchanged.
+func TestPushFaultRestoresSP(t *testing.T) {
+	for _, tc := range []struct{ name, instr string }{
+		{"pushl", "pushl\t#5"},
+		{"pushal", "pushal\tdata"},
+		{"jsb", "jsb\tsub"},
+		{"calls", "calls\t#0, proc"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := `
+	.org 0x1000
+start:	` + tc.instr + `
+	halt
+sub:	rsb
+proc:	.word	0
+	ret
+handler: mfpr	#3, r9		; USP as the handler sees it
+	halt
+data:	.long	0
+`
+			prog, err := vax.Assemble(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := load(t, src)
+			setupSCB(t, m, map[uint16]uint32{vax.VecMachineCheck: prog.MustSymbol("handler")})
+			usp := testConfig().MemSize + 0x100
+			m.CPU.KSP = 0xF000
+			m.CPU.R[vax.SP] = usp
+			m.CPU.PSL = uint32(vax.ModeUser) << vax.PSLCurModShift
+			run(t, m)
+			if m.CPU.R[9] != usp {
+				t.Errorf("USP in handler = %#x, want %#x (push not undone)", m.CPU.R[9], usp)
+			}
+		})
+	}
+}
+
 func TestJmpIndexed(t *testing.T) {
 	m := runSrc(t, `
 	.org 0x1000
