@@ -16,11 +16,14 @@
 //
 //	atum-capture -o long.trc -segment-bytes 65536 -workloads sort,sieve
 //
+// Without -segment-bytes the capture is held in memory and written at
+// the end as a one-segment stream carrying the collector's drop and
+// dilation totals.
+//
 // -compress stores each spilled segment flate-compressed (container v2
 // per-segment encoding) on top of whatever codec is selected; decode
-// output is identical, only the file shrinks. It requires the
-// segmented path (-segment-bytes), since monolithic captures have no
-// segments to encode.
+// output is identical, only the file shrinks. It requires the spill
+// path (-segment-bytes), whose segments are the unit of compression.
 //
 // -cpus boots an N-processor machine: the reserved region is divided
 // into per-CPU slices, every core's microcode spills its own sequence-
@@ -123,9 +126,9 @@ func main() {
 		}
 		return nil
 	}
-	// Configuration provenance; the segmented path writes it at stream
-	// open (before the run), so final instruction/cycle counts appear
-	// only in monolithic captures.
+	// Configuration provenance; the spill path writes it at stream open
+	// (before the run), so final instruction/cycle counts appear only in
+	// captures held in memory.
 	cfgMeta := fmt.Sprintf("workloads=%s mem=%dMB reserved=%dKB icr=%d cost=%d",
 		*loads, *memMB, *resKB, *quantum, *cost)
 	if *cpus > 1 {
@@ -169,7 +172,14 @@ func main() {
 	}
 	defer f.Close()
 	meta := fmt.Sprintf("%s instrs=%d cycles=%d", cfgMeta, sys.M.Instrs, sys.M.Cycles)
-	if err := trace.WriteFileMeta(f, recs, codecID, meta); err != nil {
+	sw, err := trace.NewSegmentWriter(f, codecID, meta)
+	if err != nil {
+		fatal(err)
+	}
+	if _, err := sw.WriteSegment(recs, cap.Collector.Dropped, cap.Collector.DilationCycles); err != nil {
+		fatal(err)
+	}
+	if err := sw.Close(); err != nil {
 		fatal(err)
 	}
 

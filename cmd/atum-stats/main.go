@@ -69,17 +69,15 @@ func main() {
 	if rd.Meta() != "" {
 		fmt.Println("capture:", rd.Meta())
 	}
-	if rd.Segmented() {
-		var dropped, cycles uint64
-		for _, s := range rd.Segments() {
-			dropped += s.Dropped
-			cycles += s.DilationCycles
-		}
-		fmt.Printf("segments: %d (%d records dropped at capture, %d dilation cycles)\n",
-			len(rd.Segments()), dropped, cycles)
-		if rd.SeqStamped() {
-			printCPUBreakdown(rd.Segments())
-		}
+	var dropped, cycles uint64
+	for _, s := range rd.Segments() {
+		dropped += s.Dropped
+		cycles += s.DilationCycles
+	}
+	fmt.Printf("segments: %d (%d records dropped at capture, %d dilation cycles)\n",
+		len(rd.Segments()), dropped, cycles)
+	if rd.SeqStamped() {
+		printCPUBreakdown(rd.Segments())
 	}
 	if *metaOnly {
 		// The segment index was built from headers alone; no payload has
@@ -98,8 +96,8 @@ func main() {
 			fmt.Printf("  segment %d:%s %d records, %d bytes stored (%s, %d uncompressed), %d dropped, %d dilation cycles\n",
 				s.Index, stamp, s.Records, s.PayloadBytes, trace.EncodingName(s.Encoding), s.RawBytes, s.Dropped, s.DilationCycles)
 		}
-		// Every segmented stream gets the payload summary — a stream of
-		// empty segments (stored == 0) used to drop the line entirely,
+		// Every stream with segments gets the payload summary — a stream
+		// of empty segments (stored == 0) used to drop the line entirely,
 		// which read as truncated output; the ratio alone is undefined
 		// then, so only it degrades.
 		if len(rd.Segments()) > 0 {

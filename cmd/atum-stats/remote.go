@@ -38,15 +38,13 @@ func remoteStats(addr, arg string, check, metaOnly bool) {
 	if info.Meta != "" {
 		fmt.Println("capture:", info.Meta)
 	}
-	if info.Segmented {
-		var dropped, cycles uint64
-		for _, s := range info.Segments {
-			dropped += s.Dropped
-			cycles += s.DilationCycles
-		}
-		fmt.Printf("segments: %d (%d records dropped at capture, %d dilation cycles)\n",
-			len(info.Segments), dropped, cycles)
+	var dropped, cycles uint64
+	for _, s := range info.Segments {
+		dropped += s.Dropped
+		cycles += s.DilationCycles
 	}
+	fmt.Printf("segments: %d (%d records dropped at capture, %d dilation cycles)\n",
+		len(info.Segments), dropped, cycles)
 	if metaOnly {
 		fmt.Printf("records: %d (per stream headers; payloads not decoded)\n", info.Records)
 		for _, s := range info.Segments {

@@ -45,7 +45,7 @@ func main() {
 		mattson  = flag.Bool("mattson", false, "one-pass stack-distance analysis: print the fully-associative LRU miss curve")
 		l2       = flag.String("l2", "", "two-level mode: unified L2 of this size behind split L1s of -size")
 		cpu      = flag.Int("cpu", -1, "replay only this CPU's segments of a sequence-stamped SMP trace (-1: whole machine)")
-		stream   = flag.Bool("stream", false, "stream the trace through the pipeline: one pass, memory bounded by one decode buffer; trace-file - reads stdin")
+		stream   = flag.Bool("stream", false, "stream the trace through the pipeline: one pass, memory bounded by one segment; trace-file - reads stdin")
 		common   cliutil.CommonOptions
 	)
 	common.AddFlags(flag.CommandLine,
@@ -79,7 +79,7 @@ func main() {
 	}
 
 	// Batch mode decodes the whole trace into a shared arena up front;
-	// stream mode builds a pipeline and decodes one buffer at a time
+	// stream mode builds a pipeline and decodes one segment at a time
 	// while feeding the simulators.
 	var (
 		src  *trace.Arena
@@ -221,8 +221,8 @@ func streamCaches(p *sweep.Pipeline, cfgs []cache.Config, opts cache.RunOptions,
 }
 
 // feedStream streams the trace at path ("-" for stdin) through the
-// pipeline. Errors are sticky in the pipeline and surface from the
-// collectors.
+// pipeline, one scanned segment at a time. Errors are sticky in the
+// pipeline and surface from the collectors.
 func feedStream(p *sweep.Pipeline, path string) {
 	var in io.Reader = os.Stdin
 	if path != "-" {
@@ -233,11 +233,7 @@ func feedStream(p *sweep.Pipeline, path string) {
 		defer f.Close()
 		in = f
 	}
-	rd, err := trace.Open(in)
-	if err != nil {
-		fatal(err)
-	}
-	p.FeedReader(rd)
+	p.FeedStream(in)
 }
 
 // baseCacheConfig assembles the single-level config the flags describe;

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"testing"
 
@@ -51,22 +52,45 @@ func TestFullPipeline(t *testing.T) {
 		}
 	}
 
-	// Serialize and restore through both codecs.
+	// Serialize and restore through both codecs, reading the stream back
+	// both ways: sequentially, as from a pipe, and by random access.
 	for _, codec := range []uint16{trace.CodecRaw, trace.CodecDelta} {
 		var buf bytes.Buffer
 		if err := trace.WriteFile(&buf, recs, codec); err != nil {
 			t.Fatal(err)
 		}
-		rd, err := trace.Open(&buf)
+		sc, err := trace.NewScanner(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := rd.Records()
+		var scanned []trace.Record
+		for {
+			seg, err := sc.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := trace.DecodeSegment(seg.Codec, seg.Info, seg.Payload, nil, uint64(len(scanned)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			scanned = append(scanned, out...)
+		}
+		if !reflect.DeepEqual(scanned, recs) {
+			t.Fatalf("codec %d scanner round trip mismatch", codec)
+		}
+		f, err := trace.OpenReaderAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := f.Records(0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(back, recs) {
-			t.Fatalf("codec %d round trip mismatch", codec)
+			t.Fatalf("codec %d random-access round trip mismatch", codec)
 		}
 	}
 

@@ -2,12 +2,11 @@
 // enforcing repo-specific invariants the Go compiler cannot: trace.Record
 // literals set the fields the packed encoding requires, only the tracing
 // layers touch the reserved-region accessor, PIDs are never silently
-// truncated to uint8, every caller reads traces through trace.Open, and
-// — since PR 5 proved the point at runtime — the concurrency invariants
-// of the capture pipeline hold by construction: fields touched through
-// sync/atomic are never accessed plainly, mutex-guarded fields are only
-// reached under their lock, and no code reachable from the telemetry
-// layer can charge simulated cycles.
+// truncated to uint8, and the concurrency invariants of the capture
+// pipeline hold by construction: fields touched through sync/atomic are
+// never accessed plainly, mutex-guarded fields are only reached under
+// their lock, and no code reachable from the telemetry layer can charge
+// simulated cycles.
 //
 // The framework is a deliberately small, stdlib-only analogue of
 // golang.org/x/tools/go/analysis (which is not vendored here). Unlike
@@ -101,7 +100,7 @@ func (f Finding) String() string {
 // their usage text from this list, so it cannot go stale.
 func All() []*Analyzer {
 	return []*Analyzer{
-		TraceRecord, ReservedAccessor, PIDTrunc, TraceOpen,
+		TraceRecord, ReservedAccessor, PIDTrunc,
 		AtomicField, GuardedBy, CyclePurity,
 	}
 }

@@ -26,9 +26,9 @@ func TestStringPerPlane(t *testing.T) {
 			"prog.s: error[wild-branch] 0x200 (block 0x1f0): branch to unmapped address",
 		},
 		{
-			Finding{Plane: PlaneGo, Check: "traceopen", File: "x.go", Line: 4, Col: 7,
-				Severity: "error", Message: "use trace.Open"},
-			"x.go:4:7: use trace.Open [traceopen]",
+			Finding{Plane: PlaneGo, Check: "pidtrunc", File: "x.go", Line: 4, Col: 7,
+				Severity: "error", Message: "PID truncated to uint8"},
+			"x.go:4:7: PID truncated to uint8 [pidtrunc]",
 		},
 	}
 	for _, c := range cases {

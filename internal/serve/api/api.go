@@ -108,8 +108,8 @@ type TraceInfo struct {
 	Tenant    string `json:"tenant"`
 	Meta      string `json:"meta"`
 	Bytes     uint64 `json:"bytes"`
-	Records   uint64 `json:"records"` // per stream headers
-	Segmented bool   `json:"segmented"`
+	Records   uint64 `json:"records"`   // per stream headers
+	Segmented bool   `json:"segmented"` // always true: every trace is a segment stream
 	// Complete is false while a capture session is still appending.
 	Complete bool                `json:"complete"`
 	Segments []trace.SegmentInfo `json:"segments,omitempty"`

@@ -22,13 +22,12 @@ var (
 )
 
 // arenaKey identifies one decoded unit: a single segment of a stored
-// trace, or the whole record block of a monolithic capture (seg == -1).
-// The generation distinguishes re-uploads under the same name, so a
-// stale decode can never be served for new bytes. The payload encoding
-// is part of the key: a decoded slice cached from a compressed segment
-// must never satisfy a lookup that believes the segment is raw (or
-// vice versa) — the generation usually separates them already, but the
-// key makes the separation structural.
+// trace. The generation distinguishes re-uploads under the same name,
+// so a stale decode can never be served for new bytes. The payload
+// encoding is part of the key: a decoded slice cached from a compressed
+// segment must never satisfy a lookup that believes the segment is raw
+// (or vice versa) — the generation usually separates them already, but
+// the key makes the separation structural.
 type arenaKey struct {
 	tenant string
 	trace  string
@@ -105,22 +104,8 @@ func (c *arenaCache) put(k arenaKey, recs []trace.Record) {
 
 // segments assembles the decoded chunks of every segment of f — cache
 // hits as-is, misses decoded via f.Segment (in parallel across workers)
-// and inserted — in segment order. For a monolithic file the whole
-// record block is one chunk under seg == -1.
+// and inserted — in segment order.
 func (c *arenaCache) segments(k arenaKey, f *trace.File, workers int) ([][]trace.Record, error) {
-	if !f.Segmented() {
-		mk := k
-		mk.seg = -1
-		if recs := c.get(mk); recs != nil {
-			return [][]trace.Record{recs}, nil
-		}
-		recs, err := f.Records(workers)
-		if err != nil {
-			return nil, err
-		}
-		c.put(mk, recs)
-		return [][]trace.Record{recs}, nil
-	}
 	segs := f.Segments()
 	n := len(segs)
 	chunks := make([][]trace.Record, n)

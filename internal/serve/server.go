@@ -280,7 +280,7 @@ func (s *Server) traceInfo(t *tenant, st *storedTrace) api.TraceInfo {
 	defer f.Close()
 	info.Meta = f.Meta()
 	info.Records = f.NumRecords()
-	info.Segmented = f.Segmented()
+	info.Segmented = true // every stored trace is a segment stream
 	info.Segments = f.Segments()
 	return info
 }

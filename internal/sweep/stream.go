@@ -106,7 +106,7 @@ var (
 
 // Pipeline fans pushed record chunks across a set of incremental
 // simulators over a bounded worker pool. Chunks arrive from one
-// producer goroutine (Feed/HandleSegment/FeedSource/FeedReader are not
+// producer goroutine (Feed/HandleSegment/FeedSource/FeedStream are not
 // themselves concurrency-safe); within a chunk every simulator runs in
 // parallel, and because each simulator sees every chunk in stream order
 // the results are independent of the worker count — workers == 1 is
@@ -350,24 +350,19 @@ func (p *Pipeline) FeedSource(src trace.Source) error {
 	return p.Err()
 }
 
-// feedReaderChunk sizes FeedReader's reused decode buffer.
-const feedReaderChunk = 1 << 16
-
-// FeedReader streams a trace file (either container) through the
-// pipeline without ever materialising it: one reused decode buffer, so
-// memory stays bounded however long the trace is. Decode errors are
-// sticky, record-indexed, and identical to what a batch read reports.
-func (p *Pipeline) FeedReader(rd *trace.Reader) error {
-	if cap(p.buf) < feedReaderChunk {
-		p.buf = make([]trace.Record, feedReaderChunk)
+// FeedStream reads a trace stream from r — a pipe, a file, any
+// io.Reader — segment by segment and feeds each through HandleSegment,
+// the same path a live spill tee takes. Memory stays bounded by one
+// segment however long the stream is. Decode errors are sticky,
+// record-indexed, and identical to what a batch read reports.
+func (p *Pipeline) FeedStream(r io.Reader) error {
+	sc, err := trace.NewScanner(r)
+	if err != nil {
+		p.fail(err)
+		return p.Err()
 	}
-	buf := p.buf[:cap(p.buf)]
 	for p.Err() == nil {
-		n, err := rd.Decode(buf)
-		p.decoded += uint64(n)
-		if n > 0 {
-			p.Feed(buf[:n])
-		}
+		seg, err := sc.Next()
 		if err == io.EOF {
 			break
 		}
@@ -375,6 +370,7 @@ func (p *Pipeline) FeedReader(rd *trace.Reader) error {
 			p.fail(err)
 			break
 		}
+		p.HandleSegment(seg)
 	}
 	return p.Err()
 }

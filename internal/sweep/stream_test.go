@@ -356,10 +356,11 @@ func fuzzRecords(data []byte) []trace.Record {
 // FuzzStreamSegmentFeed is the no-third-behavior guarantee: for any
 // record stream, segmentation, codec, and truncation of the final
 // segment's payload, the streamed pipeline must observe exactly the
-// records a batch reader sees in the equally-truncated file, and fail
+// records a Scanner reads from the equally-truncated file, and fail
 // (when it fails) with the identical record-indexed unexpected-EOF
-// error. There is no third outcome — no divergent records, no
-// different error, no silent success on a short payload.
+// error that File reports too. A clean stream delivers exactly the
+// records written. There is no third outcome — no divergent records,
+// no different error, no silent success on a short payload.
 func FuzzStreamSegmentFeed(f *testing.F) {
 	mk := func(n int) []byte {
 		b := make([]byte, n*8)
@@ -440,43 +441,50 @@ func FuzzStreamSegmentFeed(f *testing.F) {
 		}
 		gotRecs, gotErr := col.recs, p.Err()
 
-		// Batch oracle: read the equally-truncated file.
-		rd, err := trace.Open(bytes.NewReader(fileBytes))
-		if err != nil {
-			t.Fatalf("open truncated stream: %v", err)
-		}
-		var wantRecs []trace.Record
-		var wantErr error
-		buf := make([]trace.Record, 512)
-		for {
-			nr, derr := rd.Decode(buf)
-			wantRecs = append(wantRecs, buf[:nr]...)
-			if derr == io.EOF {
-				break
-			}
-			if derr != nil {
-				wantErr = derr
-				break
-			}
-		}
+		// The pipe path: the equally-truncated file fed through a
+		// Scanner, which hands each segment to HandleSegment as the tee
+		// did — a re-read from the bytes on disk, not the teed payloads.
+		ps := NewPipeline(1)
+		scol := &collectSim{}
+		AddSim[[]trace.Record](ps, "collect", scol)
+		ps.FeedStream(bytes.NewReader(fileBytes))
+		wantRecs, wantErr := scol.recs, ps.Err()
 
 		if len(gotRecs) != len(wantRecs) {
-			t.Fatalf("streamed %d records, batch %d (cut=%d, nseg=%d, codec=%d)",
+			t.Fatalf("streamed %d records, scanned %d (cut=%d, nseg=%d, codec=%d)",
 				len(gotRecs), len(wantRecs), cut, n, codec)
 		}
 		for i := range gotRecs {
 			if gotRecs[i] != wantRecs[i] {
-				t.Fatalf("record %d: streamed %v != batch %v", i, gotRecs[i], wantRecs[i])
+				t.Fatalf("record %d: streamed %v != scanned %v", i, gotRecs[i], wantRecs[i])
 			}
 		}
+
+		// Random access over the same bytes: same verdict, same message.
+		var fileErr error
+		var fileRecs []trace.Record
+		if fl, err := trace.OpenReaderAt(bytes.NewReader(fileBytes), int64(len(fileBytes))); err != nil {
+			fileErr = err
+		} else {
+			fileRecs, fileErr = fl.Records(1)
+		}
+
 		switch {
-		case gotErr == nil && wantErr == nil:
-			// Clean agreement.
-		case gotErr == nil || wantErr == nil:
-			t.Fatalf("error mismatch: streamed %v, batch %v", gotErr, wantErr)
+		case gotErr == nil && wantErr == nil && fileErr == nil:
+			// Clean agreement, and the records are the ones written.
+			if len(gotRecs) != len(recs) || len(fileRecs) != len(recs) {
+				t.Fatalf("clean decode of %d/%d records, wrote %d", len(gotRecs), len(fileRecs), len(recs))
+			}
+			for i := range recs {
+				if gotRecs[i] != recs[i] || fileRecs[i] != recs[i] {
+					t.Fatalf("record %d: streamed %v, file %v, written %v", i, gotRecs[i], fileRecs[i], recs[i])
+				}
+			}
+		case gotErr == nil || wantErr == nil || fileErr == nil:
+			t.Fatalf("error mismatch: streamed %v, scanned %v, file %v", gotErr, wantErr, fileErr)
 		default:
-			if gotErr.Error() != wantErr.Error() {
-				t.Fatalf("error text mismatch: streamed %q, batch %q", gotErr, wantErr)
+			if gotErr.Error() != wantErr.Error() || gotErr.Error() != fileErr.Error() {
+				t.Fatalf("error text mismatch: streamed %q, scanned %q, file %q", gotErr, wantErr, fileErr)
 			}
 			if !errors.Is(gotErr, io.ErrUnexpectedEOF) {
 				t.Fatalf("streamed error %v does not wrap io.ErrUnexpectedEOF", gotErr)

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"io"
-	"sync"
-)
+import "sync"
 
 // Source is a read-only, in-order stream of trace records that can be
 // consumed by any number of goroutines concurrently — the contract the
@@ -32,17 +29,18 @@ func (r Records) EachChunk(fn func([]Record) error) error {
 	return fn(r)
 }
 
-// arenaChunkRecords sizes the chunks Reader.Arena and Arena.Filter
-// decode into: 64K records (768 KB) keeps allocation spikes bounded — the
-// append-doubling of a contiguous decode transiently holds a trace
-// twice — while staying far above per-chunk overhead.
+// arenaChunkRecords sizes the chunks Arena.Filter copies into: 64K
+// records (768 KB) keeps allocation spikes bounded — the append-doubling
+// of a contiguous copy transiently holds a trace twice — while staying
+// far above per-chunk overhead.
 const arenaChunkRecords = 1 << 16
 
 // Arena is a shared, read-only record store decoded (or captured) once
 // and replayed many times: the fan-out side of the one-pass-many-configs
-// methodology. Records live in fixed-size chunks so a streaming decode
-// never re-copies what it has already decoded. An Arena is safe for
-// concurrent readers; it has no mutating methods after construction.
+// methodology. Records live in chunks — one per decoded segment — so a
+// decode never re-copies what it has already decoded. An Arena is safe
+// for concurrent readers; it has no mutating methods after
+// construction.
 type Arena struct {
 	chunks [][]Record
 	n      int
@@ -62,41 +60,9 @@ func NewArena(recs []Record) *Arena {
 	return a
 }
 
-// Arena decodes the remainder of the stream directly into arena chunks.
-// Unlike Records it never holds the trace twice: each chunk is decoded
-// in place and kept, with no growing contiguous slice behind it.
-func (r *Reader) Arena() (*Arena, error) {
-	a := &Arena{}
-	for {
-		size := r.d.Remaining() // untrusted: cap each allocation at one chunk
-		if size == 0 && !r.d.segmented {
-			break
-		}
-		if size == 0 || size > arenaChunkRecords {
-			// Segmented streams read segment headers lazily, so Remaining
-			// is 0 at every segment boundary even when records remain;
-			// allocate a full chunk and let Decode right-size it.
-			size = arenaChunkRecords
-		}
-		chunk := make([]Record, size)
-		n, err := r.d.Next(chunk)
-		if n > 0 {
-			a.chunks = append(a.chunks, chunk[:n:n])
-			a.n += n
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return a, nil
-}
-
 // NewArenaFromChunks wraps pre-decoded record chunks as an arena
-// without copying: the fan-in side for callers (like the serve layer's
-// segment cache) that already hold per-segment slices and want the
+// without copying: the fan-in side for callers (File.Arena, the serve
+// layer's segment cache) that hold per-segment slices and want the
 // one-pass-many-configs replay contract over them. Empty chunks are
 // skipped; the caller must not mutate any chunk afterwards.
 func NewArenaFromChunks(chunks [][]Record) *Arena {

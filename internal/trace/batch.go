@@ -6,36 +6,19 @@ import (
 	"io"
 )
 
-// Batch codec layer: both containers decode through the two batch
-// functions below, which scan an in-memory payload window with index
-// arithmetic — no per-byte reader calls, no per-record error wrapping —
-// and commit complete records only. The streaming Decoder feeds them
-// buffered windows (file.go); the random-access File feeds them whole
-// segment payloads (readerat.go). One code path, so the two entry
-// points are byte-identical by construction.
-
-// deltaState is the delta codec's inter-record state: the last address
-// seen per kind and the last PID. It resets at every segment boundary,
-// which is what makes segments independently decodable.
-type deltaState struct {
-	lastAddr [NumKinds]uint32
-	lastPID  uint8
-}
-
-// maxEncRecordBytes bounds one delta-encoded record: header byte, PID
-// byte, zigzag-varint address, uvarint extra. Any window at least this
-// long that still truncates mid-record is truncating the final record
-// of its payload.
-const maxEncRecordBytes = 2 + 2*binary.MaxVarintLen64
+// Batch codec layer: DecodeSegment hands a whole segment payload to
+// one of the two functions below, which scan it with index arithmetic —
+// no per-byte reader calls, no per-record error wrapping — and commit
+// complete records only. Every reader goes through DecodeSegment, so
+// File and Scanner are byte-identical by construction.
 
 // Batch decode error causes. A batch function stops at the first
 // problem record and reports which field failed through one of these;
 // the caller owns the record numbering and wraps accordingly (see
-// recordError). Truncation is not necessarily fatal to a streaming
-// caller — the window may simply end mid-record and grow on refill.
+// recordError).
 type batchError struct {
 	field     string // "", " pid", " addr", " extra"
-	truncated bool   // window ended inside the record
+	truncated bool   // payload ended inside the record
 	msg       string // malformed-record detail when !truncated
 }
 
@@ -57,11 +40,11 @@ func recordError(e *batchError, index uint64) error {
 }
 
 // decodeRawBatch decodes as many whole raw records as dst and payload
-// allow and returns how many records it wrote and how many payload
-// bytes they consumed. A raw record is malformed only when it carries
-// the reserved kind 7, which no collector writes and no Summary can
-// count; decoding stops there with the delta codec's error for it.
-func decodeRawBatch(dst []Record, payload []byte) (nrec, consumed int, err *batchError) {
+// allow and returns how many records it wrote. A raw record is
+// malformed only when it carries the reserved kind 7, which no
+// collector writes and no Summary can count; decoding stops there with
+// the delta codec's error for it.
+func decodeRawBatch(dst []Record, payload []byte) (nrec int, err *batchError) {
 	n := len(payload) / RecordBytes
 	if n > len(dst) {
 		n = len(dst)
@@ -69,40 +52,32 @@ func decodeRawBatch(dst []Record, payload []byte) (nrec, consumed int, err *batc
 	for i := 0; i < n; i++ {
 		b := payload[i*RecordBytes:]
 		if k := b[0] & 7; k >= byte(NumKinds) {
-			return i, i * RecordBytes, &batchError{msg: fmt.Sprintf("invalid kind %d", k)}
+			return i, &batchError{msg: fmt.Sprintf("invalid kind %d", k)}
 		}
 		dst[i] = DecodeRecord(b)
 	}
-	return n, n * RecordBytes, nil
+	return n, nil
 }
 
 // decodeDeltaBatch decodes delta records from payload into dst until
 // dst fills, the payload ends, or a record is malformed. It returns the
-// records written, the bytes they consumed, and — when it stopped short
-// of filling dst — the batch error describing the record at
-// payload[consumed:]. State is committed per complete record: a record
-// that fails mid-decode leaves st and dst untouched by it, so the
-// caller can retry the same bytes against a longer window.
-func decodeDeltaBatch(dst []Record, payload []byte, st *deltaState) (nrec, consumed int, err *batchError) {
-	// The inter-record state lives in locals for the scan (the pointer
-	// loads would otherwise sit on the critical path of every record) and
-	// flushes back to st at every return. Both are committed only after a
-	// record decodes completely, so a failed record leaves no trace.
-	lastAddr := st.lastAddr
-	lastPID := st.lastPID
+// records written and — when it stopped short of filling dst — the
+// batch error describing the record after them. The inter-record state
+// (last address per kind, last PID) starts from zero: each payload is
+// one segment, and segments are independently encoded.
+func decodeDeltaBatch(dst []Record, payload []byte) (nrec int, err *batchError) {
+	var lastAddr [NumKinds]uint32
+	var lastPID uint8
 	pos := 0
 	for nrec < len(dst) {
-		start := pos
 		if pos >= len(payload) {
-			st.lastAddr, st.lastPID = lastAddr, lastPID
-			return nrec, start, &batchError{truncated: true}
+			return nrec, &batchError{truncated: true}
 		}
 		h := payload[pos]
 		pos++
 		k := Kind(h & 7)
 		if k >= NumKinds {
-			st.lastAddr, st.lastPID = lastAddr, lastPID
-			return nrec, start, &batchError{msg: fmt.Sprintf("invalid kind %d", h&7)}
+			return nrec, &batchError{msg: fmt.Sprintf("invalid kind %d", h&7)}
 		}
 		rec := Record{
 			Kind: k,
@@ -116,8 +91,7 @@ func decodeDeltaBatch(dst []Record, payload []byte, st *deltaState) (nrec, consu
 		pid := lastPID
 		if h&deltaPIDChanged != 0 {
 			if pos >= len(payload) {
-				st.lastAddr, st.lastPID = lastAddr, lastPID
-				return nrec, start, &batchError{field: " pid", truncated: true}
+				return nrec, &batchError{field: " pid", truncated: true}
 			}
 			pid = payload[pos]
 			pos++
@@ -140,19 +114,16 @@ func decodeDeltaBatch(dst []Record, payload []byte, st *deltaState) (nrec, consu
 			} else {
 				v, vn := binary.Varint(payload[pos:])
 				if vn == 0 {
-					st.lastAddr, st.lastPID = lastAddr, lastPID
-					return nrec, start, &batchError{field: " addr", truncated: true}
+					return nrec, &batchError{field: " addr", truncated: true}
 				}
 				if vn < 0 {
-					st.lastAddr, st.lastPID = lastAddr, lastPID
-					return nrec, start, &batchError{field: " addr", msg: "varint overflows a 64-bit integer"}
+					return nrec, &batchError{field: " addr", msg: "varint overflows a 64-bit integer"}
 				}
 				delta = v
 				pos += vn
 			}
 		} else {
-			st.lastAddr, st.lastPID = lastAddr, lastPID
-			return nrec, start, &batchError{field: " addr", truncated: true}
+			return nrec, &batchError{field: " addr", truncated: true}
 		}
 		rec.Addr = uint32(int64(lastAddr[k]) + delta)
 		if k == KindCtxSwitch || k == KindException {
@@ -164,12 +135,10 @@ func decodeDeltaBatch(dst []Record, payload []byte, st *deltaState) (nrec, consu
 				var un int
 				x, un = binary.Uvarint(payload[pos:])
 				if un == 0 {
-					st.lastAddr, st.lastPID = lastAddr, lastPID
-					return nrec, start, &batchError{field: " extra", truncated: true}
+					return nrec, &batchError{field: " extra", truncated: true}
 				}
 				if un < 0 {
-					st.lastAddr, st.lastPID = lastAddr, lastPID
-					return nrec, start, &batchError{field: " extra", msg: "varint overflows a 64-bit integer"}
+					return nrec, &batchError{field: " extra", msg: "varint overflows a 64-bit integer"}
 				}
 				pos += un
 			}
@@ -180,6 +149,5 @@ func decodeDeltaBatch(dst []Record, payload []byte, st *deltaState) (nrec, consu
 		dst[nrec] = rec
 		nrec++
 	}
-	st.lastAddr, st.lastPID = lastAddr, lastPID
-	return nrec, pos, nil
+	return nrec, nil
 }

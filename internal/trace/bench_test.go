@@ -136,40 +136,6 @@ func benchStream(b *testing.B, recs []Record, nseg int, codec uint16, enc uint8)
 	return buf.Bytes()
 }
 
-// benchDecodeMonolithic times the batch streaming path on a monolithic
-// container against the preserved per-record reference decoder.
-func benchDecodeMonolithic(b *testing.B, codec uint16) {
-	recs := makeTrace(100_000, 5)
-	var buf bytes.Buffer
-	if err := WriteFile(&buf, recs, codec); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.Run("reference-pr3", func(b *testing.B) {
-		b.SetBytes(int64(len(recs) * RecordBytes))
-		for i := 0; i < b.N; i++ {
-			if _, err := referenceReadAll(bytes.NewReader(data)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		b.SetBytes(int64(len(recs) * RecordBytes))
-		for i := 0; i < b.N; i++ {
-			rd, err := Open(bytes.NewReader(data))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := rd.Records(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkDecodeRaw(b *testing.B)   { benchDecodeMonolithic(b, CodecRaw) }
-func BenchmarkDecodeDelta(b *testing.B) { benchDecodeMonolithic(b, CodecDelta) }
-
 // decodeJSON, when set, makes BenchmarkDecodeSegmented record its
 // reference / serial-batch / parallel lane numbers (BENCH_decode.json).
 // From the repo root:

@@ -102,8 +102,7 @@ const inflateChunk = 64 << 10
 // short reports that the inflated bytes fall short of RawBytes: the
 // stored payload was truncated, or the deflate stream ended (or failed)
 // early. A deflate error in a fully-present payload is instead a hard
-// error, worded identically on every read path so the streaming and
-// random-access decoders stay byte-equivalent.
+// error.
 func inflateSegment(info SegmentInfo, stored []byte, storedShort bool, buf *[]byte) (data []byte, short bool, err error) {
 	if info.Encoding != SegEncFlate {
 		return nil, false, fmt.Errorf("trace: segment %d: unknown payload encoding %d", info.Index, info.Encoding)

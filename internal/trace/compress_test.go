@@ -76,59 +76,6 @@ func TestHeaderOnlyIndexReadsNoPayload(t *testing.T) {
 	compareRecords(t, got, recs)
 }
 
-// TestSegmentedV1BackCompat: a hand-assembled version-1 container (the
-// 36-byte pre-encoding header) must still decode on both pipelines,
-// with every segment reporting the raw encoding and RawBytes mirroring
-// PayloadBytes.
-func TestSegmentedV1BackCompat(t *testing.T) {
-	recs := makeTrace(200, 29)
-	// Delta payload for a fresh codec state: a monolithic metadata-free
-	// stream is magic(8) + header(16) + payload.
-	var mono bytes.Buffer
-	if err := WriteFile(&mono, recs, CodecDelta); err != nil {
-		t.Fatal(err)
-	}
-	payload := mono.Bytes()[8+16:]
-
-	var b bytes.Buffer
-	b.Write(segMagic[:])
-	var sh [8]byte
-	binary.LittleEndian.PutUint16(sh[0:], segVersionV1)
-	binary.LittleEndian.PutUint16(sh[2:], CodecDelta)
-	b.Write(sh[:]) // metaLen 0
-	b.Write(segMarker[:])
-	var hdr [segHeaderBytesV1]byte
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(len(recs)))
-	binary.LittleEndian.PutUint64(hdr[12:], 7)    // dropped
-	binary.LittleEndian.PutUint64(hdr[20:], 9000) // cycles
-	binary.LittleEndian.PutUint64(hdr[28:], uint64(len(payload)))
-	b.Write(hdr[:])
-	b.Write(payload)
-
-	sRecs, sErr := decodeStreaming(b.Bytes())
-	rRecs, rErr := decodeRandomAccess(b.Bytes(), 2)
-	if sErr != nil || rErr != nil {
-		t.Fatalf("v1 decode: streaming %v, random-access %v", sErr, rErr)
-	}
-	compareRecords(t, sRecs, recs)
-	compareRecords(t, rRecs, recs)
-
-	f, err := OpenReaderAt(bytes.NewReader(b.Bytes()), int64(b.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := f.Segments()[0]
-	if info.Encoding != SegEncRaw {
-		t.Errorf("v1 segment decoded with encoding %d, want raw", info.Encoding)
-	}
-	if info.RawBytes != info.PayloadBytes {
-		t.Errorf("v1 segment RawBytes %d != PayloadBytes %d", info.RawBytes, info.PayloadBytes)
-	}
-	if info.Dropped != 7 || info.DilationCycles != 9000 {
-		t.Errorf("v1 segment metadata not preserved: %+v", info)
-	}
-}
-
 // buildFlateSegment assembles a single-segment v2 stream whose header
 // fields the test controls completely.
 func buildFlateSegment(t *testing.T, codec uint16, records uint64, stored []byte, rawLen uint64) []byte {
@@ -156,11 +103,7 @@ func buildFlateSegment(t *testing.T, codec uint16, records uint64, stored []byte
 // the container lint must flag the lie — no decode error ever will.
 func TestLintSegRawLen(t *testing.T) {
 	recs := makeTrace(100, 41)
-	var mono bytes.Buffer
-	if err := WriteFile(&mono, recs, CodecDelta); err != nil {
-		t.Fatal(err)
-	}
-	payload := mono.Bytes()[8+16:]
+	payload := appendDelta(nil, appendPacked(nil, recs)) // one segment's codec bytes
 
 	// A clean compressed stream lints clean.
 	clean := writeSegmentedEnc(t, recs, 2, CodecDelta, SegEncFlate, "")
@@ -188,6 +131,11 @@ func TestLintSegRawLen(t *testing.T) {
 		t.Fatalf("understating stream must still decode, got %v", sErr)
 	}
 	compareRecords(t, sRecs, recs)
+	ref, err := referenceReadAll(bytes.NewReader(b))
+	if err != nil {
+		t.Fatalf("reference decode: %v", err)
+	}
+	compareRecords(t, ref, recs)
 	rRecs, rErr := decodeRandomAccess(b, 1)
 	if rErr != nil {
 		t.Fatalf("random-access decode: %v", rErr)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -36,20 +37,27 @@ func segmentBlob(index uint32, records uint64, payload []byte, declaredLen uint6
 	return b.Bytes()
 }
 
-// TestOpenDegenerateInputs drives both read paths — streaming Open and
-// random-access OpenReaderAt — over the degenerate inputs a capture
-// pipeline actually produces when it is killed or misconfigured, and
-// pins that each failure is distinguishable: empty input is ErrEmpty,
-// truncations are record- or segment-indexed wrapped
-// io.ErrUnexpectedEOF, and a bare stream header is a legal zero-record
-// trace, not an error.
+// TestOpenDegenerateInputs drives both read paths — the sequential
+// Scanner and random-access OpenReaderAt — over the degenerate inputs a
+// capture pipeline actually produces when it is killed or
+// misconfigured, and pins that each failure is distinguishable: empty
+// input is ErrEmpty, truncations are record- or segment-indexed
+// wrapped io.ErrUnexpectedEOF, and a bare stream header is a legal
+// zero-record trace, not an error. The retired formats — the
+// monolithic container and version-1 segment streams — are rejected
+// by name.
 func TestOpenDegenerateInputs(t *testing.T) {
-	// A monolithic header promising one record with no payload.
-	var mono bytes.Buffer
-	if err := WriteFile(&mono, []Record{{Kind: KindIFetch, Addr: 0x200, Width: 4}}, CodecRaw); err != nil {
+	// A header of the retired monolithic container, promising one raw
+	// record with no payload.
+	monoHeader, err := os.ReadFile("testdata/monolithic-header.bin")
+	if err != nil {
 		t.Fatal(err)
 	}
-	monoTruncated := mono.Bytes()[:8+16] // magic + header, payload gone
+
+	// A version-1 segment-stream header (the layout before per-segment
+	// encodings) with no segments.
+	v1 := buildSegmented(CodecDelta, nil)
+	binary.LittleEndian.PutUint16(v1[8:], 1)
 
 	// A segmented stream whose only segment declares 8 payload bytes
 	// but the file ends after 4.
@@ -72,14 +80,15 @@ func TestOpenDegenerateInputs(t *testing.T) {
 	cases := []struct {
 		name    string
 		in      []byte
-		records int    // when wantErr == nil
+		records int    // when wantErr and substr are unset
 		wantErr error  // matched with errors.Is
 		substr  string // and the message names the failing record/segment
 	}{
 		{name: "empty file", in: nil, wantErr: ErrEmpty},
-		{name: "truncated magic", in: magic[:3], wantErr: io.ErrUnexpectedEOF, substr: "magic"},
+		{name: "truncated magic", in: segMagic[:3], wantErr: io.ErrUnexpectedEOF, substr: "magic"},
 		{name: "bare segmented header zero segments", in: buildSegmented(CodecDelta, nil), records: 0},
-		{name: "monolithic header no payload", in: monoTruncated, wantErr: io.ErrUnexpectedEOF, substr: "record 0"},
+		{name: "monolithic header no payload", in: monoHeader, substr: "bad magic"},
+		{name: "v1 segment-stream header", in: v1, substr: "unsupported segment-stream version 1"},
 		{name: "segment payload overruns file", in: overrun, wantErr: io.ErrUnexpectedEOF, substr: "record 0"},
 		{name: "empty segment payload overruns file", in: emptyOverrun, wantErr: io.ErrUnexpectedEOF, substr: "segment 0"},
 		{name: "segment header cut short", in: shortHeader, wantErr: io.ErrUnexpectedEOF, substr: "segment 0 header"},
@@ -90,13 +99,7 @@ func TestOpenDegenerateInputs(t *testing.T) {
 		read func([]byte) ([]Record, error)
 	}
 	paths := []path{
-		{"streaming", func(in []byte) ([]Record, error) {
-			rd, err := Open(bytes.NewReader(in))
-			if err != nil {
-				return nil, err
-			}
-			return rd.Records()
-		}},
+		{"streaming", func(in []byte) ([]Record, error) { return readAll(bytes.NewReader(in)) }},
 		{"readerat", func(in []byte) ([]Record, error) {
 			f, err := OpenReaderAt(bytes.NewReader(in), int64(len(in)))
 			if err != nil {
@@ -110,7 +113,7 @@ func TestOpenDegenerateInputs(t *testing.T) {
 		for _, p := range paths {
 			t.Run(tc.name+"/"+p.name, func(t *testing.T) {
 				recs, err := p.read(tc.in)
-				if tc.wantErr == nil {
+				if tc.wantErr == nil && tc.substr == "" {
 					if err != nil {
 						t.Fatalf("unexpected error: %v", err)
 					}
@@ -120,9 +123,9 @@ func TestOpenDegenerateInputs(t *testing.T) {
 					return
 				}
 				if err == nil {
-					t.Fatalf("decoded %d records, want error %v", len(recs), tc.wantErr)
+					t.Fatalf("decoded %d records, want an error naming %q", len(recs), tc.substr)
 				}
-				if !errors.Is(err, tc.wantErr) {
+				if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
 					t.Errorf("error %q does not wrap %v", err, tc.wantErr)
 				}
 				if tc.substr != "" && !strings.Contains(err.Error(), tc.substr) {
@@ -143,16 +146,43 @@ func TestOpenDegenerateInputs(t *testing.T) {
 // bare io.EOF wrap, so callers could not tell "no trace yet" from "half
 // a trace".
 func TestErrEmptyDistinguishable(t *testing.T) {
-	_, err := Open(bytes.NewReader(nil))
+	_, err := NewScanner(bytes.NewReader(nil))
 	if !errors.Is(err, ErrEmpty) {
-		t.Errorf("streaming open of empty input: %v, want ErrEmpty", err)
+		t.Errorf("scanner open of empty input: %v, want ErrEmpty", err)
 	}
 	_, err = OpenReaderAt(bytes.NewReader(nil), 0)
 	if !errors.Is(err, ErrEmpty) {
 		t.Errorf("random-access open of empty input: %v, want ErrEmpty", err)
 	}
-	_, err = Open(bytes.NewReader(magic[:5]))
-	if errors.Is(err, ErrEmpty) {
-		t.Errorf("truncated magic misreported as empty: %v", err)
+	for _, in := range [][]byte{segMagic[:5], buildSegmented(CodecDelta, nil)[:12]} {
+		_, serr := NewScanner(bytes.NewReader(in))
+		_, ferr := OpenReaderAt(bytes.NewReader(in), int64(len(in)))
+		for _, err := range []error{serr, ferr} {
+			if err == nil || errors.Is(err, ErrEmpty) || !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("%d-byte header: %v, want a truncation, not ErrEmpty", len(in), err)
+			}
+		}
+		if serr.Error() != ferr.Error() {
+			t.Errorf("%d-byte header: scanner %q, random access %q", len(in), serr, ferr)
+		}
 	}
+	// A bare header is a legal empty trace, and the reference decoder
+	// agrees with both paths on it.
+	bare := buildSegmented(CodecRaw, nil)
+	for _, got := range [][]Record{mustRead(t, readAll, bare), mustRead(t, referenceReadAll, bare)} {
+		if len(got) != 0 {
+			t.Errorf("bare header decoded %d records", len(got))
+		}
+	}
+}
+
+// mustRead runs a whole-stream decoder over b and fails the test on
+// error.
+func mustRead(t *testing.T, read func(io.Reader) ([]Record, error), b []byte) []Record {
+	t.Helper()
+	recs, err := read(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }

@@ -26,8 +26,7 @@ func appendPacked(dst []byte, recs []Record) []byte {
 }
 
 // appendDelta appends the delta encoding of the packed records to dst,
-// starting from the zero state a segment (or a monolithic stream)
-// begins with. Per record: the header byte, the PID only when it
+// starting from the zero state every segment begins with. Per record: the header byte, the PID only when it
 // changes, the zigzag-varint address delta against the previous
 // address of the same kind, and for marker kinds the Extra field as a
 // uvarint.

@@ -3,11 +3,13 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
 	"testing"
 )
 
 // FuzzReadFile: arbitrary bytes must parse or error, never panic or
-// allocate unboundedly.
+// allocate unboundedly; the Scanner and File agree on every input, and
+// whatever they accept the reference decoder reads identically.
 func FuzzReadFile(f *testing.F) {
 	var good bytes.Buffer
 	_ = WriteFile(&good, makeTrace(50, 1), CodecDelta)
@@ -15,7 +17,12 @@ func FuzzReadFile(f *testing.F) {
 	var raw bytes.Buffer
 	_ = WriteFile(&raw, makeTrace(50, 2), CodecRaw)
 	f.Add(raw.Bytes())
-	f.Add([]byte("ATUMTRC\x00garbage"))
+	// A header of the retired monolithic container: rejected outright.
+	mono, err := os.ReadFile("testdata/monolithic-header.bin")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(mono, "garbage"...))
 	f.Add([]byte{})
 	// Segmented container seeds: a valid two-segment stream, plus
 	// truncations cutting a segment header and a record in half — the
@@ -30,9 +37,9 @@ func FuzzReadFile(f *testing.F) {
 	f.Add(seg.Bytes()[:len(seg.Bytes())/2])
 	f.Add(seg.Bytes()[:8+8+4+10]) // cut inside the first segment header
 	f.Add([]byte("ATUMSEG\x00garbage"))
-	var rawMono bytes.Buffer
-	_ = WriteFile(&rawMono, makeTrace(10, 5), CodecRaw)
-	f.Add(rawMono.Bytes()[:len(rawMono.Bytes())-3]) // mid-record truncation
+	var rawOne bytes.Buffer
+	_ = WriteFile(&rawOne, makeTrace(10, 5), CodecRaw)
+	f.Add(rawOne.Bytes()[:len(rawOne.Bytes())-3]) // mid-record truncation
 	// Batch/parallel decode path seeds: a segmented raw stream, a delta
 	// stream cut inside a record's address varint, and a segment whose
 	// payLen field overruns the stream (records intact).
@@ -73,26 +80,30 @@ func FuzzReadFile(f *testing.F) {
 	f.Add(kind7)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		recs, err := readAll(bytes.NewReader(b))
-		// The random-access pipeline must agree with the streaming one
-		// on every input: both succeed with identical records, or both
-		// fail.
+		// The random-access pipeline must agree with the scanner on
+		// every input: both succeed with identical records, or both fail
+		// with the same message.
 		fl, ferr := OpenReaderAt(bytes.NewReader(b), int64(len(b)))
 		var frecs []Record
 		if ferr == nil {
 			frecs, ferr = fl.Records(2)
 		}
 		if (err == nil) != (ferr == nil) {
-			t.Fatalf("pipelines disagree: streaming err %v, random-access err %v", err, ferr)
+			t.Fatalf("pipelines disagree: scanner err %v, random-access err %v", err, ferr)
 		}
 		if err != nil {
 			return
 		}
-		if len(frecs) != len(recs) {
-			t.Fatalf("random-access decoded %d records, streaming %d", len(frecs), len(recs))
+		ref, rerr := referenceReadAll(bytes.NewReader(b))
+		if rerr != nil {
+			t.Fatalf("reference rejects a stream both pipelines accept: %v", rerr)
+		}
+		if len(frecs) != len(recs) || len(ref) != len(recs) {
+			t.Fatalf("random-access decoded %d records, scanner %d, reference %d", len(frecs), len(recs), len(ref))
 		}
 		for i := range recs {
-			if frecs[i] != recs[i] {
-				t.Fatalf("record %d: random-access %v, streaming %v", i, frecs[i], recs[i])
+			if frecs[i] != recs[i] || ref[i] != recs[i] {
+				t.Fatalf("record %d: random-access %v, scanner %v, reference %v", i, frecs[i], recs[i], ref[i])
 			}
 		}
 		// A successful parse must round-trip through the raw codec.
@@ -177,7 +188,7 @@ func FuzzCompressedSegmentRoundTrip(f *testing.F) {
 
 		back, err := readAll(bytes.NewReader(stream))
 		if err != nil {
-			t.Fatalf("streaming decode of own output: %v", err)
+			t.Fatalf("scanner decode of own output: %v", err)
 		}
 		fl, err := OpenReaderAt(bytes.NewReader(stream), int64(len(stream)))
 		if err != nil {

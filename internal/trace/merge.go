@@ -23,26 +23,24 @@ func (c *SeqCounter) Next() uint64 { return c.n.Add(1) }
 
 // MergeCPUs interleaves the per-CPU streams of one SMP capture into a
 // single sequence-stamped stream on w, ordered by global sequence mark.
-// Every input must be a sequence-stamped (v3) segmented stream and all
-// must share one codec; segments keep their cpu/seq stamps and
-// per-segment counters, and each is re-encoded with its original
-// payload encoding. Because marks are unique across a capture (one
+// Every input must be a sequence-stamped (v3) stream and all must share
+// one codec; segments keep their cpu/seq stamps and per-segment
+// counters, and each is re-encoded with its original payload encoding. Because marks are unique across a capture (one
 // shared SeqCounter) the output is a pure function of the input
 // segments: any permutation of files yields byte-identical output, so
 // a merged trace is a stable artifact to diff, hash, or cache.
 //
 // The merged stream replays exactly the machine-wide spill order —
-// trace.Open / OpenFile consumers see one stream whose segments carry
-// per-CPU attribution, and ArenaCPU recovers any single core's replay
-// from it.
+// readers see one stream whose segments carry per-CPU attribution, and
+// ArenaCPU recovers any single core's replay from it.
 func MergeCPUs(w io.Writer, meta string, files ...*File) error {
 	if len(files) == 0 {
 		return fmt.Errorf("trace: merge: no input streams")
 	}
 	codec := files[0].codec
 	for i, f := range files {
-		if !f.segmented || !f.seqStamped {
-			return fmt.Errorf("trace: merge: input %d is not a sequence-stamped segmented stream", i)
+		if !f.seqStamped {
+			return fmt.Errorf("trace: merge: input %d is not a sequence-stamped stream", i)
 		}
 		if f.codec != codec {
 			return fmt.Errorf("trace: merge: input %d codec %d differs from input 0 codec %d", i, f.codec, codec)

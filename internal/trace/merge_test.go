@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -179,4 +181,199 @@ func TestMergeCPUsRejects(t *testing.T) {
 	if err := MergeCPUs(&buf, "m", openStream(t, s0), openStream(t, s0)); err == nil {
 		t.Error("merge accepted duplicate sequence marks")
 	}
+}
+
+// FuzzMergeCPUs: per-CPU streams built from fuzzed bytes — sequence
+// marks that may repeat, run backwards or be missing, inputs that may
+// be unstamped (v2), disagree on codec or end mid-segment, either
+// payload encoding — never panic MergeCPUs. Inputs OpenReaderAt
+// rejects (a stream whose own marks do not strictly increase) never
+// reach it. Whenever the merge succeeds, its output opens with strictly
+// increasing marks, replays the inputs' segments in mark order record
+// for record (with their cpu/seq stamps and counters), and is
+// byte-identical for every input order.
+func FuzzMergeCPUs(f *testing.F) {
+	material := func(nseg int) []byte {
+		var b []byte
+		for i := 0; i < nseg; i++ {
+			nrec := 1 + i%5
+			b = append(b, byte(i*5)|byte(nrec<<2), byte(3*i+1))
+			for j := 0; j < nrec*RecordBytes; j++ {
+				b = append(b, byte(i*31+j*7))
+			}
+		}
+		return b
+	}
+	f.Add(uint8(2), uint8(0x01), material(6))  // delta, well-formed marks
+	f.Add(uint8(4), uint8(0x03), material(12)) // delta + flate, four CPUs
+	f.Add(uint8(1), uint8(0x00), material(3))  // raw, one CPU
+	f.Add(uint8(3), uint8(0x05), material(9))  // free-form marks
+	f.Add(uint8(2), uint8(0x09), material(6))  // mixed codecs
+	f.Add(uint8(2), uint8(0x11), material(6))  // one unstamped input
+	f.Add(uint8(2), uint8(0xa3), material(6))  // truncated tail
+	f.Fuzz(func(t *testing.T, ncpu, flags uint8, b []byte) {
+		n := 1 + int(ncpu%4)
+		codec := CodecRaw
+		if flags&0x01 != 0 {
+			codec = CodecDelta
+		}
+		enc := SegEncRaw
+		if flags&0x02 != 0 {
+			enc = SegEncFlate
+		}
+
+		// Segment material: a control byte (cpu, record count), a mark
+		// byte, then RecordBytes per record. Well-formed marks come from
+		// one machine-wide counter; free-form ones from the mark byte.
+		perCPU := make([][]cpuSeg, n)
+		var ctr SeqCounter
+		for nseg := 0; len(b) >= 2 && nseg < 64; nseg++ {
+			ctl, mark := b[0], b[1]
+			b = b[2:]
+			nrec := min(int(ctl>>2)%16, len(b)/RecordBytes)
+			recs, _ := ParseBuffer(b[:nrec*RecordBytes])
+			b = b[nrec*RecordBytes:]
+			for i := range recs {
+				if recs[i].Kind >= NumKinds {
+					recs[i].Kind = KindIFetch
+				}
+			}
+			seq := ctr.Next()
+			if flags&0x04 != 0 {
+				seq = uint64(mark % 16) // may repeat, run backwards, or be 0
+			}
+			c := int(ctl) % n
+			perCPU[c] = append(perCPU[c], cpuSeg{recs: recs, cpu: uint16(c), seq: seq})
+		}
+
+		streams := make([][]byte, n)
+		for c, segs := range perCPU {
+			cc := codec
+			if flags&0x08 != 0 && c == n-1 {
+				cc ^= 1 // mixed codecs
+			}
+			streams[c] = writeMarkedStream(t, segs, cc, enc, flags&0x10 != 0 && c == 0)
+		}
+		if flags&0x20 != 0 {
+			cut := 1 + int(flags>>6)
+			streams[0] = streams[0][:max(len(streams[0])-cut, 0)]
+		}
+		files := make([]*File, n)
+		for c, s := range streams {
+			fl, err := OpenReaderAt(bytes.NewReader(s), int64(len(s)))
+			if err != nil {
+				return
+			}
+			files[c] = fl
+		}
+
+		var out bytes.Buffer
+		if err := MergeCPUs(&out, "fuzz", files...); err != nil {
+			return
+		}
+		merged := openStream(t, out.Bytes())
+		if !merged.SeqStamped() {
+			t.Fatal("merged stream is not sequence-stamped")
+		}
+		type inSeg struct {
+			info SegmentInfo
+			recs []Record
+		}
+		var want []inSeg
+		for c, fl := range files {
+			for i, info := range fl.Segments() {
+				recs, err := fl.Segment(i)
+				if err != nil {
+					t.Fatalf("input %d segment %d decodes for the merge but not here: %v", c, i, err)
+				}
+				want = append(want, inSeg{info, recs})
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].info.Seq < want[j].info.Seq })
+		segs := merged.Segments()
+		if len(segs) != len(want) {
+			t.Fatalf("merged %d segments from %d", len(segs), len(want))
+		}
+		var wantRecs []Record
+		for i, s := range segs {
+			if i > 0 && s.Seq <= segs[i-1].Seq {
+				t.Fatalf("merged segment %d: mark %d not above %d", i, s.Seq, segs[i-1].Seq)
+			}
+			w := want[i].info
+			if s.Seq != w.Seq || s.CPU != w.CPU || s.Records != w.Records ||
+				s.Dropped != w.Dropped || s.DilationCycles != w.DilationCycles {
+				t.Fatalf("merged segment %d: %+v, input %+v", i, s, w)
+			}
+			wantRecs = append(wantRecs, want[i].recs...)
+		}
+		got, err := merged.Records(1)
+		if err != nil {
+			t.Fatalf("merged stream does not decode: %v", err)
+		}
+		if len(got) != len(wantRecs) || (len(got) > 0 && !reflect.DeepEqual(got, wantRecs)) {
+			t.Fatalf("merged stream replays %d records, inputs in mark order hold %d (or content differs)", len(got), len(wantRecs))
+		}
+		for _, order := range [][]*File{reversed(files), append(files[1:len(files):len(files)], files[0])} {
+			var other bytes.Buffer
+			if err := MergeCPUs(&other, "fuzz", order...); err != nil {
+				t.Fatalf("reordered merge failed: %v", err)
+			}
+			if !bytes.Equal(other.Bytes(), out.Bytes()) {
+				t.Fatal("input order changed the merged bytes")
+			}
+		}
+	})
+}
+
+// writeMarkedStream writes one CPU's segments as a sequence-stamped
+// stream carrying exactly the given marks — zero, repeated or
+// decreasing ones included, which the writer itself refuses to emit —
+// or, when unstamped, as a v2 stream with no marks at all.
+func writeMarkedStream(t *testing.T, segs []cpuSeg, codec uint16, enc uint8, unstamped bool) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	newWriter := NewSegmentWriterV3
+	if unstamped {
+		newWriter = NewSegmentWriter
+	}
+	sw, err := newWriter(&buf, codec, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.SetEncoding(enc); err != nil {
+		t.Fatal(err)
+	}
+	var seqOffs []int // byte offset of each segment's seq field
+	off := 16         // stream header, no meta
+	for i, s := range segs {
+		var info SegmentInfo
+		if unstamped {
+			info, err = sw.WriteSegment(s.recs, uint64(i), uint64(i)*56)
+		} else {
+			info, err = sw.WriteSegmentSeq(s.recs, uint64(i), uint64(i)*56, s.cpu, uint64(i+1))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqOffs = append(seqOffs, off+4+47)
+		off += 4 + segHeaderBytesV3 + int(info.PayloadBytes)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.Bytes()
+	if !unstamped {
+		for i, o := range seqOffs {
+			binary.LittleEndian.PutUint64(out[o:], segs[i].seq)
+		}
+	}
+	return out
+}
+
+func reversed(files []*File) []*File {
+	out := make([]*File, len(files))
+	for i, f := range files {
+		out[len(files)-1-i] = f
+	}
+	return out
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -12,16 +11,14 @@ import (
 	"atum/internal/par"
 )
 
-// Random-access read path. Open (file.go) streams: it reads segment
-// headers lazily and decodes records in order, which is the right shape
-// for pipes and network streams but serialises the whole decode. When
-// the container sits in a file (or any io.ReaderAt), OpenFile /
-// OpenReaderAt instead walk the length-prefixed "ASEG" framing once —
-// headers only, no payload reads — to build a segment index, and then
-// decode segments concurrently: the delta codec resets at every segment
-// boundary, so each segment is an independent decode job. The result is
-// byte-identical to the streaming path (test-enforced, including
-// truncation errors), because both feed the same batch codec layer.
+// Random-access read path. When the container sits in a file (or any
+// io.ReaderAt), OpenFile / OpenReaderAt walk the length-prefixed
+// "ASEG" framing once — headers only, no payload reads — to build a
+// segment index, and then decode segments concurrently: the delta codec
+// resets at every segment boundary, so each segment is an independent
+// DecodeSegment job. Pipes, which cannot seek, read the same framing
+// sequentially through Scanner; both share one header walk and one
+// decoder, so they agree record for record and error for error.
 
 // File is a random-access trace handle: the stream header plus a
 // segment index built without touching record payloads. Metadata
@@ -35,12 +32,10 @@ type File struct {
 
 	codec      uint16
 	meta       string
-	segmented  bool
 	seqStamped bool   // v3 stream: segments carry cpu/seq marks
-	segHdr     int    // per-segment header size for the stream's version
 	count      uint64 // records promised by every header in the index
 
-	segs    []SegmentInfo // segmented: per-segment metadata
+	segs    []SegmentInfo // per-segment metadata
 	segOff  []int64       // file offset of each segment's payload
 	segBase []uint64      // record index of each segment's first record
 }
@@ -111,10 +106,9 @@ func OpenFileMapped(path string) (*File, error) {
 // header index accounts for: everything up to the end of the last
 // segment's promised payload, clamped to the file size seen at open (a
 // truncated final payload is still the index's business — the error
-// surfaces at decode). For monolithic streams the whole file is the
-// index's coverage.
+// surfaces at decode). A stream without segments maps whole.
 func (f *File) indexedPrefix() int64 {
-	if !f.segmented || len(f.segs) == 0 {
+	if len(f.segs) == 0 {
 		return f.size
 	}
 	last := len(f.segs) - 1
@@ -143,154 +137,46 @@ func (m *mappedCloser) Close() error {
 	return err
 }
 
-// OpenReaderAt validates the stream header of either container and
-// builds the segment index from ra, which must serve size bytes.
-// bytes.Reader and os.File both satisfy io.ReaderAt, so in-memory
-// captures get the same fast path as on-disk ones.
+// OpenReaderAt validates the stream header and builds the segment
+// index from ra, which must serve size bytes. bytes.Reader and os.File
+// both satisfy io.ReaderAt, so in-memory captures get the same fast
+// path as on-disk ones.
+//
+// The index walk hops header to header: each hop reads one fixed-size
+// header and seeks past PayloadBytes, so indexing cost is per segment,
+// not per record — cheap enough that metadata-only tools (atum-stats
+// -meta-only) never touch a payload, compressed or not (headers are
+// never compressed). A final segment whose payload overruns the file
+// stays in the index; the truncation surfaces, with its record
+// position, when that segment is decoded.
 func OpenReaderAt(ra io.ReaderAt, size int64) (*File, error) {
-	f := &File{ra: ra, size: size}
-	if size == 0 {
-		// Distinguish "nothing there at all" from a stream cut off
-		// mid-header; callers match with errors.Is(err, ErrEmpty).
-		return nil, fmt.Errorf("trace: reading magic: %w", ErrEmpty)
-	}
-	var m [8]byte
-	if err := f.readAt(m[:], 0, "trace: reading magic"); err != nil {
+	sr := io.NewSectionReader(ra, 0, size)
+	w, err := newHeaderWalk(sr)
+	if err != nil {
 		return nil, err
 	}
-	switch m {
-	case magic:
-		return f, f.openMonolithic()
-	case segMagic:
-		return f, f.openSegmented()
-	}
-	return nil, fmt.Errorf("trace: bad magic %q", m)
-}
-
-// readAt fills buf from offset off, mapping short reads to the same
-// errors the streaming header reads produce.
-func (f *File) readAt(buf []byte, off int64, what string) error {
-	n, err := f.ra.ReadAt(buf, off)
-	if n == len(buf) {
-		return nil
-	}
-	if err == nil || err == io.EOF {
-		if n == 0 && off >= f.size {
-			err = io.EOF
-		} else {
-			err = io.ErrUnexpectedEOF
+	f := &File{ra: ra, size: size, codec: w.codec, meta: w.meta, seqStamped: w.stamped}
+	for {
+		info, err := w.next()
+		if err == io.EOF {
+			return f, nil
 		}
-	}
-	return fmt.Errorf("%s: %w", what, err)
-}
-
-func (f *File) openMonolithic() error {
-	var hdr [16]byte
-	if err := f.readAt(hdr[:], 8, "trace: reading header"); err != nil {
-		return err
-	}
-	if v := binary.LittleEndian.Uint16(hdr[0:]); v != version {
-		return fmt.Errorf("trace: unsupported version %d", v)
-	}
-	f.codec = binary.LittleEndian.Uint16(hdr[2:])
-	f.count = binary.LittleEndian.Uint64(hdr[4:])
-	if f.codec != CodecRaw && f.codec != CodecDelta {
-		return fmt.Errorf("trace: unknown codec %d", f.codec)
-	}
-	metaLen := binary.LittleEndian.Uint32(hdr[12:])
-	if err := f.readMetaAt(metaLen, 8+16); err != nil {
-		return err
-	}
-	if f.count > maxRecordCount {
-		return fmt.Errorf("trace: implausible record count %d", f.count)
-	}
-	return nil
-}
-
-func (f *File) openSegmented() error {
-	var hdr [8]byte
-	if err := f.readAt(hdr[:], 8, "trace: reading segment-stream header"); err != nil {
-		return err
-	}
-	v := binary.LittleEndian.Uint16(hdr[0:])
-	if v != segVersion && v != segVersionV1 && v != segVersion3 {
-		return fmt.Errorf("trace: unsupported segment-stream version %d", v)
-	}
-	f.codec = binary.LittleEndian.Uint16(hdr[2:])
-	f.segmented = true
-	f.seqStamped = v == segVersion3
-	f.segHdr = segHdrLen(v)
-	if f.codec != CodecRaw && f.codec != CodecDelta {
-		return fmt.Errorf("trace: unknown codec %d", f.codec)
-	}
-	metaLen := binary.LittleEndian.Uint32(hdr[4:])
-	if err := f.readMetaAt(metaLen, 8+8); err != nil {
-		return err
-	}
-	return f.walkSegments(8 + 8 + int64(metaLen))
-}
-
-func (f *File) readMetaAt(metaLen uint32, off int64) error {
-	if metaLen > maxMetaLen {
-		return fmt.Errorf("trace: implausible metadata length %d", metaLen)
-	}
-	buf := make([]byte, metaLen)
-	if err := f.readAt(buf, off, "trace: reading metadata"); err != nil {
-		return err
-	}
-	f.meta = string(buf)
-	return nil
-}
-
-// walkSegments builds the segment index by hopping header to header:
-// each hop reads one fixed-size header and skips PayloadBytes, so
-// indexing cost is per segment, not per record — cheap enough that
-// metadata-only tools (atum-stats -meta-only) never touch a payload,
-// compressed or not (headers are never compressed). A final segment
-// whose payload overruns the file stays in the index; the truncation
-// surfaces, with its record position, when that segment is decoded.
-func (f *File) walkSegments(off int64) error {
-	hdr := make([]byte, 4+f.segHdr)
-	for off < f.size {
-		n, err := f.ra.ReadAt(hdr[:], off)
-		if n < len(hdr) {
-			if err == nil || err == io.EOF {
-				return fmt.Errorf("trace: segment %d header: %w", len(f.segs), io.ErrUnexpectedEOF)
-			}
-			return fmt.Errorf("trace: segment %d header: %w", len(f.segs), err)
-		}
-		if [4]byte(hdr[:4]) != segMarker {
-			return fmt.Errorf("trace: segment %d: bad marker %q", len(f.segs), hdr[:4])
-		}
-		info, err := parseSegmentHeader(hdr[4:], len(f.segs), f.codec)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if f.seqStamped {
-			last := uint64(0)
-			if n := len(f.segs); n > 0 {
-				last = f.segs[n-1].Seq
-			}
-			if info.Seq <= last {
-				return fmt.Errorf("trace: segment %d: sequence mark %d not above previous %d",
-					info.Index, info.Seq, last)
-			}
+		end, err := sr.Seek(int64(info.PayloadBytes), io.SeekCurrent)
+		if err != nil {
+			return nil, err
 		}
 		f.segBase = append(f.segBase, f.count)
-		f.segOff = append(f.segOff, off+int64(len(hdr)))
+		f.segOff = append(f.segOff, end-int64(info.PayloadBytes))
 		f.segs = append(f.segs, info)
 		f.count += info.Records
-		off += int64(len(hdr)) + int64(info.PayloadBytes)
 	}
-	return nil
 }
 
 // Meta returns the stream's provenance string.
 func (f *File) Meta() string { return f.meta }
-
-// Segmented reports whether the underlying stream is a segment
-// container rather than a monolithic file.
-func (f *File) Segmented() bool { return f.segmented }
 
 // SeqStamped reports whether the stream's segments carry cpu/seq marks
 // (a version-3 container: a per-CPU SMP stream or a MergeCPUs output).
@@ -299,9 +185,8 @@ func (f *File) SeqStamped() bool { return f.seqStamped }
 // Codec returns the stream's record codec (CodecRaw or CodecDelta).
 func (f *File) Codec() uint16 { return f.codec }
 
-// Segments returns the full per-segment metadata index (nil for
-// monolithic streams). Unlike the streaming Reader, the index is
-// complete before any record is decoded.
+// Segments returns the full per-segment metadata index, complete
+// before any record is decoded.
 func (f *File) Segments() []SegmentInfo { return f.segs }
 
 // NumRecords returns the record count promised by the stream's headers.
@@ -323,34 +208,17 @@ func (f *File) Close() error {
 // segment's payload into it, decodes, and returns it.
 var payBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// Arena decodes the whole stream into a chunked read-only arena.
-// Segmented streams decode one segment per worker-pool job (workers <=
-// 0 means all cores; 1 is the serial reference path) with results
-// stitched in segment order, so every workers value yields identical
-// records and — on a truncated or corrupt stream — the identical
-// lowest-index error the streaming path reports.
+// Arena decodes the whole stream into a chunked read-only arena, one
+// segment per worker-pool job (workers <= 0 means all cores; 1 is the
+// serial reference path) with chunks stitched in segment order, so
+// every workers value yields identical records and — on a truncated or
+// corrupt stream — the identical lowest-index error.
 func (f *File) Arena(workers int) (*Arena, error) {
-	if !f.segmented {
-		// A monolithic payload has no reset points to fan out over;
-		// delegate to the streaming batch decoder.
-		rd, err := Open(io.NewSectionReader(f.ra, 0, f.size))
-		if err != nil {
-			return nil, err
-		}
-		return rd.Arena()
-	}
 	chunks, err := par.Map(workers, len(f.segs), f.Segment)
 	if err != nil {
 		return nil, err
 	}
-	a := &Arena{}
-	for _, c := range chunks {
-		if len(c) > 0 {
-			a.chunks = append(a.chunks, c)
-			a.n += len(c)
-		}
-	}
-	return a, nil
+	return NewArenaFromChunks(chunks), nil
 }
 
 // ArenaCPU decodes only the segments captured by one processor of a
@@ -377,14 +245,7 @@ func (f *File) ArenaCPU(workers, cpu int) (*Arena, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Arena{}
-	for _, c := range chunks {
-		if len(c) > 0 {
-			a.chunks = append(a.chunks, c)
-			a.n += len(c)
-		}
-	}
-	return a, nil
+	return NewArenaFromChunks(chunks), nil
 }
 
 // Records decodes the whole stream into one contiguous slice; Arena
@@ -397,118 +258,28 @@ func (f *File) Records(workers int) ([]Record, error) {
 	return a.Flatten(), nil
 }
 
-// minEncRecordBytes is the smallest possible encoded record (delta:
-// header byte + 1-byte varint); it bounds how many records a payload of
-// known length can hold, so a forged count cannot force a giant
-// allocation.
-const minEncRecordBytes = 2
-
 // Segment decodes segment i (0-based in Segments() order) into a fresh
-// record slice, reporting errors exactly as the streaming decoder
-// would: truncation wraps io.ErrUnexpectedEOF and names the absolute
-// record index. Each segment is an independent decode job (the delta
-// codec resets at segment boundaries), which is what makes per-segment
-// caching sound: a cached slice is identical to a fresh decode. Safe
-// for concurrent callers.
+// record slice: the stored payload — a slice of the mapping, or read
+// into a pooled buffer — goes through DecodeSegment, based at the
+// segment's absolute record index, so errors name the same record a
+// Scanner reading the same bytes reports. Each segment is an
+// independent decode job (the delta codec resets at segment
+// boundaries), which is what makes per-segment caching sound: a cached
+// slice is identical to a fresh decode. Safe for concurrent callers.
 func (f *File) Segment(i int) ([]Record, error) {
 	start := time.Now()
 	defer func() { mDecodeSegSecs.Observe(time.Since(start).Seconds()) }()
-	info := f.segs[i]
-	// avail is what the file actually holds of the promised payload;
-	// only the final segment can come up short (walkSegments stops
-	// there).
-	avail := f.size - f.segOff[i]
-	if avail < 0 {
-		avail = 0
+	pb := payBufPool.Get().(*[]byte)
+	defer payBufPool.Put(pb)
+	stored, err := f.payload(i, pb)
+	if err != nil {
+		return nil, err
 	}
-	want := int64(info.PayloadBytes)
-	short := want > avail
-	if short {
-		want = avail
+	recs, err := DecodeSegment(f.codec, f.segs[i], stored, nil, f.segBase[i])
+	if err != nil {
+		return nil, err
 	}
-	if info.Records == 0 && info.Encoding == SegEncRaw {
-		if short {
-			return nil, fmt.Errorf("trace: segment %d payload: %w", info.Index, io.ErrUnexpectedEOF)
-		}
-		return nil, nil
-	}
-
-	// Fetch the stored payload: in place from the mapping when there is
-	// one (the zero-copy path — the batch codec then scans file pages
-	// directly), via a pooled buffer otherwise.
-	var stored []byte
-	if f.mapped != nil {
-		stored = f.mapped[f.segOff[i] : f.segOff[i]+want]
-	} else if want > 0 {
-		pb := payBufPool.Get().(*[]byte)
-		defer payBufPool.Put(pb)
-		if int64(cap(*pb)) < want {
-			*pb = make([]byte, want)
-		}
-		stored = (*pb)[:want]
-		if err := f.readAt(stored, f.segOff[i], fmt.Sprintf("trace: segment %d payload", info.Index)); err != nil {
-			return nil, err
-		}
-	}
-
-	// Compressed segments inflate into a pooled buffer; from here on the
-	// two encodings share one decode.
-	payload := stored
-	if info.Encoding != SegEncRaw {
-		ib := infBufPool.Get().(*[]byte)
-		defer infBufPool.Put(ib)
-		data, infShort, err := inflateSegment(info, stored, short, ib)
-		if err != nil {
-			return nil, err
-		}
-		payload, short = data, infShort
-	}
-	if info.Records == 0 {
-		if short {
-			return nil, fmt.Errorf("trace: segment %d payload: %w", info.Index, io.ErrUnexpectedEOF)
-		}
-		return nil, nil
-	}
-
-	// The header's record count sizes the chunk, clamped by what the
-	// payload could possibly encode (counts are untrusted input).
-	alloc := info.Records
-	if max := uint64(len(payload))/minEncRecordBytes + 1; alloc > max {
-		alloc = max
-	}
-	dst := make([]Record, alloc)
-	base := f.segBase[i]
-
-	var nrec int
-	var derr *batchError
-	if f.codec == CodecRaw {
-		nrec, _, derr = decodeRawBatch(dst, payload)
-	} else {
-		var st deltaState
-		nrec, _, derr = decodeDeltaBatch(dst, payload, &st)
-	}
-	if derr != nil && !derr.truncated {
-		return nil, recordError(derr, base+uint64(nrec))
-	}
-	if uint64(nrec) < info.Records {
-		// The payload ran out before the count was met — the same
-		// record-indexed truncation the streaming window reports.
-		field := ""
-		if derr != nil {
-			field = derr.field
-		}
-		return nil, recordError(&batchError{field: field, truncated: true}, base+uint64(nrec))
-	}
-	if short {
-		// All records decoded but the framing promised more payload
-		// than the file holds; the streaming path fails discarding the
-		// tail, and so do we.
-		return nil, fmt.Errorf("trace: segment %d payload: %w", info.Index, io.ErrUnexpectedEOF)
-	}
-	mDecodeSegments.Inc()
-	mDecodeRecords.Add(uint64(nrec))
-	mDecodeBytes.Add(uint64(len(payload)))
-	return dst[:nrec:nrec], nil
+	return recs[:len(recs):len(recs)], nil
 }
 
 // SegmentPayload returns segment i's stored payload exactly as the
@@ -519,21 +290,29 @@ func (f *File) Segment(i int) ([]Record, error) {
 // Close. Pair it with Segments()[i] and DecodeSegment for a decode loop
 // that allocates nothing per segment in steady state.
 func (f *File) SegmentPayload(i int) ([]byte, error) {
-	info := f.segs[i]
-	avail := f.size - f.segOff[i]
-	if avail < 0 {
-		avail = 0
-	}
-	want := int64(info.PayloadBytes)
-	if want > avail {
-		want = avail
-	}
+	var buf []byte
+	return f.payload(i, &buf)
+}
+
+// payload fetches what the file holds of segment i's stored payload:
+// a slice of the mapping when there is one, otherwise a read into *buf
+// (grown as needed). Only the final segment can come up short of its
+// header's PayloadBytes (the index walk stops there).
+func (f *File) payload(i int, buf *[]byte) ([]byte, error) {
+	off := f.segOff[i]
+	n := min(int64(f.segs[i].PayloadBytes), max(f.size-off, 0))
 	if f.mapped != nil {
-		return f.mapped[f.segOff[i] : f.segOff[i]+want], nil
+		return f.mapped[off : off+n], nil
 	}
-	buf := make([]byte, want)
-	if err := f.readAt(buf, f.segOff[i], fmt.Sprintf("trace: segment %d payload", info.Index)); err != nil {
-		return nil, err
+	if int64(cap(*buf)) < n {
+		*buf = make([]byte, n)
 	}
-	return buf, nil
+	p := (*buf)[:n]
+	if k, err := f.ra.ReadAt(p, off); k < len(p) {
+		if err == nil || err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("trace: segment %d payload: %w", f.segs[i].Index, err)
+	}
+	return p, nil
 }

@@ -7,19 +7,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
-// decodeStreaming runs the full streaming pipeline (Open + Records) and
-// returns its outcome; the random-access pipeline must match it bit for
-// bit, error strings included.
-func decodeStreaming(b []byte) ([]Record, error) {
-	rd, err := Open(bytes.NewReader(b))
-	if err != nil {
-		return nil, err
-	}
-	return rd.Records()
-}
+// decodeStreaming runs the full sequential pipeline (Scanner +
+// DecodeSegment) and returns its outcome; the random-access pipeline
+// must match it bit for bit, error strings included.
+func decodeStreaming(b []byte) ([]Record, error) { return readAll(bytes.NewReader(b)) }
 
 // decodeRandomAccess runs the full random-access pipeline (OpenReaderAt
 // + parallel Arena + Flatten).
@@ -31,57 +26,66 @@ func decodeRandomAccess(b []byte, workers int) ([]Record, error) {
 	return f.Records(workers)
 }
 
-// TestOpenReaderAtMatchesOpen: the same stream served through io.Reader
-// and io.ReaderAt must yield identical records, metadata and segment
-// index, for both codecs in both containers.
+// TestOpenReaderAtMatchesOpen: the same stream served through the
+// sequential Scanner and through io.ReaderAt must yield identical
+// records, metadata and segment index — and the records the reference
+// decoder reads — for both codecs, one segment or several.
 func TestOpenReaderAtMatchesOpen(t *testing.T) {
 	recs := makeTrace(4000, 11)
 	for _, codec := range []uint16{CodecRaw, CodecDelta} {
-		var mono bytes.Buffer
-		if err := WriteFileMeta(&mono, recs, codec, "readerat-test"); err != nil {
-			t.Fatalf("WriteFileMeta: %v", err)
-		}
 		streams := map[string][]byte{
-			"monolithic": mono.Bytes(),
-			"segmented":  writeSegmented(t, recs, 5, codec, "readerat-test"),
+			"one segment":   writeSegmented(t, recs, 1, codec, "readerat-test"),
+			"five segments": writeSegmented(t, recs, 5, codec, "readerat-test"),
 		}
 		for name, b := range streams {
-			rd, err := Open(bytes.NewReader(b))
+			sc, err := NewScanner(bytes.NewReader(b))
 			if err != nil {
-				t.Fatalf("codec %d %s: Open: %v", codec, name, err)
+				t.Fatalf("codec %d %s: NewScanner: %v", codec, name, err)
 			}
-			want, err := rd.Records()
-			if err != nil {
-				t.Fatalf("codec %d %s: Records: %v", codec, name, err)
+			var want []Record
+			var segs []SegmentInfo
+			for {
+				seg, err := sc.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatalf("codec %d %s: Next: %v", codec, name, err)
+				}
+				if seg.Codec != codec {
+					t.Fatalf("codec %d %s: scanned segment carries codec %d", codec, name, seg.Codec)
+				}
+				out, err := DecodeSegment(seg.Codec, seg.Info, seg.Payload, nil, uint64(len(want)))
+				if err != nil {
+					t.Fatalf("codec %d %s: DecodeSegment: %v", codec, name, err)
+				}
+				want = append(want, out...)
+				segs = append(segs, seg.Info)
 			}
 			f, err := OpenReaderAt(bytes.NewReader(b), int64(len(b)))
 			if err != nil {
 				t.Fatalf("codec %d %s: OpenReaderAt: %v", codec, name, err)
 			}
-			if f.Meta() != rd.Meta() {
-				t.Errorf("codec %d %s: meta %q vs %q", codec, name, f.Meta(), rd.Meta())
-			}
-			if f.Segmented() != rd.Segmented() {
-				t.Errorf("codec %d %s: segmented %v vs %v", codec, name, f.Segmented(), rd.Segmented())
+			if f.Meta() != sc.Meta() || f.Codec() != codec {
+				t.Errorf("codec %d %s: meta %q codec %d, scanner meta %q", codec, name, f.Meta(), f.Codec(), sc.Meta())
 			}
 			if f.NumRecords() != uint64(len(want)) {
 				t.Errorf("codec %d %s: NumRecords %d, want %d", codec, name, f.NumRecords(), len(want))
 			}
-			// The streaming reader's index is complete after the full
-			// decode; the random-access index is complete at Open.
-			if len(f.Segments()) != len(rd.Segments()) {
-				t.Fatalf("codec %d %s: %d segments vs %d", codec, name, len(f.Segments()), len(rd.Segments()))
-			}
-			for i, s := range f.Segments() {
-				if s != rd.Segments()[i] {
-					t.Errorf("codec %d %s: segment %d: %+v vs %+v", codec, name, i, s, rd.Segments()[i])
-				}
+			if !reflect.DeepEqual(f.Segments(), segs) {
+				t.Fatalf("codec %d %s: segment index %+v vs scanned %+v", codec, name, f.Segments(), segs)
 			}
 			got, err := f.Records(4)
 			if err != nil {
 				t.Fatalf("codec %d %s: File.Records: %v", codec, name, err)
 			}
 			compareRecords(t, got, want)
+			ref, err := referenceReadAll(bytes.NewReader(b))
+			if err != nil {
+				t.Fatalf("codec %d %s: reference: %v", codec, name, err)
+			}
+			compareRecords(t, ref, recs)
+			compareRecords(t, got, recs)
 		}
 	}
 }
@@ -121,11 +125,12 @@ func TestDecodeParallelVsSerialByteIdentical(t *testing.T) {
 }
 
 // TestDecodeTruncationEquivalence cuts a segmented stream at every
-// possible byte offset and checks that the streaming and random-access
-// pipelines agree exactly: same records on success, same error string
-// on failure — including the wrapped io.ErrUnexpectedEOF with the
-// record index for mid-segment truncation. The sweep runs over both
-// payload encodings: a cut inside a flate payload truncates the
+// possible byte offset and checks that the sequential (Scanner) and
+// random-access (File) pipelines agree exactly: same records on
+// success — which the reference decoder must also read — and the same
+// error string on failure, including the wrapped io.ErrUnexpectedEOF
+// with the record index for mid-segment truncation. The sweep runs over
+// both payload encodings: a cut inside a flate payload truncates the
 // deflate stream itself, and both pipelines must classify that as the
 // same segment-indexed truncation, never as corruption.
 func TestDecodeTruncationEquivalence(t *testing.T) {
@@ -135,16 +140,23 @@ func TestDecodeTruncationEquivalence(t *testing.T) {
 			for cut := 0; cut <= len(full); cut++ {
 				b := full[:cut]
 				sRecs, sErr := decodeStreaming(b)
+				if sErr == nil {
+					ref, err := referenceReadAll(bytes.NewReader(b))
+					if err != nil {
+						t.Fatalf("codec %d enc %d cut %d: reference rejects an accepted prefix: %v", codec, enc, cut, err)
+					}
+					compareRecords(t, sRecs, ref)
+				}
 				for _, workers := range []int{1, 4} {
 					rRecs, rErr := decodeRandomAccess(b, workers)
 					switch {
 					case sErr == nil && rErr == nil:
 						compareRecords(t, rRecs, sRecs)
 					case sErr == nil || rErr == nil:
-						t.Fatalf("codec %d enc %d cut %d workers %d: streaming err %v, random-access err %v",
+						t.Fatalf("codec %d enc %d cut %d workers %d: scanner err %v, random-access err %v",
 							codec, enc, cut, workers, sErr, rErr)
 					case sErr.Error() != rErr.Error():
-						t.Fatalf("codec %d enc %d cut %d workers %d: error mismatch:\n  streaming:     %v\n  random-access: %v",
+						t.Fatalf("codec %d enc %d cut %d workers %d: error mismatch:\n  scanner:       %v\n  random-access: %v",
 							codec, enc, cut, workers, sErr, rErr)
 					}
 				}
@@ -186,34 +198,49 @@ func TestOpenFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchAllocs: the streaming batch path must stay
-// allocation-free per decoded chunk once warm (the ISSUE gate is <= 1
-// alloc per chunk; the occasional segment-index append is amortised).
-func TestDecodeBatchAllocs(t *testing.T) {
+// TestScanDecodeAllocs: the pipe path — Scanner plus DecodeSegment
+// into a reused dst — allocates at most once per segment once dst is
+// warm. The scanner's payload buffer grows to the largest segment and
+// is then reused, so a whole scan costs a fixed handful of allocations
+// (the scanner, its read buffer, the metadata and header scratch, one
+// payload buffer), not one per record or per segment.
+func TestScanDecodeAllocs(t *testing.T) {
+	const nseg = 16
 	recs := makeTrace(200_000, 3)
-	b := writeSegmented(t, recs, 16, CodecDelta, "")
-	rd, err := Open(bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]Record, 4096)
-	if _, err := rd.Decode(dst); err != nil && err != io.EOF {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := rd.Decode(dst); err != nil && err != io.EOF {
+	b := writeSegmented(t, recs, nseg, CodecDelta, "scan")
+	var dst []Record
+	scan := func() {
+		sc, err := NewScanner(bytes.NewReader(b))
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 1 {
-		t.Errorf("streaming batch decode: %.1f allocs per %d-record chunk, want <= 1", allocs, len(dst))
+		var base uint64
+		for {
+			seg, err := sc.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dst, err = DecodeSegment(seg.Codec, seg.Info, seg.Payload, dst, base); err != nil {
+				t.Fatal(err)
+			}
+			base += uint64(len(dst))
+		}
+		if base != uint64(len(recs)) {
+			t.Fatalf("scanned %d records, want %d", base, len(recs))
+		}
+	}
+	scan() // size dst
+	if allocs := testing.AllocsPerRun(10, scan); allocs > nseg {
+		t.Errorf("scanner decode: %.1f allocs per %d-segment scan, want <= 1 per segment", allocs, nseg)
 	}
 }
 
 // TestSegmentPayloadOverrunEquivalence: a segment header promising more
 // payload than the file holds — with a record count the truncated
-// payload still satisfies — must fail identically from both pipelines
-// (the streaming path trips discarding the tail).
+// payload still satisfies — must fail identically from both pipelines.
 func TestSegmentPayloadOverrunEquivalence(t *testing.T) {
 	recs := makeTrace(64, 9)
 	full := writeSegmented(t, recs, 1, CodecDelta, "")
@@ -228,11 +255,11 @@ func TestSegmentPayloadOverrunEquivalence(t *testing.T) {
 	sRecs, sErr := decodeStreaming(b)
 	rRecs, rErr := decodeRandomAccess(b, 1)
 	if sErr == nil || rErr == nil {
-		t.Fatalf("overrun stream decoded cleanly: streaming (%d recs, %v), random-access (%d recs, %v)",
+		t.Fatalf("overrun stream decoded cleanly: scanner (%d recs, %v), random-access (%d recs, %v)",
 			len(sRecs), sErr, len(rRecs), rErr)
 	}
 	if sErr.Error() != rErr.Error() {
-		t.Fatalf("error mismatch:\n  streaming:     %v\n  random-access: %v", sErr, rErr)
+		t.Fatalf("error mismatch:\n  scanner:       %v\n  random-access: %v", sErr, rErr)
 	}
 	if !errors.Is(sErr, io.ErrUnexpectedEOF) {
 		t.Fatalf("overrun error %v does not wrap io.ErrUnexpectedEOF", sErr)

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -92,110 +94,98 @@ func writeDelta(w byteWriter, recs []Record) error {
 // through bufio.Reader, per-byte varint reads, per-record error
 // wrapping — as a test-only artifact. It is the benchmark baseline the
 // batch path is measured against (BENCH_decode.json) and an independent
-// oracle for the decode-equivalence tests: three implementations now
-// agree on every stream, two of which share no scanning code.
+// oracle for the decode-equivalence tests: it shares no scanning code
+// with DecodeSegment, and it inflates compressed segments with
+// compress/flate directly rather than through the pooled inflater.
 //
 // It also keeps the two []Record encoders the writers used before every
 // encode went through the packed layout (encode.go). They build each
 // codec's bytes field by field from a Record, so they are an oracle the
 // packed encoders share no code with.
 
-type referenceDecoder struct {
-	br        *bufio.Reader
-	codec     uint16
-	count     uint64
-	read      uint64
-	segmented bool
-	segs      int
-	lastAddr  [NumKinds]uint32
-	lastPID   uint8
+type refStream struct {
+	br       *bufio.Reader // current segment's codec bytes
+	codec    uint16
+	read     uint64
+	lastAddr [NumKinds]uint32
+	lastPID  uint8
 }
 
-// referenceReadAll decodes a whole stream with the per-record reference
-// path.
+// referenceReadAll decodes a whole segmented stream with the
+// per-record reference path. Its errors are worded like the batch
+// path's for truncated payloads, but it is an oracle for successful
+// decodes only: header validation is the shared parseSegmentHeader.
 func referenceReadAll(r io.Reader) ([]Record, error) {
-	d := &referenceDecoder{br: bufio.NewReader(r)}
+	in := bufio.NewReader(r)
 	var m [8]byte
-	if _, err := io.ReadFull(d.br, m[:]); err != nil {
+	if _, err := io.ReadFull(in, m[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
-	var metaLen uint32
-	switch m {
-	case magic:
-		var hdr [16]byte
-		if _, err := io.ReadFull(d.br, hdr[:]); err != nil {
-			return nil, fmt.Errorf("trace: reading header: %w", err)
-		}
-		d.codec = binary.LittleEndian.Uint16(hdr[2:])
-		d.count = binary.LittleEndian.Uint64(hdr[4:])
-		metaLen = binary.LittleEndian.Uint32(hdr[12:])
-	case segMagic:
-		var hdr [8]byte
-		if _, err := io.ReadFull(d.br, hdr[:]); err != nil {
-			return nil, fmt.Errorf("trace: reading segment-stream header: %w", err)
-		}
-		d.codec = binary.LittleEndian.Uint16(hdr[2:])
-		metaLen = binary.LittleEndian.Uint32(hdr[4:])
-		d.segmented = true
-	default:
+	if m != segMagic {
 		return nil, fmt.Errorf("trace: bad magic %q", m)
 	}
-	if d.count > maxRecordCount || metaLen > maxMetaLen {
+	var hdr [8]byte
+	if _, err := io.ReadFull(in, hdr[:]); err != nil {
+		return nil, fmt.Errorf("trace: reading segment-stream header: %w", promisedEOF(err))
+	}
+	segHdr := segHeaderBytes
+	if binary.LittleEndian.Uint16(hdr[0:]) == segVersion3 {
+		segHdr = segHeaderBytesV3
+	}
+	d := &refStream{codec: binary.LittleEndian.Uint16(hdr[2:])}
+	metaLen := binary.LittleEndian.Uint32(hdr[4:])
+	if metaLen > maxMetaLen {
 		return nil, fmt.Errorf("trace: implausible header")
 	}
-	if _, err := io.CopyN(io.Discard, d.br, int64(metaLen)); err != nil {
+	if _, err := io.CopyN(io.Discard, in, int64(metaLen)); err != nil {
 		return nil, fmt.Errorf("trace: reading metadata: %w", promisedEOF(err))
 	}
 	var recs []Record
-	for {
-		if d.read == d.count {
-			if !d.segmented {
-				return recs, nil
-			}
-			err := d.refNextSegment()
+	for seg := 0; ; seg++ {
+		sh := make([]byte, 4+segHdr)
+		if _, err := io.ReadFull(in, sh); err != nil {
 			if err == io.EOF {
 				return recs, nil
 			}
-			if err != nil {
-				return nil, err
-			}
-			continue
+			return nil, fmt.Errorf("trace: segment %d header: %w", seg, err)
 		}
-		rec, err := d.refDecodeOne()
+		if [4]byte(sh[:4]) != segMarker {
+			return nil, fmt.Errorf("trace: segment %d: bad marker %q", seg, sh[:4])
+		}
+		info, err := parseSegmentHeader(sh[4:], seg, d.codec)
 		if err != nil {
 			return nil, err
 		}
-		recs = append(recs, rec)
-	}
-}
-
-func (d *referenceDecoder) refNextSegment() error {
-	var mk [4]byte
-	if _, err := io.ReadFull(d.br, mk[:]); err != nil {
-		if err == io.EOF {
-			return io.EOF
+		stored := &io.LimitedReader{R: in, N: int64(info.PayloadBytes)}
+		var codecBytes io.Reader = stored
+		if info.Encoding == SegEncFlate {
+			var inflated bytes.Buffer
+			if n, _ := io.CopyN(&inflated, flate.NewReader(stored), int64(info.RawBytes)); uint64(n) < info.RawBytes {
+				return nil, fmt.Errorf("trace: segment %d payload: inflates to %d of %d bytes", seg, n, info.RawBytes)
+			}
+			codecBytes = &inflated
 		}
-		return fmt.Errorf("trace: segment %d header: %w", d.segs, promisedEOF(err))
+		// Segments are independently encoded: the delta state resets.
+		d.br = bufio.NewReader(codecBytes)
+		d.lastAddr, d.lastPID = [NumKinds]uint32{}, 0
+		for i := uint64(0); i < info.Records; i++ {
+			rec, err := d.refDecodeOne()
+			if err != nil {
+				return nil, err
+			}
+			recs = append(recs, rec)
+		}
+		// The framing, not the records, says where the segment ends.
+		if _, err := io.Copy(io.Discard, stored); err != nil {
+			return nil, err
+		}
+		if stored.N != 0 {
+			return nil, fmt.Errorf("trace: segment %d payload: %w", seg, io.ErrUnexpectedEOF)
+		}
 	}
-	if mk != segMarker {
-		return fmt.Errorf("trace: segment %d: bad marker %q", d.segs, mk)
-	}
-	var hdr [segHeaderBytes]byte
-	if _, err := io.ReadFull(d.br, hdr[:]); err != nil {
-		return fmt.Errorf("trace: segment %d header: %w", d.segs, promisedEOF(err))
-	}
-	info, err := parseSegmentHeader(hdr[:], d.segs, d.codec)
-	if err != nil {
-		return err
-	}
-	d.segs++
-	d.count += info.Records
-	d.lastAddr = [NumKinds]uint32{}
-	d.lastPID = 0
-	return nil
 }
 
-func (d *referenceDecoder) refDecodeOne() (Record, error) {
+func (d *refStream) refDecodeOne() (Record, error) {
 	i := d.read
 	if d.codec == CodecRaw {
 		var b [RecordBytes]byte

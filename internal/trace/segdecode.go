@@ -1,24 +1,26 @@
 package trace
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"slices"
 )
 
-// Segment-granular decode entry point for the streaming analysis
-// pipeline (internal/sweep). The spill service tees every segment it
-// writes (SegmentWriter.Tee) to a consumer that decodes it immediately
-// with DecodeSegment — the same batch codec layer (batch.go) behind the
-// streaming Decoder and the random-access File, so a streamed decode is
-// byte-identical to re-reading the file, including the record-indexed
-// truncation errors.
+// The one record decoder. Every reader is a header walk plus
+// DecodeSegment: File fetches each payload from its index (mmap slice
+// or pooled buffer), Scanner reads them off a pipe in order, and the
+// streaming analysis pipeline (internal/sweep) decodes the segments a
+// SegmentWriter tees as they are written. All three therefore yield the
+// same records and the same record-indexed truncation errors.
 
-// StreamSegment is one written segment handed to a SegmentWriter tee:
-// the stream codec, the segment's header metadata, and its encoded
-// payload. The payload aliases the writer's reusable encode buffer (or
-// the packed records a raw segment was written from), so it is valid
-// only for the duration of the tee call — consumers must decode (or
-// copy) before returning.
+// StreamSegment is one segment as a SegmentWriter tee or a Scanner
+// hands it over: the stream codec, the segment's header metadata, and
+// its stored payload. The payload aliases a reused buffer (the writer's
+// encode buffer, the packed records a raw segment was written from, or
+// the scanner's read buffer), so it is valid only until the tee call
+// returns or the next Scanner.Next — consumers must decode (or copy)
+// before then.
 type StreamSegment struct {
 	Codec   uint16
 	Info    SegmentInfo
@@ -46,7 +48,7 @@ func DecodeSegment(codec uint16, info SegmentInfo, payload []byte, dst []Record,
 	short := uint64(len(payload)) < info.PayloadBytes
 	if !short {
 		// Never decode past the framing: a payload slice longer than the
-		// header promises would desynchronise against the file readers.
+		// header promises would desynchronise against the readers.
 		payload = payload[:info.PayloadBytes]
 	}
 	if info.Encoding != SegEncRaw {
@@ -83,18 +85,16 @@ func DecodeSegment(codec uint16, info SegmentInfo, payload []byte, dst []Record,
 	var nrec int
 	var derr *batchError
 	if codec == CodecRaw {
-		nrec, _, derr = decodeRawBatch(dst, payload)
+		nrec, derr = decodeRawBatch(dst, payload)
 	} else {
-		var st deltaState
-		nrec, _, derr = decodeDeltaBatch(dst, payload, &st)
+		nrec, derr = decodeDeltaBatch(dst, payload)
 	}
 	out := dst[:nrec]
 	if derr != nil && !derr.truncated {
 		return out, recordError(derr, base+uint64(nrec))
 	}
 	if uint64(nrec) < info.Records {
-		// The payload ran out before the count was met — the same
-		// record-indexed truncation the file readers report.
+		// The payload ran out before the count was met.
 		field := ""
 		if derr != nil {
 			field = derr.field
@@ -103,11 +103,77 @@ func DecodeSegment(codec uint16, info SegmentInfo, payload []byte, dst []Record,
 	}
 	if short {
 		// All records decoded but the framing promised more payload than
-		// arrived; the file readers fail discarding the tail, and so do we.
+		// arrived.
 		return out, fmt.Errorf("trace: segment %d payload: %w", info.Index, io.ErrUnexpectedEOF)
 	}
 	mDecodeSegments.Inc()
 	mDecodeRecords.Add(uint64(nrec))
 	mDecodeBytes.Add(uint64(len(payload)))
 	return out, nil
+}
+
+// minEncRecordBytes is the smallest possible encoded record (delta:
+// header byte + 1-byte varint); it bounds how many records a payload of
+// known length can hold, so a forged count cannot force a giant
+// allocation.
+const minEncRecordBytes = 2
+
+// payloadChunk bounds how much a Scanner grows its payload buffer per
+// read, so a forged payLen cannot force a giant allocation: memory
+// grows only as fast as bytes actually arrive.
+const payloadChunk = 64 << 10
+
+// Scanner reads a segmented stream sequentially — the path for pipes
+// and other inputs that cannot seek. Next returns one segment at a
+// time with its stored payload, ready for DecodeSegment; only that one
+// payload is held, in a buffer reused across segments.
+type Scanner struct {
+	w   *headerWalk
+	buf []byte
+	err error // sticky: io.EOF once the stream is done
+}
+
+// NewScanner reads and validates the stream header from r.
+func NewScanner(r io.Reader) (*Scanner, error) {
+	w, err := newHeaderWalk(bufio.NewReader(r))
+	if err != nil {
+		return nil, err
+	}
+	return &Scanner{w: w}, nil
+}
+
+// Meta returns the stream's provenance string.
+func (s *Scanner) Meta() string { return s.w.meta }
+
+// Next reads the next segment. It returns io.EOF after the last one. A
+// payload cut short by the end of the input is returned as it stands —
+// DecodeSegment reports the truncation, record-indexed, exactly as
+// File.Segment does for the same bytes — and ends the stream. The
+// payload is valid until the next call.
+func (s *Scanner) Next() (StreamSegment, error) {
+	if s.err != nil {
+		return StreamSegment{}, s.err
+	}
+	info, err := s.w.next()
+	if err != nil {
+		s.err = err
+		return StreamSegment{}, err
+	}
+	buf := s.buf[:0]
+	for uint64(len(buf)) < info.PayloadBytes {
+		need := len(buf) + int(min(info.PayloadBytes-uint64(len(buf)), payloadChunk))
+		buf = slices.Grow(buf, need-len(buf))
+		n, err := io.ReadFull(s.w.r, buf[len(buf):need])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			s.err = io.EOF
+			break
+		}
+		if err != nil {
+			s.err = fmt.Errorf("trace: segment %d payload: %w", info.Index, err)
+			return StreamSegment{}, s.err
+		}
+	}
+	s.buf = buf
+	return StreamSegment{Codec: s.w.codec, Info: info, Payload: buf}, nil
 }

@@ -3,8 +3,10 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -76,9 +78,10 @@ func TestDecodeSegmentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeSegmentTruncation: a payload cut short must deliver the
-// decoded prefix alongside the identical record-indexed unexpected-EOF
-// the streaming Decoder reports reading the equally-truncated file.
+// TestDecodeSegmentTruncation: a payload cut short must deliver every
+// record before the cut alongside a record-indexed unexpected-EOF —
+// worded exactly as the reference decoder words reading the
+// equally-truncated file, and exactly as File reports it.
 func TestDecodeSegmentTruncation(t *testing.T) {
 	recs := makeTrace(600, 33)
 	for _, codec := range []uint16{CodecRaw, CodecDelta} {
@@ -98,35 +101,17 @@ func TestDecodeSegmentTruncation(t *testing.T) {
 			if !reflect.DeepEqual(prefix, recs[:len(prefix)]) {
 				t.Fatalf("codec=%d cut=%d: decoded prefix diverges from written records", codec, cut)
 			}
+			if want := fmt.Sprintf("trace: record %d", len(prefix)); !strings.HasPrefix(gotErr.Error(), want) {
+				t.Fatalf("codec=%d cut=%d: error %q does not name the record after the %d-record prefix", codec, cut, gotErr, len(prefix))
+			}
 
-			// Oracle: the streaming Decoder over the truncated file.
-			rd, err := Open(bytes.NewReader(stream[:len(stream)-cut]))
-			if err != nil {
-				t.Fatal(err)
+			truncated := stream[:len(stream)-cut]
+			_, refErr := referenceReadAll(bytes.NewReader(truncated))
+			if refErr == nil || gotErr.Error() != refErr.Error() {
+				t.Fatalf("codec=%d cut=%d: segment error %q != reference error %v", codec, cut, gotErr, refErr)
 			}
-			var wantRecs []Record
-			var wantErr error
-			buf := make([]Record, 128)
-			for {
-				n, derr := rd.Decode(buf)
-				wantRecs = append(wantRecs, buf[:n]...)
-				if derr == io.EOF {
-					break
-				}
-				if derr != nil {
-					wantErr = derr
-					break
-				}
-			}
-			if wantErr == nil {
-				t.Fatalf("codec=%d cut=%d: file oracle saw no error", codec, cut)
-			}
-			if gotErr.Error() != wantErr.Error() {
-				t.Fatalf("codec=%d cut=%d: segment error %q != file error %q", codec, cut, gotErr, wantErr)
-			}
-			if !reflect.DeepEqual(prefix, wantRecs) {
-				t.Fatalf("codec=%d cut=%d: segment prefix (%d) differs from file prefix (%d)",
-					codec, cut, len(prefix), len(wantRecs))
+			if _, fileErr := decodeRandomAccess(truncated, 1); fileErr == nil || gotErr.Error() != fileErr.Error() {
+				t.Fatalf("codec=%d cut=%d: segment error %q != File error %v", codec, cut, gotErr, fileErr)
 			}
 		}
 	}

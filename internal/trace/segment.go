@@ -21,23 +21,22 @@ import (
 //	dropped uint64   records lost while this segment was being captured
 //	cycles  uint64   dilation cycles charged during this segment
 //	payLen  uint64   stored payload bytes that follow
-//	enc     uint8    payload encoding (SegEncRaw / SegEncFlate); v2 only
-//	rawLen  uint64   payload bytes after inflation; v2 only (== payLen
-//	                 for raw segments)
+//	enc     uint8    payload encoding (SegEncRaw / SegEncFlate)
+//	rawLen  uint64   payload bytes after inflation (== payLen for raw
+//	                 segments)
 //	cpu     uint16   capturing processor id; v3 only
 //	seq     uint64   global sequence mark (machine-wide spill order,
 //	                 strictly increasing within a stream); v3 only
 //	payload [payLen]byte   count records in the stream's codec,
 //	                       stored per enc
 //
-// Every field is little endian. Stream version 1 lacks the enc/rawLen
-// fields (every v1 payload is stored raw); version 3 appends the SMP
-// cpu/seq stamps; readers accept all three. Headers are never
+// Every field is little endian. Version 3 streams append the SMP
+// cpu/seq stamps; readers accept versions 2 and 3. Headers are never
 // compressed, so the index walk stays header-only. The delta codec's
 // inter-record state resets at each segment boundary, so any segment
 // can be decoded knowing only the stream codec — and the concatenation
 // of all segments' records is byte-identical to the same capture
-// written monolithically, whatever each segment's encoding.
+// written as one segment, whatever each segment's encoding.
 //
 // The cpu/seq pair is what makes multiprocessor capture mergeable: each
 // core spills into its own stream, every spill draws the next value
@@ -52,11 +51,9 @@ import (
 var segMarker = [4]byte{'A', 'S', 'E', 'G'}
 
 // segHeaderBytes is the fixed v2 header size after the marker;
-// segHeaderBytesV1 is the version-1 size (no enc/rawLen fields);
 // segHeaderBytesV3 appends the cpu/seq stamps.
 const (
 	segHeaderBytes   = 45
-	segHeaderBytesV1 = 36
 	segHeaderBytesV3 = 55
 )
 
@@ -326,56 +323,9 @@ func (sw *SegmentWriter) Close() error {
 	return sw.w.Flush()
 }
 
-// nextSegment reads the next segment header, appends its metadata to
-// d.segs and credits its record count to d.count. A clean EOF at the
-// marker is the normal end of stream (io.EOF); anything shorter is a
-// truncated stream.
-func (d *Decoder) nextSegment() error {
-	var mk [4]byte
-	if _, err := io.ReadFull(d.br, mk[:]); err != nil {
-		if err == io.EOF {
-			return io.EOF
-		}
-		return fmt.Errorf("trace: segment %d header: %w", len(d.segs), promisedEOF(err))
-	}
-	if mk != segMarker {
-		return fmt.Errorf("trace: segment %d: bad marker %q", len(d.segs), mk)
-	}
-	var hdr [segHeaderBytesV3]byte
-	if _, err := io.ReadFull(d.br, hdr[:d.segHdr]); err != nil {
-		return fmt.Errorf("trace: segment %d header: %w", len(d.segs), promisedEOF(err))
-	}
-	info, err := parseSegmentHeader(hdr[:d.segHdr], len(d.segs), d.codec)
-	if err != nil {
-		return err
-	}
-	if d.segHdr == segHeaderBytesV3 {
-		last := uint64(0)
-		if n := len(d.segs); n > 0 {
-			last = d.segs[n-1].Seq
-		}
-		if info.Seq <= last {
-			return fmt.Errorf("trace: segment %d: sequence mark %d not above previous %d",
-				info.Index, info.Seq, last)
-		}
-	}
-	d.segs = append(d.segs, info)
-	d.count += info.Records
-	d.segPay = info.PayloadBytes
-	mDecodeSegments.Inc()
-	// Segments are independently encoded: reset the delta codec state.
-	d.st = deltaState{}
-	if info.Encoding != SegEncRaw {
-		return d.enterCompressedSegment(info)
-	}
-	return nil
-}
-
 // parseSegmentHeader decodes and validates the fixed fields after the
-// "ASEG" marker; hdr's length selects the stream version (36 bytes for
-// v1, 45 for v2, 55 for v3). Both readers share it — the streaming
-// decoder above and the random-access index walk (readerat.go) — so a
-// malformed header fails with the same message from either entry point.
+// "ASEG" marker; hdr's length selects the stream version (45 bytes for
+// v2, 55 for v3). Both readers reach it through headerWalk.next.
 func parseSegmentHeader(hdr []byte, at int, codec uint16) (SegmentInfo, error) {
 	info := SegmentInfo{
 		Index:          binary.LittleEndian.Uint32(hdr[0:]),
@@ -383,10 +333,8 @@ func parseSegmentHeader(hdr []byte, at int, codec uint16) (SegmentInfo, error) {
 		Dropped:        binary.LittleEndian.Uint64(hdr[12:]),
 		DilationCycles: binary.LittleEndian.Uint64(hdr[20:]),
 		PayloadBytes:   binary.LittleEndian.Uint64(hdr[28:]),
-	}
-	if len(hdr) >= segHeaderBytes {
-		info.Encoding = hdr[36]
-		info.RawBytes = binary.LittleEndian.Uint64(hdr[37:])
+		Encoding:       hdr[36],
+		RawBytes:       binary.LittleEndian.Uint64(hdr[37:]),
 	}
 	if len(hdr) >= segHeaderBytesV3 {
 		info.CPU = binary.LittleEndian.Uint16(hdr[45:])
@@ -398,7 +346,7 @@ func parseSegmentHeader(hdr []byte, at int, codec uint16) (SegmentInfo, error) {
 	if info.Encoding == SegEncRaw {
 		// The raw payload IS the codec stream; rawLen is informational
 		// there, so normalise rather than trusting a field with nothing
-		// to say (v1 headers do not carry it at all).
+		// to say.
 		info.RawBytes = info.PayloadBytes
 	}
 	if info.Index != uint32(at) {

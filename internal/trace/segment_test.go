@@ -48,44 +48,56 @@ func writeSegmentedEnc(t *testing.T, recs []Record, n int, codec uint16, enc uin
 	return buf.Bytes()
 }
 
+// scanSegments reads every segment header of b through a Scanner.
+func scanSegments(t *testing.T, b []byte) []SegmentInfo {
+	t.Helper()
+	sc, err := NewScanner(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var infos []SegmentInfo
+	for {
+		seg, err := sc.Next()
+		if err == io.EOF {
+			return infos
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		infos = append(infos, seg.Info)
+	}
+}
+
 // TestSegmentStitchingDeterminism: the same records written as N
-// segments must decode identically to the monolithic container, for
-// both codecs and both payload encodings — the container-level half of
-// the stitching guarantee. The compressed lane must be byte-identical
-// to the uncompressed one: flate changes what is on disk, never what
+// segments must decode identically to the one-segment stream, for both
+// codecs and both payload encodings — the container-level half of the
+// stitching guarantee. The compressed lane must be byte-identical to
+// the uncompressed one: flate changes what is on disk, never what
 // decodes.
 func TestSegmentStitchingDeterminism(t *testing.T) {
 	recs := makeTrace(5000, 7)
 	for _, codec := range []uint16{CodecRaw, CodecDelta} {
-		var mono bytes.Buffer
-		if err := WriteFileMeta(&mono, recs, codec, "stitch-test"); err != nil {
-			t.Fatalf("WriteFileMeta: %v", err)
-		}
-		want, wantMeta, err := readAllMeta(bytes.NewReader(mono.Bytes()))
+		want, wantMeta, err := scanAll(bytes.NewReader(writeSegmented(t, recs, 1, codec, "stitch-test")))
 		if err != nil {
-			t.Fatalf("monolithic decode: %v", err)
+			t.Fatalf("one-segment decode: %v", err)
+		}
+		if !reflect.DeepEqual(want, recs) {
+			t.Fatalf("codec %d: one-segment decode differs from the input", codec)
 		}
 		for _, enc := range []uint8{SegEncRaw, SegEncFlate} {
 			for _, n := range []int{1, 3, 8} {
 				b := writeSegmentedEnc(t, recs, n, codec, enc, "stitch-test")
-				rd, err := Open(bytes.NewReader(b))
+				got, meta, err := scanAll(bytes.NewReader(b))
 				if err != nil {
-					t.Fatalf("codec %d enc %d n=%d: Open: %v", codec, enc, n, err)
-				}
-				if !rd.Segmented() {
-					t.Fatalf("codec %d enc %d n=%d: stream not recognised as segmented", codec, enc, n)
-				}
-				got, err := rd.Records()
-				if err != nil {
-					t.Fatalf("codec %d enc %d n=%d: Records: %v", codec, enc, n, err)
+					t.Fatalf("codec %d enc %d n=%d: decode: %v", codec, enc, n, err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("codec %d enc %d n=%d: segmented decode differs from monolithic", codec, enc, n)
+					t.Fatalf("codec %d enc %d n=%d: %d-segment decode differs from one segment", codec, enc, n, n)
 				}
-				if rd.Meta() != wantMeta {
-					t.Fatalf("codec %d enc %d n=%d: meta %q != %q", codec, enc, n, rd.Meta(), wantMeta)
+				if meta != wantMeta {
+					t.Fatalf("codec %d enc %d n=%d: meta %q != %q", codec, enc, n, meta, wantMeta)
 				}
-				segs := rd.Segments()
+				segs := scanSegments(t, b)
 				if len(segs) != n {
 					t.Fatalf("codec %d enc %d n=%d: %d segments reported", codec, enc, n, len(segs))
 				}
@@ -128,56 +140,57 @@ func TestSegmentStitchingDeterminism(t *testing.T) {
 	}
 }
 
-// TestSegmentedArena: Reader.Arena must terminate and return every
-// record for segmented streams, where Remaining is 0 at each segment
-// boundary.
+// TestSegmentedArena: File.Arena stitches one chunk per non-empty
+// segment, in segment order, holding every record.
 func TestSegmentedArena(t *testing.T) {
 	recs := makeTrace(3000, 9)
 	b := writeSegmented(t, recs, 4, CodecDelta, "")
-	rd, err := Open(bytes.NewReader(b))
+	f, err := OpenReaderAt(bytes.NewReader(b), int64(len(b)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := rd.Arena()
+	a, err := f.Arena(1)
 	if err != nil {
 		t.Fatalf("Arena: %v", err)
 	}
-	if a.NumRecords() != len(recs) {
-		t.Fatalf("arena has %d records, want %d", a.NumRecords(), len(recs))
+	if a.NumRecords() != len(recs) || len(a.chunks) != 4 {
+		t.Fatalf("arena has %d records in %d chunks, want %d in 4", a.NumRecords(), len(a.chunks), len(recs))
 	}
 	if !reflect.DeepEqual(a.Flatten(), recs) {
 		t.Fatal("arena records differ from input")
 	}
 }
 
-// TestSegmentedStreamingDecode: Decode batches that straddle segment
-// boundaries must come back seamless, and the stream must end with a
-// clean io.EOF.
+// TestSegmentedStreamingDecode: segments scanned one at a time and
+// decoded into one reused buffer come back seamless, and the stream
+// ends with a clean io.EOF that stays put.
 func TestSegmentedStreamingDecode(t *testing.T) {
 	recs := makeTrace(1000, 3)
 	b := writeSegmented(t, recs, 8, CodecDelta, "")
-	rd, err := Open(bytes.NewReader(b))
+	sc, err := NewScanner(bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []Record
-	buf := make([]Record, 77) // deliberately coprime with the segment size
+	var got, dst []Record
 	for {
-		n, err := rd.Decode(buf)
-		got = append(got, buf[:n]...)
+		seg, err := sc.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			t.Fatalf("Decode after %d records: %v", len(got), err)
+			t.Fatalf("Next after %d records: %v", len(got), err)
 		}
+		if dst, err = DecodeSegment(seg.Codec, seg.Info, seg.Payload, dst, uint64(len(got))); err != nil {
+			t.Fatalf("DecodeSegment after %d records: %v", len(got), err)
+		}
+		got = append(got, dst...)
 	}
 	if !reflect.DeepEqual(got, recs) {
 		t.Fatalf("streamed %d records, want %d identical", len(got), len(recs))
 	}
-	// Further decodes keep reporting a clean EOF.
-	if n, err := rd.Decode(buf); n != 0 || err != io.EOF {
-		t.Fatalf("post-EOF Decode = (%d, %v), want (0, io.EOF)", n, err)
+	// Further reads keep reporting a clean EOF.
+	if _, err := sc.Next(); err != io.EOF {
+		t.Fatalf("post-EOF Next = %v, want io.EOF", err)
 	}
 }
 
@@ -207,10 +220,10 @@ func TestSegmentEmptySegments(t *testing.T) {
 	}
 }
 
-// TestTruncatedMonolithic: a monolithic stream cut mid-payload must
-// fail with a wrapped io.ErrUnexpectedEOF naming the record index —
-// including the boundary case where the cut lands exactly between
-// records, which io.ReadFull reports as a bare io.EOF.
+// TestTruncatedMonolithic: a capture written in one piece — WriteFile's
+// one-segment stream — cut mid-payload must fail with a wrapped
+// io.ErrUnexpectedEOF — including the boundary cases where the cut
+// lands at the payload start or exactly between records.
 func TestTruncatedMonolithic(t *testing.T) {
 	recs := makeTrace(100, 5)
 	for _, codec := range []uint16{CodecRaw, CodecDelta} {
@@ -219,20 +232,9 @@ func TestTruncatedMonolithic(t *testing.T) {
 			t.Fatal(err)
 		}
 		full := buf.Bytes()
-		payloadStart := len(full)
-		switch codec {
-		case CodecRaw:
-			payloadStart = len(full) - len(recs)*RecordBytes
-		case CodecDelta:
-			payloadStart = 8 + 16 // magic + fixed header, no meta
-		}
+		payloadStart := 16 + 4 + segHeaderBytes // stream header, no meta, one segment header
 		for _, cut := range []int{payloadStart, payloadStart + 1, payloadStart + RecordBytes, len(full) - 1} {
-			rd, err := Open(bytes.NewReader(full[:cut]))
-			if err != nil {
-				t.Fatalf("codec %d cut=%d: header rejected: %v", codec, cut, err)
-			}
-			_, err = rd.Records()
-			if !errors.Is(err, io.ErrUnexpectedEOF) {
+			if _, err := readAll(bytes.NewReader(full[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Fatalf("codec %d cut=%d: err = %v, want io.ErrUnexpectedEOF", codec, cut, err)
 			}
 		}
@@ -250,11 +252,7 @@ func TestTruncatedErrorNamesRecordIndex(t *testing.T) {
 	full := buf.Bytes()
 	payloadStart := len(full) - len(recs)*RecordBytes
 	// Cut mid-way through record 3.
-	rd, err := Open(bytes.NewReader(full[:payloadStart+3*RecordBytes+2]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = rd.Records()
+	_, err := readAll(bytes.NewReader(full[:payloadStart+3*RecordBytes+2]))
 	if err == nil || !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
 	}
@@ -281,11 +279,7 @@ func TestTruncatedSegmented(t *testing.T) {
 		seg0 + 4 + segHeaderBytes + 8*RecordBytes: false, // record boundary, count unmet
 	}
 	for cut, wantClean := range cuts {
-		rd, err := Open(bytes.NewReader(b[:cut]))
-		if err != nil {
-			t.Fatalf("cut=%d: header rejected: %v", cut, err)
-		}
-		_, err = rd.Records()
+		_, err := readAll(bytes.NewReader(b[:cut]))
 		if wantClean {
 			if err != nil {
 				t.Fatalf("cut=%d: err = %v, want nil", cut, err)
@@ -295,11 +289,7 @@ func TestTruncatedSegmented(t *testing.T) {
 		}
 	}
 	// Cut exactly at the end of segment 0: a valid, complete stream.
-	rd, err := Open(bytes.NewReader(b[:seg0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rd.Records()
+	got, err := readAll(bytes.NewReader(b[:seg0]))
 	if err != nil {
 		t.Fatalf("clean one-segment prefix: %v", err)
 	}
@@ -317,11 +307,7 @@ func TestSegmentHeaderValidation(t *testing.T) {
 	corrupt := func(mutate func(b []byte)) error {
 		b := append([]byte(nil), base...)
 		mutate(b)
-		rd, err := Open(bytes.NewReader(b))
-		if err != nil {
-			return err
-		}
-		_, err = rd.Records()
+		_, err := readAll(bytes.NewReader(b))
 		return err
 	}
 	cases := map[string]func(b []byte){
@@ -373,36 +359,4 @@ func (f *failAfter) Write(p []byte) (int, error) {
 	}
 	f.n -= len(p)
 	return len(p), nil
-}
-
-// TestOpenMonolithic: the unified Reader serves the legacy container.
-func TestOpenMonolithic(t *testing.T) {
-	recs := makeTrace(500, 6)
-	var buf bytes.Buffer
-	if err := WriteFileMeta(&buf, recs, CodecDelta, "mono"); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := Open(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rd.Segmented() {
-		t.Fatal("monolithic stream reported as segmented")
-	}
-	if rd.Meta() != "mono" {
-		t.Fatalf("meta %q", rd.Meta())
-	}
-	if rd.Remaining() != 500 {
-		t.Fatalf("Remaining = %d", rd.Remaining())
-	}
-	if len(rd.Segments()) != 0 {
-		t.Fatal("monolithic stream reported segments")
-	}
-	got, err := rd.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, recs) {
-		t.Fatal("Records differ from input")
-	}
 }

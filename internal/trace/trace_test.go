@@ -11,27 +11,49 @@ import (
 	"testing/quick"
 )
 
-// readAll / readAllMeta are the one-call decode helpers the tests in
-// this package share now that the public surface is Open-only: Open
-// then Records (plus Meta), exactly what callers write.
-func readAll(r io.Reader) ([]Record, error) {
-	rd, err := Open(r)
+// scanAll reads a whole stream the pipe way — Scanner, then
+// DecodeSegment per segment based at the records decoded so far — and
+// returns its records and metadata. It is the sequential counterpart
+// of OpenReaderAt + Records, which the tests hold it equal to.
+func scanAll(r io.Reader) ([]Record, string, error) {
+	sc, err := NewScanner(r)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return rd.Records()
+	var recs []Record
+	for {
+		seg, err := sc.Next()
+		if err == io.EOF {
+			return recs, sc.Meta(), nil
+		}
+		if err != nil {
+			return nil, "", err
+		}
+		out, err := DecodeSegment(seg.Codec, seg.Info, seg.Payload, nil, uint64(len(recs)))
+		if err != nil {
+			return nil, "", err
+		}
+		recs = append(recs, out...)
+	}
 }
 
-func readAllMeta(r io.Reader) ([]Record, string, error) {
-	rd, err := Open(r)
+// readAll is scanAll without the metadata.
+func readAll(r io.Reader) ([]Record, error) {
+	recs, _, err := scanAll(r)
+	return recs, err
+}
+
+// writeOneSegment writes recs as a one-segment stream carrying meta —
+// WriteFile with a provenance string.
+func writeOneSegment(w io.Writer, recs []Record, codec uint16, meta string) error {
+	sw, err := NewSegmentWriter(w, codec, meta)
 	if err != nil {
-		return nil, "", err
+		return err
 	}
-	recs, err := rd.Records()
-	if err != nil {
-		return nil, "", err
+	if _, err := sw.WriteSegment(recs, 0, 0); err != nil {
+		return err
 	}
-	return recs, rd.Meta(), nil
+	return sw.Close()
 }
 
 // randomRecord generates structurally valid records for property tests:
@@ -132,10 +154,10 @@ func TestFileMetadataRoundTrip(t *testing.T) {
 	recs := makeTrace(100, 4)
 	var buf bytes.Buffer
 	meta := "workloads=sieve cost=56"
-	if err := WriteFileMeta(&buf, recs, CodecDelta, meta); err != nil {
+	if err := writeOneSegment(&buf, recs, CodecDelta, meta); err != nil {
 		t.Fatal(err)
 	}
-	got, gotMeta, err := readAllMeta(&buf)
+	got, gotMeta, err := scanAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +176,7 @@ func TestFileMetadataRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Oversized metadata rejected on write.
-	if err := WriteFileMeta(&buf, recs, CodecRaw, strings.Repeat("x", maxMetaLen+1)); err == nil {
+	if err := writeOneSegment(&buf, recs, CodecRaw, strings.Repeat("x", maxMetaLen+1)); err == nil {
 		t.Error("oversized metadata accepted")
 	}
 }
@@ -202,7 +224,7 @@ func TestDeltaRejectsInvalidKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	data[20] |= 0x07 // corrupt the first record's kind bits
+	data[16+4+segHeaderBytes] |= 0x07 // corrupt the first record's kind bits
 	if _, err := readAll(bytes.NewReader(data)); err == nil {
 		t.Error("invalid kind accepted")
 	}
@@ -215,57 +237,49 @@ func TestDeltaRejectsInvalidKind(t *testing.T) {
 func TestRawRejectsInvalidKind(t *testing.T) {
 	const want = "trace: record 1: invalid kind 7"
 	good := Record{Kind: KindIFetch, Addr: 0x200, Width: 4}
-	var seg, mono bytes.Buffer
-	sw, err := NewSegmentWriter(&seg, CodecRaw, "")
+	var buf bytes.Buffer
+	if err := WriteFile(&buf, []Record{good, good}, CodecRaw); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	data[len(data)-RecordBytes] = 0x07 // the second record's kind bits
+	if _, err := readAll(bytes.NewReader(data)); err == nil || err.Error() != want {
+		t.Errorf("scanner: err %v, want %q", err, want)
+	}
+	f, err := OpenReaderAt(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sw.WriteSegment([]Record{good, good}, 0, 0); err != nil {
+	if _, err := f.Arena(1); err == nil || err.Error() != want {
+		t.Errorf("random access: err %v, want %q", err, want)
+	}
+	payload, err := f.SegmentPayload(0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFile(&mono, []Record{good, good}, CodecRaw); err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range map[string][]byte{"segmented": seg.Bytes(), "monolithic": mono.Bytes()} {
-		data[len(data)-RecordBytes] = 0x07 // the second record's kind bits
-		if _, err := readAll(bytes.NewReader(data)); err == nil || err.Error() != want {
-			t.Errorf("%s, streaming: err %v, want %q", name, err, want)
-		}
-		f, err := OpenReaderAt(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if _, err := f.Arena(1); err == nil || err.Error() != want {
-			t.Errorf("%s, random access: err %v, want %q", name, err, want)
-		}
-		if name != "segmented" {
-			continue
-		}
-		payload, err := f.SegmentPayload(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := DecodeSegment(CodecRaw, f.Segments()[0], payload, nil, 0); err == nil || err.Error() != want {
-			t.Errorf("DecodeSegment: err %v, want %q", err, want)
-		}
+	if _, err := DecodeSegment(CodecRaw, f.Segments()[0], payload, nil, 0); err == nil || err.Error() != want {
+		t.Errorf("DecodeSegment: err %v, want %q", err, want)
 	}
 }
 
 func TestReadFileHugeCountDoesNotPreallocate(t *testing.T) {
 	// Regression (found by fuzzing): the header's record count is
 	// untrusted; a forged huge count must fail on truncated payload
-	// rather than attempting a giant allocation.
+	// rather than attempting a giant allocation. (Delta codec: the raw
+	// codec's header check would reject the count before decode.)
 	var buf bytes.Buffer
-	if err := WriteFile(&buf, makeTrace(2, 1), CodecRaw); err != nil {
+	if err := WriteFile(&buf, makeTrace(2, 1), CodecDelta); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	binary.LittleEndian.PutUint64(data[12:], 1<<33) // count field
+	// The segment's count field follows the 16-byte stream header, the
+	// marker and the index.
+	binary.LittleEndian.PutUint64(data[16+4+4:], 1<<33)
 	if _, err := readAll(bytes.NewReader(data)); err == nil {
 		t.Error("truncated huge-count stream accepted")
+	}
+	if _, err := decodeRandomAccess(data, 1); err == nil {
+		t.Error("random access accepted the truncated huge-count stream")
 	}
 }
 
