@@ -21,6 +21,7 @@ import (
 	"atum/internal/cache"
 	"atum/internal/kernel"
 	"atum/internal/micro"
+	"atum/internal/par"
 	"atum/internal/sweep"
 	"atum/internal/tlbsim"
 	"atum/internal/trace"
@@ -138,15 +139,15 @@ func BenchmarkF1OSImpact(b *testing.B) {
 	b.ResetTimer()
 	var full, userMR float64
 	for i := 0; i < b.N; i++ {
-		fres, err := cache.RunUnified(recs, cfg, opts)
+		fres, err := sweep.Caches(trace.Records(recs), []cache.Config{cfg}, opts, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ures, err := cache.RunUnified(user, cfg, opts)
+		ures, err := sweep.Caches(trace.Records(user), []cache.Config{cfg}, opts, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		full, userMR = fres.Stats.MissRate(), ures.Stats.MissRate()
+		full, userMR = fres[0].Stats.MissRate(), ures[0].Stats.MissRate()
 	}
 	b.ReportMetric(full*100, "full-miss-%")
 	b.ReportMetric(userMR*100, "user-miss-%")
@@ -164,15 +165,11 @@ func BenchmarkF2Multiprogramming(b *testing.B) {
 	b.ResetTimer()
 	var tagMR, flushMR float64
 	for i := 0; i < b.N; i++ {
-		tres, err := cache.RunUnified(recs, benchCacheCfg(), opts)
+		res, err := sweep.Caches(trace.Records(recs), []cache.Config{benchCacheCfg(), flush}, opts, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		fres, err := cache.RunUnified(recs, flush, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tagMR, flushMR = tres.Stats.MissRate(), fres.Stats.MissRate()
+		tagMR, flushMR = res[0].Stats.MissRate(), res[1].Stats.MissRate()
 	}
 	b.ReportMetric(tagMR*100, "pid-tag-miss-%")
 	b.ReportMetric(flushMR*100, "flush-miss-%")
@@ -187,7 +184,7 @@ func BenchmarkF3BlockSize(b *testing.B) {
 	var res []cache.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = cache.SweepBlocks(recs, benchCacheCfg(), blocks, cache.RunOptions{IncludePTE: true})
+		res, err = sweep.Caches(trace.Records(recs), cache.BlockConfigs(benchCacheCfg(), blocks), cache.RunOptions{IncludePTE: true}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -205,7 +202,7 @@ func BenchmarkF4Associativity(b *testing.B) {
 	var res []cache.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = cache.SweepAssoc(recs, benchCacheCfg(), ways, cache.RunOptions{IncludePTE: true})
+		res, err = sweep.Caches(trace.Records(recs), cache.AssocConfigs(benchCacheCfg(), ways), cache.RunOptions{IncludePTE: true}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -225,15 +222,11 @@ func BenchmarkF5TLB(b *testing.B) {
 	b.ResetTimer()
 	var fullMR, userMR float64
 	for i := 0; i < b.N; i++ {
-		fs, err := tlbsim.Run(recs, full)
+		st, err := sweep.TBs(trace.Records(recs), []tlbsim.Config{full, user}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		us, err := tlbsim.Run(recs, user)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fullMR, userMR = fs.MissRate(), us.MissRate()
+		fullMR, userMR = st[0].MissRate(), st[1].MissRate()
 	}
 	b.ReportMetric(fullMR*100, "full-tbmiss-%")
 	b.ReportMetric(userMR*100, "user-tbmiss-%")
@@ -264,23 +257,23 @@ func BenchmarkT3Sampling(b *testing.B) {
 	b.ResetTimer()
 	var sampled, cont float64
 	for i := 0; i < b.N; i++ {
-		cres, err := cache.RunUnified(recs, benchCacheCfg(), opts)
+		cres, err := sweep.Caches(trace.Records(recs), []cache.Config{benchCacheCfg()}, opts, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cont = cres.Stats.MissRate()
+		cont = cres[0].Stats.MissRate()
 		var misses, accesses uint64
 		for off := 0; off < len(recs); off += per {
 			end := off + per
 			if end > len(recs) {
 				end = len(recs)
 			}
-			res, err := cache.RunUnified(recs[off:end], benchCacheCfg(), opts)
+			res, err := sweep.Caches(trace.Records(recs[off:end]), []cache.Config{benchCacheCfg()}, opts, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
-			misses += res.Stats.Misses
-			accesses += res.Stats.Accesses
+			misses += res[0].Stats.Misses
+			accesses += res[0].Stats.Accesses
 		}
 		sampled = float64(misses) / float64(accesses)
 	}
@@ -409,7 +402,7 @@ func BenchmarkSweepEngine(b *testing.B) {
 		TraceRecords: src.NumRecords(),
 		Configs:      len(cfgs),
 		Serial:       lane{Workers: 1, Seconds: serialSec, ConfigsPerSec: nc / serialSec, RecordsPerSec: nc * nrec / serialSec},
-		Parallel:     lane{Workers: sweep.Resolve(0), Seconds: parallelSec, ConfigsPerSec: nc / parallelSec, RecordsPerSec: nc * nrec / parallelSec},
+		Parallel:     lane{Workers: par.Resolve(0), Seconds: parallelSec, ConfigsPerSec: nc / parallelSec, RecordsPerSec: nc * nrec / parallelSec},
 		SpeedupX:     serialSec / parallelSec,
 	}
 	data, err := json.MarshalIndent(out, "", "  ")

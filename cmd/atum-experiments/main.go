@@ -22,7 +22,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	md := flag.Bool("md", false, "render tables as markdown")
 	csv := flag.Bool("csv", false, "render tables as CSV")
-	stream := flag.Bool("stream", false, "run the arena sweeps through the streaming pipeline (identical reports; exercises push mode)")
 	var common cliutil.CommonOptions
 	common.AddFlags(flag.CommandLine,
 		cliutil.FlagWorkers|cliutil.FlagDecodeWorkers|cliutil.FlagMetrics|cliutil.FlagRemote)
@@ -57,7 +56,7 @@ func main() {
 			continue
 		}
 		rep, err := e.Run(experiments.Options{
-			Workers: *workers, DecodeWorkers: *decodeW, Stream: *stream, Remote: common.Remote,
+			Workers: *workers, DecodeWorkers: *decodeW, Remote: common.Remote,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "atum-experiments: %s: %v\n", e.ID, err)

@@ -28,7 +28,7 @@ import (
 	"atum/internal/analysis"
 	"atum/internal/cliutil"
 	"atum/internal/obs"
-	"atum/internal/sweep"
+	"atum/internal/par"
 	"atum/internal/trace"
 )
 
@@ -205,7 +205,7 @@ func main() {
 		})
 	}
 
-	rendered, err := sweep.Map(*workers, len(sections), func(i int) (string, error) {
+	rendered, err := par.Map(*workers, len(sections), func(i int) (string, error) {
 		return sections[i](), nil
 	})
 	if err != nil {

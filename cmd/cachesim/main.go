@@ -66,63 +66,36 @@ func main() {
 	defer metrics.Finish(os.Stdout)
 
 	if *cpu >= 0 && *stream {
-		fatal(fmt.Errorf("-cpu needs batch mode: the streaming pipeline carries no per-segment CPU attribution"))
+		fatal(fmt.Errorf("-cpu needs the decoded trace, not -stream: the streaming pipeline carries no per-segment CPU attribution"))
+	}
+	sdOpts := stackdist.Options{BlockBytes: uint32(*block), PIDTag: !*flush, IncludePTE: *pte}
+	if *mattson {
+		if err := sdOpts.Validate(); err != nil {
+			cliutil.Exit2("cachesim", err)
+		}
 	}
 	if common.Remote != "" {
 		remoteRun(common.Remote, flag.Arg(0), remoteFlags{
 			size: *size, block: uint32(*block), assoc: uint32(*assoc), repl: *repl, flush: *flush,
 			userOnly: *userOnly, pte: *pte, sweepArg: *sweepArg, sizesArg: *sizesArg,
-			tlb: *tlb, entries: uint32(*entries), mattson: *mattson, l2: *l2, stream: *stream,
+			tlb: *tlb, entries: uint32(*entries), mattson: *mattson, l2: *l2,
 			cpu: *cpu, workers: *workers, decodeWorkers: *decodeW, sampleSets: uint32(*sampleK),
 		})
 		return
 	}
 
-	// Batch mode decodes the whole trace into a shared arena up front;
-	// stream mode builds a pipeline and decodes one segment at a time
-	// while feeding the simulators.
-	var (
-		src  *trace.Arena
-		pipe *sweep.Pipeline
-	)
-	if *stream {
-		pipe = sweep.NewPipeline(*workers)
-		if *userOnly {
-			pipe.SetFilter(func(r trace.Record) bool {
-				return r.User && r.Kind != trace.KindPTERead && r.Kind != trace.KindPTEWrite
-			})
-		}
-	} else {
-		rd, err := trace.OpenFile(flag.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		defer rd.Close()
-		src, err = rd.ArenaCPU(*decodeW, *cpu)
-		if err != nil {
-			fatal(err)
-		}
-		if *userOnly {
-			src = src.FilterUser()
-		}
+	// The simulators are registered once; -stream chooses only how the
+	// trace reaches them.
+	pipe := sweep.NewPipeline(*workers)
+	if *userOnly {
+		pipe.SetFilter(trace.UserRecord)
 	}
+	feed := func() { feedTrace(pipe, flag.Arg(0), *stream, *decodeW, *cpu) }
 
 	if *mattson {
-		sdOpts := stackdist.Options{
-			BlockBytes: uint32(*block), PIDTag: !*flush, IncludePTE: *pte,
-		}
-		var prof *stackdist.Profile
-		if *stream {
-			collect := sweep.AddSim[*stackdist.Profile](pipe, "mattson", stackdist.NewStream(sdOpts))
-			feedStream(pipe, flag.Arg(0))
-			var err error
-			if prof, err = collect(); err != nil {
-				fatal(err)
-			}
-		} else {
-			prof = stackdist.FromSource(src, sdOpts)
-		}
-		printMattson(prof, uint32(*block))
+		collect := sweep.AddSim(pipe, "mattson", stackdist.NewStream(sdOpts))
+		feed()
+		printMattson(must(collect()), uint32(*block))
 		return
 	}
 
@@ -131,24 +104,10 @@ func main() {
 			Entries: uint32(*entries), Assoc: 2, SplitSystem: true,
 			PIDTags: !*flush, FlushOnSwitch: *flush, IncludeSystem: true,
 		}
-		var st tlbsim.Stats
-		if *stream {
-			sim, err := tlbsim.NewSim(cfg)
-			if err != nil {
-				fatal(err)
-			}
-			collect := sweep.AddSim[tlbsim.Stats](pipe, cfg.Name(), sim)
-			feedStream(pipe, flag.Arg(0))
-			if st, err = collect(); err != nil {
-				fatal(err)
-			}
-		} else {
-			var err error
-			if st, err = tlbsim.RunSource(src, cfg); err != nil {
-				fatal(err)
-			}
-		}
-		printTB(cfg, st)
+		sim := must(tlbsim.NewSim(cfg))
+		collect := sweep.AddSim(pipe, cfg.Name(), sim)
+		feed()
+		printTB(cfg, must(collect()))
 		return
 	}
 
@@ -160,80 +119,56 @@ func main() {
 		l2cfg.SizeBytes = parseSize(*l2)
 		l2cfg.Assoc = 4
 		hcfg := cache.HierarchyConfig{L1: cfg, L2: l2cfg}
-		var res cache.HierarchyResult
-		if *stream {
-			sim, err := cache.NewHierarchySim(hcfg, opts)
-			if err != nil {
-				fatal(err)
-			}
-			collect := sweep.AddSim[cache.HierarchyResult](pipe, hcfg.Name(), sim)
-			feedStream(pipe, flag.Arg(0))
-			if res, err = collect(); err != nil {
-				fatal(err)
-			}
-		} else {
-			var err error
-			if res, err = cache.RunHierarchySource(src, hcfg, opts); err != nil {
-				fatal(err)
-			}
-		}
-		printHierarchy(res)
+		sim := must(cache.NewHierarchySim(hcfg, opts))
+		collect := sweep.AddSim(pipe, hcfg.Name(), sim)
+		feed()
+		printHierarchy(must(collect()))
 		return
 	}
 
-	cfgs := sweepConfigs(cfg, *sweepArg, *sizesArg)
-	var (
-		res []cache.Result
-		err error
-	)
-	if *stream {
-		res, err = streamCaches(pipe, cfgs, opts, flag.Arg(0))
-	} else {
-		res, err = sweep.Caches(src, cfgs, opts, *workers)
+	collect := must(sweep.AddSims(pipe, sweepConfigs(cfg, *sweepArg, *sizesArg),
+		func(cfg cache.Config) (sweep.Sim[cache.Result], error) { return cache.NewUnifiedSim(cfg, opts) }))
+	feed()
+	report(must(collect()))
+}
+
+// feedTrace drives the pipeline from the trace at path. With stream it
+// scans the file ("-" reads stdin) one segment at a time, so memory stays
+// bounded by one segment; otherwise it decodes the trace (or one CPU's
+// segments of it) into an arena and replays that. Errors are sticky in
+// the pipeline and surface from the collectors.
+func feedTrace(p *sweep.Pipeline, path string, stream bool, decodeWorkers, cpu int) {
+	if stream {
+		var in io.Reader = os.Stdin
+		if path != "-" {
+			f, err := os.Open(path)
+			if err != nil {
+				fatal(err)
+			}
+			defer f.Close()
+			in = f
+		}
+		p.FeedStream(in)
+		return
 	}
+	rd, err := trace.OpenFile(path)
 	if err != nil {
 		fatal(err)
 	}
-	report(res)
+	defer rd.Close()
+	src, err := rd.ArenaCPU(decodeWorkers, cpu)
+	if err != nil {
+		fatal(err)
+	}
+	p.FeedSource(src)
 }
 
-// streamCaches registers one incremental simulator per configuration,
-// streams the trace through the pipeline once and collects every result.
-func streamCaches(p *sweep.Pipeline, cfgs []cache.Config, opts cache.RunOptions, path string) ([]cache.Result, error) {
-	collect := make([]func() (cache.Result, error), len(cfgs))
-	for i, cfg := range cfgs {
-		sim, err := cache.NewUnifiedSim(cfg, opts)
-		if err != nil {
-			return nil, err
-		}
-		collect[i] = sweep.AddSim[cache.Result](p, cfg.Name(), sim)
+// must returns v, or exits on err.
+func must[T any](v T, err error) T {
+	if err != nil {
+		fatal(err)
 	}
-	feedStream(p, path)
-	out := make([]cache.Result, len(cfgs))
-	for i, c := range collect {
-		r, err := c()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
-// feedStream streams the trace at path ("-" for stdin) through the
-// pipeline, one scanned segment at a time. Errors are sticky in the
-// pipeline and surface from the collectors.
-func feedStream(p *sweep.Pipeline, path string) {
-	var in io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		in = f
-	}
-	p.FeedStream(in)
+	return v
 }
 
 // baseCacheConfig assembles the single-level config the flags describe;

@@ -31,7 +31,6 @@ type remoteFlags struct {
 	entries  uint32
 	mattson  bool
 	l2       string
-	stream   bool
 	cpu      int
 
 	workers       int
@@ -50,7 +49,6 @@ func remoteRun(addr, path string, f remoteFlags) {
 	req := api.AnalysisRequest{
 		Trace:         traceName,
 		UserOnly:      f.userOnly,
-		Stream:        f.stream,
 		Workers:       f.workers,
 		DecodeWorkers: f.decodeWorkers,
 	}

@@ -13,6 +13,7 @@ import (
 	"atum/internal/atum"
 	"atum/internal/cache"
 	"atum/internal/kernel"
+	"atum/internal/sweep"
 	"atum/internal/trace"
 	"atum/internal/workload"
 )
@@ -57,18 +58,14 @@ func main() {
 		}
 		s := trace.Summarize(recs)
 		runs := analysis.RunLengths(recs)
-		fres, err := cache.RunUnified(recs, ccfg, cache.RunOptions{IncludePTE: true})
-		if err != nil {
-			log.Fatal(err)
-		}
-		tres, err := cache.RunUnified(recs, tagged, cache.RunOptions{IncludePTE: true})
+		res, err := sweep.Caches(trace.Records(recs), []cache.Config{ccfg, tagged}, cache.RunOptions{IncludePTE: true}, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
 		tb.AddRow(analysis.N(icr), analysis.N(s.CtxSwitches),
 			analysis.F(analysis.MeanU64(runs), 0),
-			analysis.Pct(fres.Stats.MissRate()),
-			analysis.Pct(tres.Stats.MissRate()))
+			analysis.Pct(res[0].Stats.MissRate()),
+			analysis.Pct(res[1].Stats.MissRate()))
 	}
 	fmt.Print(tb)
 	fmt.Println("\nFlushing caches pay heavily at short quanta; PID-tagged caches")

@@ -13,6 +13,7 @@ import (
 	"atum/internal/atum"
 	"atum/internal/cache"
 	"atum/internal/kernel"
+	"atum/internal/sweep"
 	"atum/internal/trace"
 	"atum/internal/workload"
 )
@@ -45,11 +46,11 @@ func main() {
 	sizes := []uint32{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10}
 	opts := cache.RunOptions{IncludePTE: true}
 
-	fullRes, err := cache.SweepSizes(full, base, sizes, opts)
+	fullRes, err := sweep.Caches(trace.Records(full), cache.SizeConfigs(base, sizes), opts, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	userRes, err := cache.SweepSizes(userOnly, base, sizes, opts)
+	userRes, err := sweep.Caches(trace.Records(userOnly), cache.SizeConfigs(base, sizes), opts, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"atum/internal/kernel"
 	"atum/internal/micro"
 	"atum/internal/stackdist"
+	"atum/internal/sweep"
 	"atum/internal/tlbsim"
 	"atum/internal/trace"
 	"atum/internal/workload"
@@ -109,46 +110,40 @@ func TestFullPipeline(t *testing.T) {
 		Label: "it", SizeBytes: 2 << 10, BlockBytes: 16, Assoc: 1,
 		Replacement: cache.LRU, WriteAllocate: true, PIDTags: true,
 	}
-	fullRes, err := cache.RunUnified(recs, cfg, cache.RunOptions{IncludePTE: true})
+	src := trace.Records(recs)
+	run := cache.RunOptions{IncludePTE: true}
+	fa := cfg
+	fa.SizeBytes = 256 * 16
+	fa.Assoc = 256
+	res, err := sweep.Caches(src, []cache.Config{cfg, fa}, run, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	userRes, err := cache.RunUnified(trace.FilterUser(recs), cfg, cache.RunOptions{IncludePTE: true})
+	fullRes, faRes := res[0], res[1]
+	userRes, err := sweep.Caches(trace.Records(trace.FilterUser(recs)), []cache.Config{cfg}, run, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fullRes.Stats.MissRate() <= userRes.Stats.MissRate() {
+	if fullRes.Stats.MissRate() <= userRes[0].Stats.MissRate() {
 		t.Errorf("OS impact missing: full %.4f <= user %.4f",
-			fullRes.Stats.MissRate(), userRes.Stats.MissRate())
+			fullRes.Stats.MissRate(), userRes[0].Stats.MissRate())
 	}
 
 	// TLB study: flush-on-switch TB misses exceed user-only.
-	tbFull, err := tlbsim.Run(recs, tlbsim.Config{
-		Entries: 64, Assoc: 2, SplitSystem: true, FlushOnSwitch: true, IncludeSystem: true,
-	})
+	tbs, err := sweep.TBs(src, []tlbsim.Config{
+		{Entries: 64, Assoc: 2, SplitSystem: true, FlushOnSwitch: true, IncludeSystem: true},
+		{Entries: 64, Assoc: 2, SplitSystem: true, PIDTags: true, IncludeSystem: false},
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbUser, err := tlbsim.Run(recs, tlbsim.Config{
-		Entries: 64, Assoc: 2, SplitSystem: true, PIDTags: true, IncludeSystem: false,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbFull.MissRate() <= tbUser.MissRate() {
+	if tbFull, tbUser := tbs[0], tbs[1]; tbFull.MissRate() <= tbUser.MissRate() {
 		t.Errorf("TB effect missing: full %.5f <= user %.5f", tbFull.MissRate(), tbUser.MissRate())
 	}
 
 	// Stack-distance profile agrees with the explicit simulator at a
 	// fully-associative point.
-	prof := stackdist.FromTrace(recs, stackdist.Options{BlockBytes: 16, PIDTag: true, IncludePTE: true})
-	fa := cfg
-	fa.SizeBytes = 256 * 16
-	fa.Assoc = 256
-	faRes, err := cache.RunUnified(recs, fa, cache.RunOptions{IncludePTE: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prof := stackdist.FromSource(src, stackdist.Options{BlockBytes: 16, PIDTag: true, IncludePTE: true})
 	if prof.Misses(256) != faRes.Stats.Misses {
 		t.Errorf("stackdist %d != simulator %d", prof.Misses(256), faRes.Stats.Misses)
 	}

@@ -43,12 +43,12 @@ func BenchmarkAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkRunUnified measures whole-trace simulation throughput.
-func BenchmarkRunUnified(b *testing.B) {
+// BenchmarkUnifiedSim measures whole-trace simulation throughput.
+func BenchmarkUnifiedSim(b *testing.B) {
 	recs := benchTrace(100_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunUnified(recs, base(), RunOptions{}); err != nil {
+		if _, err := simulate(recs, base(), RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

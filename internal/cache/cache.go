@@ -73,8 +73,8 @@ func (c Config) String() string {
 }
 
 // Name returns the configuration's reporting name — the label when one
-// is set, the geometry otherwise. It implements sweep.Config, the
-// naming contract all simulator configurations share.
+// is set, the geometry otherwise. Every simulator configuration names
+// itself this way, so reports and sweep registrations agree.
 func (c Config) Name() string {
 	if c.Label != "" {
 		return c.Label
@@ -94,6 +94,10 @@ func (c Config) Validate() error {
 	if sets == 0 || sets&(sets-1) != 0 {
 		return fmt.Errorf("cache: set count %d not a positive power of two (size=%d block=%d assoc=%d)",
 			sets, c.SizeBytes, c.BlockBytes, c.Assoc)
+	}
+	if uint64(sets)*uint64(c.Assoc)*uint64(c.BlockBytes) != uint64(c.SizeBytes) {
+		return fmt.Errorf("cache: size %d is not sets*assoc*block (%d*%d*%d)",
+			c.SizeBytes, sets, c.Assoc, c.BlockBytes)
 	}
 	return nil
 }

@@ -21,12 +21,38 @@ func base() Config {
 	return Config{SizeBytes: 8 << 10, BlockBytes: 16, Assoc: 2, Replacement: LRU, WriteAllocate: true}
 }
 
+// simulate feeds recs through one UnifiedSim and reports its result.
+func simulate(recs []trace.Record, cfg Config, opts RunOptions) (Result, error) {
+	s, err := NewUnifiedSim(cfg, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	if err := s.Feed(recs); err != nil {
+		return Result{}, err
+	}
+	return s.Result()
+}
+
+// simulateHierarchy is simulate for a two-level hierarchy.
+func simulateHierarchy(recs []trace.Record, cfg HierarchyConfig, opts RunOptions) (HierarchyResult, error) {
+	s, err := NewHierarchySim(cfg, opts)
+	if err != nil {
+		return HierarchyResult{}, err
+	}
+	if err := s.Feed(recs); err != nil {
+		return HierarchyResult{}, err
+	}
+	return s.Result()
+}
+
 func TestValidate(t *testing.T) {
 	bad := []Config{
 		{},
 		{SizeBytes: 1024, BlockBytes: 24, Assoc: 1},    // non-pow2 block
 		{SizeBytes: 3 << 10, BlockBytes: 16, Assoc: 1}, // non-pow2 sets
 		{SizeBytes: 16, BlockBytes: 16, Assoc: 2},      // zero sets
+		{SizeBytes: 24, BlockBytes: 16, Assoc: 1},      // one set holds 16 of the 24 bytes
+		{SizeBytes: 16388, BlockBytes: 16, Assoc: 1},   // 1024 sets hold 16384 bytes
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -185,7 +211,7 @@ func TestMissRateMonotonicInSize(t *testing.T) {
 		cfg := base()
 		cfg.SizeBytes = size
 		cfg.Assoc = size / 16 // fully associative LRU => inclusion holds
-		res, err := RunUnified(recs, cfg, RunOptions{})
+		res, err := simulate(recs, cfg, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +223,10 @@ func TestMissRateMonotonicInSize(t *testing.T) {
 	}
 }
 
-func TestRunUnifiedCtxSwitchFlush(t *testing.T) {
+// TestUnifiedSimRouting checks how UnifiedSim routes records: context
+// switches flush only a flush-on-switch cache, and PTE references reach
+// the cache only with IncludePTE.
+func TestUnifiedSimRouting(t *testing.T) {
 	recs := []trace.Record{
 		{Kind: trace.KindDRead, Addr: 0x1000, Width: 4, PID: 1, User: true},
 		{Kind: trace.KindCtxSwitch, Extra: 2, PID: 2, Width: 1},
@@ -205,7 +234,7 @@ func TestRunUnifiedCtxSwitchFlush(t *testing.T) {
 	}
 	cfg := base()
 	cfg.FlushOnSwitch = true
-	res, err := RunUnified(recs, cfg, RunOptions{})
+	res, err := simulate(recs, cfg, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,36 +242,24 @@ func TestRunUnifiedCtxSwitchFlush(t *testing.T) {
 		t.Errorf("flush-on-switch misses = %d, want 2", res.Stats.Misses)
 	}
 	cfg.FlushOnSwitch = false
-	res2, _ := RunUnified(recs, cfg, RunOptions{})
+	res2, _ := simulate(recs, cfg, RunOptions{})
 	if res2.Stats.Misses != 1 {
 		t.Errorf("no-flush misses = %d, want 1 (aliasing)", res2.Stats.Misses)
 	}
-}
 
-func TestRunSplit(t *testing.T) {
-	recs := []trace.Record{
+	walk := []trace.Record{
 		{Kind: trace.KindIFetch, Addr: 0x200, Width: 4, PID: 1, User: true},
-		{Kind: trace.KindIFetch, Addr: 0x204, Width: 4, PID: 1, User: true},
 		{Kind: trace.KindDRead, Addr: 0x1000, Width: 4, PID: 1, User: true},
 		{Kind: trace.KindPTERead, Addr: 0x80010000, Width: 4, PID: 1},
 	}
-	res, err := RunSplit(recs, base(), base(), RunOptions{IncludePTE: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.I.Accesses != 2 {
-		t.Errorf("icache accesses = %d, want 2", res.I.Accesses)
-	}
-	if res.D.Accesses != 2 {
-		t.Errorf("dcache accesses = %d, want 2 (dread+pte)", res.D.Accesses)
-	}
-	if res.Combined() <= 0 {
-		t.Error("combined miss rate zero")
-	}
-	// Without PTE refs.
-	res2, _ := RunSplit(recs, base(), base(), RunOptions{})
-	if res2.D.Accesses != 1 {
-		t.Errorf("dcache accesses = %d, want 1", res2.D.Accesses)
+	for _, include := range []bool{false, true} {
+		want := uint64(2)
+		if include {
+			want = 3
+		}
+		if res, err := simulate(walk, base(), RunOptions{IncludePTE: include}); err != nil || res.Stats.Accesses != want {
+			t.Errorf("IncludePTE=%v: %d accesses (err %v), want %d", include, res.Stats.Accesses, err, want)
+		}
 	}
 }
 
@@ -252,19 +269,25 @@ func TestSweeps(t *testing.T) {
 	for i := range recs {
 		recs[i] = trace.Record{Kind: trace.KindDRead, Addr: uint32(r.Intn(1<<16)) &^ 3, Width: 4, User: true, PID: 1}
 	}
-	sizes, err := SweepSizes(recs, base(), []uint32{1 << 10, 8 << 10}, RunOptions{})
-	if err != nil || len(sizes) != 2 {
-		t.Fatalf("SweepSizes: %v", err)
+	for _, cfgs := range [][]Config{
+		SizeConfigs(base(), []uint32{1 << 10, 8 << 10}),
+		BlockConfigs(base(), []uint32{8, 32}),
+		AssocConfigs(base(), []uint32{1, 4}),
+	} {
+		if len(cfgs) != 2 {
+			t.Fatalf("derived %d configs, want 2", len(cfgs))
+		}
+		for _, cfg := range cfgs {
+			res, err := simulate(recs, cfg, RunOptions{})
+			if err != nil {
+				t.Fatalf("%s: %v", cfg.Name(), err)
+			}
+			if res.Config != cfg || res.Stats.Accesses != uint64(len(recs)) {
+				t.Errorf("%s: result %+v", cfg.Name(), res)
+			}
+		}
 	}
-	blocks, err := SweepBlocks(recs, base(), []uint32{8, 32}, RunOptions{})
-	if err != nil || len(blocks) != 2 {
-		t.Fatalf("SweepBlocks: %v", err)
-	}
-	ways, err := SweepAssoc(recs, base(), []uint32{1, 4}, RunOptions{})
-	if err != nil || len(ways) != 2 {
-		t.Fatalf("SweepAssoc: %v", err)
-	}
-	if _, err := SweepAssoc(recs, base(), []uint32{3}, RunOptions{}); err == nil {
+	if _, err := simulate(recs, AssocConfigs(base(), []uint32{3})[0], RunOptions{}); err == nil {
 		t.Error("invalid associativity accepted")
 	}
 }

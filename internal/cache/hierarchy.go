@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"fmt"
-
-	"atum/internal/trace"
-)
+import "fmt"
 
 // Hierarchy is a two-level cache: split L1 instruction/data caches in
 // front of a unified L2. This is an extension beyond the paper's single-
@@ -29,8 +25,8 @@ type HierarchyConfig struct {
 	L2 Config
 }
 
-// Name returns the hierarchy's reporting name (sweep.Config contract):
-// the two levels' names joined level-by-level.
+// Name returns the hierarchy's reporting name: the two levels' names
+// joined level-by-level.
 func (c HierarchyConfig) Name() string {
 	return c.L1.Name() + "+" + c.L2.Name()
 }
@@ -96,23 +92,4 @@ type HierarchyResult struct {
 	// rate seen by memory.
 	GlobalL2MissRate float64
 	MemoryAccesses   uint64
-}
-
-// RunHierarchy drives a trace through the hierarchy.
-func RunHierarchy(recs []trace.Record, cfg HierarchyConfig, opts RunOptions) (HierarchyResult, error) {
-	return RunHierarchySource(trace.Records(recs), cfg, opts)
-}
-
-// RunHierarchySource is RunHierarchy over any record source. The
-// per-record routing lives in HierarchySim.Feed (sim.go), shared with
-// the streaming pipeline.
-func RunHierarchySource(src trace.Source, cfg HierarchyConfig, opts RunOptions) (HierarchyResult, error) {
-	s, err := NewHierarchySim(cfg, opts)
-	if err != nil {
-		return HierarchyResult{}, err
-	}
-	if err := src.EachChunk(s.Feed); err != nil {
-		return HierarchyResult{}, err
-	}
-	return s.Result()
 }

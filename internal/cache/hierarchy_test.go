@@ -21,13 +21,18 @@ func TestHierarchyRouting(t *testing.T) {
 		{Kind: trace.KindIFetch, Addr: 0x204, Width: 4, User: true, PID: 1},
 		{Kind: trace.KindDRead, Addr: 0x1000, Width: 4, User: true, PID: 1},
 		{Kind: trace.KindDWrite, Addr: 0x1004, Width: 4, User: true, PID: 1},
+		{Kind: trace.KindPTERead, Addr: 0x1008, Width: 4, PID: 1},
 	}
-	res, err := RunHierarchy(recs, hierCfg(), RunOptions{})
+	res, err := simulateHierarchy(recs, hierCfg(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.L1I.Accesses != 2 || res.L1D.Accesses != 2 {
 		t.Errorf("routing: i=%d d=%d", res.L1I.Accesses, res.L1D.Accesses)
+	}
+	// PTE references reach the data side only when asked for.
+	if pte, err := simulateHierarchy(recs, hierCfg(), RunOptions{IncludePTE: true}); err != nil || pte.L1D.Accesses != 3 {
+		t.Errorf("IncludePTE: L1D accesses %d (err %v), want 3", pte.L1D.Accesses, err)
 	}
 	// Two compulsory misses reach L2 (one I, one D block).
 	if res.L2.Accesses != 2 || res.L2.Misses != 2 {
@@ -48,7 +53,7 @@ func TestHierarchyL2CatchesL1Conflicts(t *testing.T) {
 			trace.Record{Kind: trace.KindDRead, Addr: 0x0400, Width: 4, User: true, PID: 1}, // same L1 set
 		)
 	}
-	res, err := RunHierarchy(recs, hierCfg(), RunOptions{})
+	res, err := simulateHierarchy(recs, hierCfg(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +76,7 @@ func TestHierarchyWritebackTraffic(t *testing.T) {
 		{Kind: trace.KindDRead, Addr: 0x0400, Width: 4, User: true, PID: 1}, // evicts dirty
 		{Kind: trace.KindDRead, Addr: 0x0000, Width: 4, User: true, PID: 1}, // L1 miss, L2 hit
 	}
-	res, err := RunHierarchy(recs, hierCfg(), RunOptions{})
+	res, err := simulateHierarchy(recs, hierCfg(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +102,7 @@ func TestHierarchyFlushOnSwitch(t *testing.T) {
 		{Kind: trace.KindCtxSwitch, Width: 1, PID: 2, Extra: 2},
 		{Kind: trace.KindDRead, Addr: 0x100, Width: 4, User: true, PID: 2},
 	}
-	res, err := RunHierarchy(recs, cfg, RunOptions{})
+	res, err := simulateHierarchy(recs, cfg, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"fmt"
-
-	"atum/internal/trace"
-)
+import "fmt"
 
 // RunOptions controls trace-driven simulation.
 type RunOptions struct {
@@ -32,112 +28,10 @@ type Result struct {
 	Stats  Stats
 }
 
-// RunUnified drives one unified cache with every memory reference in the
-// trace, honouring context-switch flushes.
-func RunUnified(recs []trace.Record, cfg Config, opts RunOptions) (Result, error) {
-	return RunUnifiedSource(trace.Records(recs), cfg, opts)
-}
-
-// RunUnifiedSource is RunUnified over any record source (e.g. a shared
-// trace.Arena). The source is only read, so many configurations can
-// replay the same one concurrently.
-func RunUnifiedSource(src trace.Source, cfg Config, opts RunOptions) (Result, error) {
-	s, err := NewUnifiedSim(cfg, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := src.EachChunk(s.Feed); err != nil {
-		return Result{}, err
-	}
-	return s.Result()
-}
-
-// SplitResult reports a split I/D simulation.
-type SplitResult struct {
-	IConfig, DConfig Config
-	I, D             Stats
-}
-
-// Combined returns the overall miss rate across both halves.
-func (s SplitResult) Combined() float64 {
-	acc := s.I.Accesses + s.D.Accesses
-	if acc == 0 {
-		return 0
-	}
-	return float64(s.I.Misses+s.D.Misses) / float64(acc)
-}
-
-// RunSplit drives a split instruction/data cache pair.
-func RunSplit(recs []trace.Record, icfg, dcfg Config, opts RunOptions) (SplitResult, error) {
-	return RunSplitSource(trace.Records(recs), icfg, dcfg, opts)
-}
-
-// RunSplitSource is RunSplit over any record source. Set sampling is
-// not supported here: the two halves may disagree on block size, which
-// would make one residue class mean two different things.
-func RunSplitSource(src trace.Source, icfg, dcfg Config, opts RunOptions) (SplitResult, error) {
-	if opts.SampleSets > 1 {
-		return SplitResult{}, fmt.Errorf("cache: set sampling is not supported for split simulations")
-	}
-	ic, err := New(icfg)
-	if err != nil {
-		return SplitResult{}, err
-	}
-	dc, err := New(dcfg)
-	if err != nil {
-		return SplitResult{}, err
-	}
-	err = src.EachChunk(func(chunk []trace.Record) error {
-		for _, r := range chunk {
-			feedRecord(ic, dc, r, icfg, opts)
-		}
-		return nil
-	})
-	if err != nil {
-		return SplitResult{}, err
-	}
-	return SplitResult{IConfig: icfg, DConfig: dcfg, I: ic.Stats, D: dc.Stats}, nil
-}
-
-// feedRecord routes one record into the i-cache (ifetches) or d-cache
-// (everything else). For a unified cache pass the same cache twice.
-//
-// PID tags apply only to process-private addresses: system-space (S0)
-// and physical references are globally shared, so they carry tag 0 —
-// the "global" treatment PID/ASN-tagged memory hardware gives kernel
-// addresses (and what the machine's own TB does for its system half).
-func feedRecord(ic, dc *Cache, r trace.Record, cfg Config, opts RunOptions) {
-	pid := r.PID
-	if r.Phys || r.Addr>>30 == 2 {
-		pid = 0
-	}
-	switch r.Kind {
-	case trace.KindCtxSwitch:
-		if cfg.FlushOnSwitch {
-			ic.Flush()
-			if dc != ic {
-				dc.Flush()
-			}
-		}
-	case trace.KindIFetch:
-		ic.Access(r.Addr, false, pid)
-	case trace.KindDRead, trace.KindDWrite:
-		if r.Phys && opts.SkipPhys {
-			return
-		}
-		dc.Access(r.Addr, r.Kind == trace.KindDWrite, pid)
-	case trace.KindPTERead, trace.KindPTEWrite:
-		if !opts.IncludePTE {
-			return
-		}
-		dc.Access(r.Addr, r.Kind == trace.KindPTEWrite, pid)
-	}
-}
-
 // SizeConfigs derives one configuration per capacity from base (same
-// block/assoc/policies). The serial Sweep* helpers and the parallel
-// engine (internal/sweep) both build their jobs from these lists, so
-// both paths simulate — and name — exactly the same configurations.
+// block/assoc/policies). Experiments, the CLIs and the benchmark build
+// their sweeps from these lists, so every caller simulates — and names —
+// exactly the same configurations.
 func SizeConfigs(base Config, sizes []uint32) []Config {
 	out := make([]Config, 0, len(sizes))
 	for _, sz := range sizes {
@@ -179,33 +73,4 @@ func AssocConfigs(base Config, ways []uint32) []Config {
 		out = append(out, cfg)
 	}
 	return out
-}
-
-// runConfigs is the serial reference loop behind the Sweep* helpers.
-func runConfigs(recs []trace.Record, cfgs []Config, opts RunOptions) ([]Result, error) {
-	out := make([]Result, 0, len(cfgs))
-	for _, cfg := range cfgs {
-		res, err := RunUnified(recs, cfg, opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-// SweepSizes runs the trace through a series of cache sizes derived from
-// base (same block/assoc/policies) and returns one result per size.
-func SweepSizes(recs []trace.Record, base Config, sizes []uint32, opts RunOptions) ([]Result, error) {
-	return runConfigs(recs, SizeConfigs(base, sizes), opts)
-}
-
-// SweepBlocks varies the block size at fixed capacity.
-func SweepBlocks(recs []trace.Record, base Config, blocks []uint32, opts RunOptions) ([]Result, error) {
-	return runConfigs(recs, BlockConfigs(base, blocks), opts)
-}
-
-// SweepAssoc varies associativity at fixed capacity.
-func SweepAssoc(recs []trace.Record, base Config, ways []uint32, opts RunOptions) ([]Result, error) {
-	return runConfigs(recs, AssocConfigs(base, ways), opts)
 }

@@ -91,13 +91,13 @@ func TestSampleSetsExactProperty(t *testing.T) {
 			offs = []uint32{0, 1, k - 1}
 		}
 		for _, off := range offs {
-			sampled, err := RunUnified(recs, cfg, RunOptions{
+			sampled, err := simulate(recs, cfg, RunOptions{
 				IncludePTE: true, SampleSets: k, SampleOffset: off,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := RunUnified(blockFilter(recs, k, off, cfg.BlockBytes), cfg,
+			full, err := simulate(blockFilter(recs, k, off, cfg.BlockBytes), cfg,
 				RunOptions{IncludePTE: true})
 			if err != nil {
 				t.Fatal(err)
@@ -113,14 +113,14 @@ func TestSampleSetsExactProperty(t *testing.T) {
 
 	// The residue classes partition the trace: access counts across all
 	// offsets sum to the full run's.
-	fullAll, err := RunUnified(recs, cfg, RunOptions{IncludePTE: true})
+	fullAll, err := simulate(recs, cfg, RunOptions{IncludePTE: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const k = 4
 	var sum uint64
 	for off := uint32(0); off < k; off++ {
-		r, err := RunUnified(recs, cfg, RunOptions{IncludePTE: true, SampleSets: k, SampleOffset: off})
+		r, err := simulate(recs, cfg, RunOptions{IncludePTE: true, SampleSets: k, SampleOffset: off})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestSampleSetsHierarchyProperty(t *testing.T) {
 			Replacement: LRU, WritePolicy: WriteBack, WriteAllocate: true, PIDTags: true},
 	}
 	for _, k := range []uint32{1, 4, 16} {
-		sampled, err := RunHierarchy(recs, cfg, RunOptions{
+		sampled, err := simulateHierarchy(recs, cfg, RunOptions{
 			IncludePTE: true, SampleSets: k, SampleOffset: k / 2,
 		})
 		if err != nil {
@@ -156,7 +156,7 @@ func TestSampleSetsHierarchyProperty(t *testing.T) {
 		if k > 1 {
 			filtered = blockFilter(recs, k, off, cfg.L1.BlockBytes)
 		}
-		full, err := RunHierarchy(filtered, cfg, RunOptions{IncludePTE: true})
+		full, err := simulateHierarchy(filtered, cfg, RunOptions{IncludePTE: true})
 		if err != nil {
 			t.Fatal(err)
 		}

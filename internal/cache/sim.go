@@ -6,13 +6,10 @@ import (
 	"atum/internal/trace"
 )
 
-// Incremental simulator adapters. The Run*Source entry points replay a
-// complete source in one call; the streaming pipeline (internal/sweep)
-// instead pushes records as they are captured and decoded, so the
-// per-record routing loops live here as Feed methods and the batch
-// entry points delegate. Feeding a source chunk-by-chunk and then
-// calling Result is exactly equivalent to the batch run — the
-// determinism tests pin it.
+// Incremental simulators: the only way to drive a cache. Each Sim is
+// fed record chunks in trace order — by internal/sweep's Pipeline, or
+// directly by a caller holding the records — and reports its result on
+// demand, so the per-record routing loops live here as Feed methods.
 
 // sampler implements 1-in-K block sampling: a reference is simulated
 // only when its block address falls in the sampled residue class. When
@@ -53,8 +50,7 @@ func (s sampler) skip(r trace.Record) bool {
 	return (r.Addr>>s.blkShift)%s.k != s.off
 }
 
-// UnifiedSim is an incrementally-fed unified cache simulation: the
-// streaming counterpart of RunUnifiedSource.
+// UnifiedSim is an incrementally-fed unified cache simulation.
 type UnifiedSim struct {
 	c    *Cache
 	cfg  Config
@@ -76,14 +72,41 @@ func NewUnifiedSim(cfg Config, opts RunOptions) (*UnifiedSim, error) {
 	return &UnifiedSim{c: c, cfg: cfg, opts: opts, samp: samp}, nil
 }
 
-// Feed routes one chunk of records into the cache. The chunk is only
-// read; it may be reused by the caller after Feed returns.
+// Feed routes one chunk of records into the cache, honouring
+// context-switch flushes. The chunk is only read; it may be reused by
+// the caller after Feed returns.
+//
+// PID tags apply only to process-private addresses: system-space (S0)
+// and physical references are globally shared, so they carry tag 0 —
+// the "global" treatment PID/ASN-tagged memory hardware gives kernel
+// addresses (and what the machine's own TB does for its system half).
 func (s *UnifiedSim) Feed(chunk []trace.Record) error {
 	for _, r := range chunk {
 		if s.samp.skip(r) {
 			continue
 		}
-		feedRecord(s.c, s.c, r, s.cfg, s.opts)
+		pid := r.PID
+		if r.Phys || r.Addr>>30 == 2 {
+			pid = 0
+		}
+		switch r.Kind {
+		case trace.KindCtxSwitch:
+			if s.cfg.FlushOnSwitch {
+				s.c.Flush()
+			}
+		case trace.KindIFetch:
+			s.c.Access(r.Addr, false, pid)
+		case trace.KindDRead, trace.KindDWrite:
+			if r.Phys && s.opts.SkipPhys {
+				continue
+			}
+			s.c.Access(r.Addr, r.Kind == trace.KindDWrite, pid)
+		case trace.KindPTERead, trace.KindPTEWrite:
+			if !s.opts.IncludePTE {
+				continue
+			}
+			s.c.Access(r.Addr, r.Kind == trace.KindPTEWrite, pid)
+		}
 	}
 	return nil
 }
@@ -93,9 +116,9 @@ func (s *UnifiedSim) Result() (Result, error) {
 	return Result{Config: s.cfg, Stats: s.c.Stats}, nil
 }
 
-// HierarchySim is an incrementally-fed two-level hierarchy simulation:
-// the streaming counterpart of RunHierarchySource. Sampling, when
-// enabled, keys on the L1 block address.
+// HierarchySim is an incrementally-fed two-level hierarchy simulation,
+// routed like UnifiedSim with instruction fetches to L1I and everything
+// else to L1D. Sampling, when enabled, keys on the L1 block address.
 type HierarchySim struct {
 	h     *Hierarchy
 	cfg   HierarchyConfig

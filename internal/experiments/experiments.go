@@ -20,6 +20,7 @@ import (
 	"atum/internal/cache"
 	"atum/internal/kernel"
 	"atum/internal/micro"
+	"atum/internal/par"
 	"atum/internal/serve"
 	"atum/internal/serve/api"
 	"atum/internal/stackdist"
@@ -71,74 +72,49 @@ type Options struct {
 	// every value produces byte-identical reports.
 	DecodeWorkers int
 
-	// Stream replays the arena sweeps through the push-based streaming
-	// pipeline (sweep.Stream*) instead of the pull-based batch engine.
-	// Reports are byte-identical either way — the guarantee the
-	// pipeline's determinism harness pins — so this is an execution-mode
-	// knob, never a result knob.
-	Stream bool
-
 	// Remote routes the sweeps through an atum-serve daemon at this
 	// base URL (or host:port) instead of simulating locally: the trace
 	// is uploaded once under its content hash and each sweep becomes an
-	// analysis request. Like Workers and Stream this is an
-	// execution-mode knob — the daemon returns the same result structs,
-	// so reports are byte-identical to a local run.
+	// analysis request. Like Workers this is an execution-mode knob —
+	// the daemon returns the same result structs, so reports are
+	// byte-identical to a local run.
 	Remote string
 }
 
-// sweepCaches replays src through every cache configuration, via the
-// engine Options.Stream and Options.Remote select.
+// sweepCaches replays src through every cache configuration, locally
+// or on the daemon Options.Remote names.
 func (o Options) sweepCaches(src trace.Source, cfgs []cache.Config, opts cache.RunOptions) ([]cache.Result, error) {
-	if o.Remote != "" {
-		req := o.remoteRequest(api.KindCaches)
-		req.Caches = cfgs
-		req.Run = opts
-		resp, err := o.remoteAnalyze(src, req)
-		if err != nil {
-			return nil, err
-		}
-		return resp.Caches, nil
+	if o.Remote == "" {
+		return sweep.Caches(src, cfgs, opts, o.Workers)
 	}
-	if o.Stream {
-		return sweep.StreamCaches(src, cfgs, opts, o.Workers)
-	}
-	return sweep.Caches(src, cfgs, opts, o.Workers)
+	req := o.remoteRequest(api.KindCaches)
+	req.Caches = cfgs
+	req.Run = opts
+	resp, err := o.remoteAnalyze(src, req)
+	return resp.Caches, err
 }
 
 // sweepHierarchies is sweepCaches for two-level hierarchies.
 func (o Options) sweepHierarchies(src trace.Source, cfgs []cache.HierarchyConfig, opts cache.RunOptions) ([]cache.HierarchyResult, error) {
-	if o.Remote != "" {
-		req := o.remoteRequest(api.KindHierarchies)
-		req.Hierarchies = cfgs
-		req.Run = opts
-		resp, err := o.remoteAnalyze(src, req)
-		if err != nil {
-			return nil, err
-		}
-		return resp.Hierarchies, nil
+	if o.Remote == "" {
+		return sweep.Hierarchies(src, cfgs, opts, o.Workers)
 	}
-	if o.Stream {
-		return sweep.StreamHierarchies(src, cfgs, opts, o.Workers)
-	}
-	return sweep.Hierarchies(src, cfgs, opts, o.Workers)
+	req := o.remoteRequest(api.KindHierarchies)
+	req.Hierarchies = cfgs
+	req.Run = opts
+	resp, err := o.remoteAnalyze(src, req)
+	return resp.Hierarchies, err
 }
 
 // sweepTBs is sweepCaches for translation buffers.
 func (o Options) sweepTBs(src trace.Source, cfgs []tlbsim.Config) ([]tlbsim.Stats, error) {
-	if o.Remote != "" {
-		req := o.remoteRequest(api.KindTBs)
-		req.TBs = cfgs
-		resp, err := o.remoteAnalyze(src, req)
-		if err != nil {
-			return nil, err
-		}
-		return resp.TBs, nil
+	if o.Remote == "" {
+		return sweep.TBs(src, cfgs, o.Workers)
 	}
-	if o.Stream {
-		return sweep.StreamTBs(src, cfgs, o.Workers)
-	}
-	return sweep.TBs(src, cfgs, o.Workers)
+	req := o.remoteRequest(api.KindTBs)
+	req.TBs = cfgs
+	resp, err := o.remoteAnalyze(src, req)
+	return resp.TBs, err
 }
 
 // remoteTenant is the namespace the experiment suite's uploads land in.
@@ -149,7 +125,6 @@ const remoteTenant = "experiments"
 func (o Options) remoteRequest(kind string) api.AnalysisRequest {
 	return api.AnalysisRequest{
 		Kind:          kind,
-		Stream:        o.Stream,
 		Workers:       o.Workers,
 		DecodeWorkers: o.DecodeWorkers,
 	}
@@ -593,14 +568,14 @@ func F2Multiprogramming(opt Options) (*Report, error) {
 		ccfg := baseCacheCfg()
 		ccfg.PIDTags = false
 		ccfg.FlushOnSwitch = true
-		res, err := cache.RunUnified(recs, ccfg, opts)
+		res, err := sweep.Caches(trace.Records(recs), []cache.Config{ccfg}, opts, 1)
 		if err != nil {
 			return nil, err
 		}
 		runs := analysis.RunLengths(recs)
 		tb2sum := trace.Summarize(recs)
 		qt.AddRow(analysis.N(q), analysis.N(tb2sum.CtxSwitches),
-			analysis.F(analysis.MeanU64(runs), 0), analysis.Pct(res.Stats.MissRate()))
+			analysis.F(analysis.MeanU64(runs), 0), analysis.Pct(res[0].Stats.MissRate()))
 	}
 	return &Report{
 		ID:     "F2",
@@ -880,7 +855,7 @@ func F8EffectiveAccess(opt Options) (*Report, error) {
 // one process: the machine's own translation buffer keeps live counters
 // during the traced run, and the captured trace can be replayed through
 // internal/tlbsim configured with the hardware's geometry.
-func A5TraceDrivenFidelity(Options) (*Report, error) {
+func A5TraceDrivenFidelity(opt Options) (*Report, error) {
 	tb := &analysis.Table{
 		Title: "Hardware TB vs trace-driven replay (same geometry)",
 		Headers: []string{"workload", "hw misses", "naive replay", "delta",
@@ -926,15 +901,13 @@ func A5TraceDrivenFidelity(Options) (*Report, error) {
 			FlushOnSwitch: true, // LDPCTX invalidates the process half
 			IncludeSystem: true,
 		}
-		naive, err := tlbsim.Run(cap.All(), replayCfg)
+		awareCfg := replayCfg
+		awareCfg.WalkRefs = true
+		replays, err := sweep.TBs(trace.Records(cap.All()), []tlbsim.Config{replayCfg, awareCfg}, opt.Workers)
 		if err != nil {
 			return nil, err
 		}
-		replayCfg.WalkRefs = true
-		aware, err := tlbsim.Run(cap.All(), replayCfg)
-		if err != nil {
-			return nil, err
-		}
+		naive, aware := replays[0], replays[1]
 		pct := func(misses uint64) string {
 			return analysis.F(100*(float64(misses)-float64(hw.TBMisses))/float64(hw.TBMisses), 1) + "%"
 		}
@@ -1084,11 +1057,11 @@ func T3Sampling(opt Options) (*Report, error) {
 	}
 	ccfg := baseCacheCfg()
 	opts := cache.RunOptions{IncludePTE: true}
-	contRes, err := cache.RunUnified(full, ccfg, opts)
+	contRes, err := sweep.Caches(trace.Records(full), []cache.Config{ccfg}, opts, 1)
 	if err != nil {
 		return nil, err
 	}
-	cont := contRes.Stats.MissRate()
+	cont := contRes[0].Stats.MissRate()
 
 	tb := &analysis.Table{
 		Title:   "Sample-boundary cold-start error vs reserved-buffer size (8KB cache)",
@@ -1100,14 +1073,17 @@ func T3Sampling(opt Options) (*Report, error) {
 		// size are independent simulations — fan them out; summing the
 		// ordered results is commutative anyway.
 		nsamples := (len(full) + per - 1) / per
-		stats, err := sweep.Map(opt.Workers, nsamples, func(i int) (cache.Stats, error) {
+		stats, err := par.Map(opt.Workers, nsamples, func(i int) (cache.Stats, error) {
 			off := i * per
 			end := off + per
 			if end > len(full) {
 				end = len(full)
 			}
-			res, err := cache.RunUnified(full[off:end], ccfg, opts)
-			return res.Stats, err
+			res, err := sweep.Caches(trace.Records(full[off:end]), []cache.Config{ccfg}, opts, 1)
+			if err != nil {
+				return cache.Stats{}, err
+			}
+			return res[0].Stats, nil
 		})
 		if err != nil {
 			return nil, err
@@ -1180,36 +1156,41 @@ func A3StackDistance(opt Options) (*Report, error) {
 	}
 	const blockBytes = 16
 	// The two Mattson passes and the two fully-associative simulator
-	// cross-checks are four independent replays of the shared arena —
-	// one fan-out covers them all.
+	// cross-checks are four simulators replaying the shared arena in one
+	// pipeline.
 	checkBlocks := []int{256, 1024}
-	profiles := make([]*stackdist.Profile, 2)
-	checks := make([]cache.Result, len(checkBlocks))
-	_, err = sweep.Map(opt.Workers, 2+len(checkBlocks), func(i int) (struct{}, error) {
-		switch i {
-		case 0:
-			profiles[0] = stackdist.FromSource(mixSrc, stackdist.Options{BlockBytes: blockBytes, PIDTag: true, IncludePTE: true})
-		case 1:
-			profiles[1] = stackdist.FromSource(mixSrc, stackdist.Options{BlockBytes: blockBytes, PIDTag: true, IncludePTE: true, UserOnly: true})
-		default:
-			blocks := checkBlocks[i-2]
-			cfg := cache.Config{
-				Label: "fa", SizeBytes: uint32(blocks) * blockBytes,
-				BlockBytes: blockBytes, Assoc: uint32(blocks),
-				Replacement: cache.LRU, WriteAllocate: true, PIDTags: true,
-			}
-			res, err := cache.RunUnifiedSource(mixSrc, cfg, cache.RunOptions{IncludePTE: true})
-			if err != nil {
-				return struct{}{}, err
-			}
-			checks[i-2] = res
-		}
-		return struct{}{}, nil
+	p := sweep.NewPipeline(opt.Workers)
+	sdOpts := stackdist.Options{BlockBytes: blockBytes, PIDTag: true, IncludePTE: true}
+	fullProf := sweep.AddSim(p, "mattson", stackdist.NewStream(sdOpts))
+	sdOpts.UserOnly = true
+	userProf := sweep.AddSim(p, "mattson-user", stackdist.NewStream(sdOpts))
+	var checkCfgs []cache.Config
+	for _, blocks := range checkBlocks {
+		checkCfgs = append(checkCfgs, cache.Config{
+			Label: "fa", SizeBytes: uint32(blocks) * blockBytes,
+			BlockBytes: blockBytes, Assoc: uint32(blocks),
+			Replacement: cache.LRU, WriteAllocate: true, PIDTags: true,
+		})
+	}
+	checkRes, err := sweep.AddSims(p, checkCfgs, func(cfg cache.Config) (sweep.Sim[cache.Result], error) {
+		return cache.NewUnifiedSim(cfg, cache.RunOptions{IncludePTE: true})
 	})
 	if err != nil {
 		return nil, err
 	}
-	full, user := profiles[0], profiles[1]
+	p.FeedSource(mixSrc)
+	full, err := fullProf()
+	if err != nil {
+		return nil, err
+	}
+	user, err := userProf()
+	if err != nil {
+		return nil, err
+	}
+	checks, err := checkRes()
+	if err != nil {
+		return nil, err
+	}
 
 	tb := &analysis.Table{
 		Title:   "Fully-associative LRU miss rates from one stack-distance pass",

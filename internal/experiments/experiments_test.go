@@ -211,32 +211,3 @@ func parsePct(t *testing.T, s string) float64 {
 func sscan(s string, v *float64) (int, error) {
 	return fmt.Sscan(s, v)
 }
-
-// TestStreamOptionIdenticalReports: running a sweep-backed experiment
-// with Options.Stream must render the exact same report as the batch
-// path — the pipeline is a different execution strategy, not a
-// different simulation. One experiment per simulator family: unified
-// caches (F3), translation buffers (F5), hierarchies (F7).
-func TestStreamOptionIdenticalReports(t *testing.T) {
-	for _, tc := range []struct {
-		id  string
-		run func(Options) (*Report, error)
-	}{
-		{"f3", F3BlockSize},
-		{"f5", F5TLB},
-		{"f7", F7Hierarchy},
-	} {
-		batch, err := tc.run(Options{})
-		if err != nil {
-			t.Fatalf("%s batch: %v", tc.id, err)
-		}
-		streamed, err := tc.run(Options{Stream: true})
-		if err != nil {
-			t.Fatalf("%s stream: %v", tc.id, err)
-		}
-		if streamed.String() != batch.String() {
-			t.Errorf("%s: streamed report differs from batch:\n--- batch ---\n%s\n--- stream ---\n%s",
-				tc.id, batch, streamed)
-		}
-	}
-}

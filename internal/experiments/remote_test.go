@@ -13,8 +13,7 @@ import (
 
 // TestRemoteOptionIdenticalReports pins the -remote contract: routing
 // the experiment sweeps through an atum-serve daemon returns the exact
-// result structs a local run produces, for every sweep family and for
-// both the batch and streaming engines.
+// result structs a local run produces, for every sweep family.
 func TestRemoteOptionIdenticalReports(t *testing.T) {
 	ts := httptest.NewServer(serve.NewServer(serve.Options{}))
 	defer ts.Close()
@@ -57,28 +56,26 @@ func TestRemoteOptionIdenticalReports(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, stream := range []bool{false, true} {
-		remote := Options{Remote: ts.URL, Stream: stream}
-		gotC, err := remote.sweepCaches(src, ccfgs, run)
-		if err != nil {
-			t.Fatalf("stream=%v remote caches: %v", stream, err)
-		}
-		if !reflect.DeepEqual(gotC, wantC) {
-			t.Errorf("stream=%v: remote cache sweep differs from local", stream)
-		}
-		gotH, err := remote.sweepHierarchies(src, hcfgs, run)
-		if err != nil {
-			t.Fatalf("stream=%v remote hierarchies: %v", stream, err)
-		}
-		if !reflect.DeepEqual(gotH, wantH) {
-			t.Errorf("stream=%v: remote hierarchy sweep differs from local", stream)
-		}
-		gotT, err := remote.sweepTBs(src, tcfgs)
-		if err != nil {
-			t.Fatalf("stream=%v remote TBs: %v", stream, err)
-		}
-		if !reflect.DeepEqual(gotT, wantT) {
-			t.Errorf("stream=%v: remote TB sweep differs from local", stream)
-		}
+	remote := Options{Remote: ts.URL}
+	gotC, err := remote.sweepCaches(src, ccfgs, run)
+	if err != nil {
+		t.Fatalf("remote caches: %v", err)
+	}
+	if !reflect.DeepEqual(gotC, wantC) {
+		t.Error("remote cache sweep differs from local")
+	}
+	gotH, err := remote.sweepHierarchies(src, hcfgs, run)
+	if err != nil {
+		t.Fatalf("remote hierarchies: %v", err)
+	}
+	if !reflect.DeepEqual(gotH, wantH) {
+		t.Error("remote hierarchy sweep differs from local")
+	}
+	gotT, err := remote.sweepTBs(src, tcfgs)
+	if err != nil {
+		t.Fatalf("remote TBs: %v", err)
+	}
+	if !reflect.DeepEqual(gotT, wantT) {
+		t.Error("remote TB sweep differs from local")
 	}
 }

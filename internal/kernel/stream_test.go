@@ -28,7 +28,8 @@ func (c *collectSim) Result() ([]trace.Record, error) { return c.recs, nil }
 // capture whose spill service tees every segment straight into the
 // streaming pipeline must feed the simulators the exact record stream a
 // monolithic capture of the same workload produces — and the
-// incremental cache results must equal a batch replay of that stream.
+// incremental cache results must equal a whole-trace replay of that
+// stream.
 // No trace file is ever re-read.
 func TestSpillStreamPipelineLive(t *testing.T) {
 	want := captureMonolithic(t)
@@ -41,7 +42,7 @@ func TestSpillStreamPipelineLive(t *testing.T) {
 		WriteAllocate: true, PIDTags: true,
 	}
 	opts := cache.RunOptions{IncludePTE: true}
-	wantRes, err := cache.RunUnified(want, cfg, opts)
+	wantRes, err := sweep.Caches(trace.Records(want), []cache.Config{cfg}, opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +90,8 @@ func TestSpillStreamPipelineLive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(res, wantRes) {
-			t.Fatalf("codec=%d: streamed cache result %+v != batch %+v", codec, res, wantRes)
+		if !reflect.DeepEqual(res, wantRes[0]) {
+			t.Fatalf("codec=%d: streamed cache result %+v != whole-trace replay %+v", codec, res, wantRes[0])
 		}
 	}
 }

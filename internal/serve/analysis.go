@@ -50,9 +50,9 @@ func (s *Server) runAnalysis(t *tenant, req api.AnalysisRequest) (*api.AnalysisR
 		}
 		chunks = sel
 	}
-	var src trace.Source = trace.NewArenaFromChunks(chunks)
+	src := trace.NewArenaFromChunks(chunks)
 	if req.UserOnly {
-		src = src.(*trace.Arena).FilterUser()
+		src = src.FilterUser()
 	}
 
 	resp := &api.AnalysisResponse{Trace: req.Trace, Kind: req.Kind}
@@ -61,42 +61,30 @@ func (s *Server) runAnalysis(t *tenant, req api.AnalysisRequest) (*api.AnalysisR
 		if len(req.Caches) == 0 {
 			return nil, fmt.Errorf("kind %q needs at least one cache config", req.Kind)
 		}
-		if req.Stream {
-			resp.Caches, resp.DroppedRecords, err = streamSweep(src, req, req.Caches, func(cfg cache.Config) (namedSim[cache.Result], error) {
-				sim, err := cache.NewUnifiedSim(cfg, req.Run)
-				return namedSim[cache.Result]{cfg.Name(), sim}, err
-			})
-		} else {
-			resp.Caches, err = sweep.Caches(src, req.Caches, req.Run, req.Workers)
-		}
+		resp.Caches, resp.DroppedRecords, err = sweepSims(src, req, req.Caches, func(cfg cache.Config) (sweep.Sim[cache.Result], error) {
+			return cache.NewUnifiedSim(cfg, req.Run)
+		})
 	case api.KindHierarchies:
 		if len(req.Hierarchies) == 0 {
 			return nil, fmt.Errorf("kind %q needs at least one hierarchy config", req.Kind)
 		}
-		if req.Stream {
-			resp.Hierarchies, resp.DroppedRecords, err = streamSweep(src, req, req.Hierarchies, func(cfg cache.HierarchyConfig) (namedSim[cache.HierarchyResult], error) {
-				sim, err := cache.NewHierarchySim(cfg, req.Run)
-				return namedSim[cache.HierarchyResult]{cfg.Name(), sim}, err
-			})
-		} else {
-			resp.Hierarchies, err = sweep.Hierarchies(src, req.Hierarchies, req.Run, req.Workers)
-		}
+		resp.Hierarchies, resp.DroppedRecords, err = sweepSims(src, req, req.Hierarchies, func(cfg cache.HierarchyConfig) (sweep.Sim[cache.HierarchyResult], error) {
+			return cache.NewHierarchySim(cfg, req.Run)
+		})
 	case api.KindTBs:
 		if len(req.TBs) == 0 {
 			return nil, fmt.Errorf("kind %q needs at least one TB config", req.Kind)
 		}
-		if req.Stream {
-			resp.TBs, resp.DroppedRecords, err = streamSweep(src, req, req.TBs, func(cfg tlbsim.Config) (namedSim[tlbsim.Stats], error) {
-				sim, err := tlbsim.NewSim(cfg)
-				return namedSim[tlbsim.Stats]{cfg.Name(), sim}, err
-			})
-		} else {
-			resp.TBs, err = sweep.TBs(src, req.TBs, req.Workers)
-		}
+		resp.TBs, resp.DroppedRecords, err = sweepSims(src, req, req.TBs, func(cfg tlbsim.Config) (sweep.Sim[tlbsim.Stats], error) {
+			return tlbsim.NewSim(cfg)
+		})
 	case api.KindStackdist:
 		opts := stackdist.Options{}
 		if req.Stackdist != nil {
 			opts = *req.Stackdist
+		}
+		if err := opts.Validate(); err != nil {
+			return nil, err
 		}
 		resp.Stackdist = stackdist.FromSource(src, opts)
 	case api.KindSummary:
@@ -111,43 +99,26 @@ func (s *Server) runAnalysis(t *tenant, req api.AnalysisRequest) (*api.AnalysisR
 	return resp, nil
 }
 
-// namedSim pairs a simulator with its config label for pipeline
-// registration.
-type namedSim[R any] struct {
-	name string
-	sim  sweep.Sim[R]
-}
-
-// streamSweep is the push-mode sweep with the request's backpressure
-// policy applied: Block replays every record (results identical to the
-// arena sweep); Drop sheds counted records when the bounded queue backs
-// up — the same degrade-never-stall stance the capture side takes.
-func streamSweep[R any, C any](src trace.Source, req api.AnalysisRequest, cfgs []C, mk func(C) (namedSim[R], error)) ([]R, uint64, error) {
+// sweepSims runs one simulator per configuration through one pipeline
+// under the request's backpressure policy: Block replays every record
+// (results identical to a local sweep); Drop sheds counted records when
+// the bounded queue backs up — the same degrade-never-stall stance the
+// capture side takes.
+func sweepSims[C interface{ Name() string }, R any](src trace.Source, req api.AnalysisRequest, cfgs []C, newSim func(C) (sweep.Sim[R], error)) ([]R, uint64, error) {
 	policy, err := sweep.ParseBackpressure(req.Backpressure)
 	if err != nil {
 		return nil, 0, err
 	}
 	p := sweep.NewPipeline(req.Workers)
-	collect := make([]func() (R, error), len(cfgs))
-	for i, cfg := range cfgs {
-		ns, err := mk(cfg)
-		if err != nil {
-			return nil, 0, err
-		}
-		collect[i] = sweep.AddSim[R](p, ns.name, ns.sim)
+	collect, err := sweep.AddSims(p, cfgs, newSim)
+	if err != nil {
+		return nil, 0, err
 	}
 	p.SetBackpressure(policy, req.QueueChunks)
 	p.FeedSource(src)
 	if err := p.Drain(); err != nil {
 		return nil, 0, err
 	}
-	out := make([]R, len(collect))
-	for i, c := range collect {
-		r, err := c()
-		if err != nil {
-			return nil, 0, err
-		}
-		out[i] = r
-	}
-	return out, p.DroppedRecords(), nil
+	out, err := collect()
+	return out, p.DroppedRecords(), err
 }

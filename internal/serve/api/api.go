@@ -117,9 +117,9 @@ type TraceInfo struct {
 
 // AnalysisRequest names a stored trace and the sweep to run over it.
 // Exactly the config slice matching Kind is consulted. The execution
-// knobs (Stream, Workers, DecodeWorkers, Backpressure) never change
-// results — except Backpressure "drop", which may shed records under
-// load and reports what it shed.
+// knobs (Workers, DecodeWorkers, Backpressure) never change results —
+// except Backpressure "drop", which may shed records under load and
+// reports what it shed.
 type AnalysisRequest struct {
 	Trace string `json:"trace"`
 	Kind  string `json:"kind"`
@@ -141,7 +141,6 @@ type AnalysisRequest struct {
 	// an unstamped trace fail rather than silently analysing nothing.
 	CPU *int `json:"cpu,omitempty"`
 
-	Stream        bool   `json:"stream,omitempty"`
 	Workers       int    `json:"workers,omitempty"`
 	DecodeWorkers int    `json:"decode_workers,omitempty"`
 	Backpressure  string `json:"backpressure,omitempty"` // "block" (default) or "drop"

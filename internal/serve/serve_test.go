@@ -316,25 +316,23 @@ func TestAnalysisRemoteVsLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, stream := range []bool{false, true} {
-		resp, err := c.Analyze(api.AnalysisRequest{Trace: "syn", Kind: api.KindCaches, Caches: cfgs, Run: run, Stream: stream})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(resp.Caches, local) {
-			t.Fatalf("stream=%v: remote results differ from local:\n%+v\nvs\n%+v", stream, resp.Caches, local)
-		}
-		lj, _ := json.Marshal(local)
-		rj, _ := json.Marshal(resp.Caches)
-		if !bytes.Equal(lj, rj) {
-			t.Fatalf("stream=%v: wire forms differ", stream)
-		}
+	resp, err := c.Analyze(api.AnalysisRequest{Trace: "syn", Kind: api.KindCaches, Caches: cfgs, Run: run})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resp.Caches, local) {
+		t.Fatalf("remote results differ from local:\n%+v\nvs\n%+v", resp.Caches, local)
+	}
+	lj, _ := json.Marshal(local)
+	rj, _ := json.Marshal(resp.Caches)
+	if !bytes.Equal(lj, rj) {
+		t.Fatal("wire forms differ")
 	}
 
 	// The drop policy must still produce a response (possibly shedding);
 	// with no contention on a small trace it typically sheds nothing.
-	resp, err := c.Analyze(api.AnalysisRequest{Trace: "syn", Kind: api.KindCaches, Caches: cfgs[:1], Run: run,
-		Stream: true, Backpressure: "drop", QueueChunks: 8})
+	resp, err = c.Analyze(api.AnalysisRequest{Trace: "syn", Kind: api.KindCaches, Caches: cfgs[:1], Run: run,
+		Backpressure: "drop", QueueChunks: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,6 +577,22 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := c.Analyze(api.AnalysisRequest{Trace: "tiny", Kind: api.KindCaches}); err == nil {
 		t.Error("caches analysis with no configs accepted")
+	}
+	// A stack-distance block size that is not a power of two is a bad
+	// request, not an analysis silently run at the next smaller size.
+	for body, want := range map[string]int{
+		`{"trace":"tiny","kind":"stackdist","stackdist":{"BlockBytes":24}}`: http.StatusBadRequest,
+		`{"trace":"tiny","kind":"stackdist","stackdist":{"BlockBytes":32}}`: http.StatusOK,
+		`{"trace":"tiny","kind":"stackdist"}`:                               http.StatusOK,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/tenants/alpha/analyses", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("%s: HTTP %d, want %d", body, resp.StatusCode, want)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"atum/internal/cache"
 	"atum/internal/stackdist"
+	"atum/internal/sweep"
 	"atum/internal/trace"
 	"atum/internal/workload"
 )
@@ -53,23 +54,27 @@ func TestProfileMatchesSimulator(t *testing.T) {
 	for _, g := range gens {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", g.name, seed), func(t *testing.T) {
-				recs := g.build(seed)
-				prof := stackdist.FromTrace(recs, stackdist.Options{
+				recs := trace.Records(g.build(seed))
+				prof := stackdist.FromSource(recs, stackdist.Options{
 					BlockBytes: blockBytes, PIDTag: true, IncludePTE: true,
 				})
+				var cfgs []cache.Config
 				for _, capBlocks := range capacities {
-					cfg := cache.Config{
+					cfgs = append(cfgs, cache.Config{
 						Label:       "fa",
 						SizeBytes:   uint32(capBlocks) * blockBytes,
 						BlockBytes:  blockBytes,
 						Assoc:       uint32(capBlocks),
 						Replacement: cache.LRU, WriteAllocate: true,
 						PIDTags: true,
-					}
-					res, err := cache.RunUnified(recs, cfg, cache.RunOptions{IncludePTE: true})
-					if err != nil {
-						t.Fatal(err)
-					}
+					})
+				}
+				results, err := sweep.Caches(recs, cfgs, cache.RunOptions{IncludePTE: true}, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, capBlocks := range capacities {
+					res := results[i]
 					if prof.Misses(capBlocks) != res.Stats.Misses {
 						t.Errorf("capacity %d blocks: stackdist predicts %d misses, simulator saw %d",
 							capBlocks, prof.Misses(capBlocks), res.Stats.Misses)

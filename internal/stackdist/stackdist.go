@@ -12,6 +12,8 @@
 package stackdist
 
 import (
+	"fmt"
+
 	"atum/internal/trace"
 )
 
@@ -124,15 +126,24 @@ func (p *Profile) MaxDepth() int { return len(p.Depths) }
 
 // Options control trace-to-block-stream conversion.
 type Options struct {
-	BlockBytes uint32 // line size (power of two)
+	BlockBytes uint32 // line size (power of two; 0 means 16)
 	PIDTag     bool   // separate per-process address spaces
 	IncludePTE bool   // include translation-microcode references
 	UserOnly   bool   // drop kernel references
 }
 
-// blockMapper is the record-to-block conversion both the batch path
-// (BlocksSource) and the streaming path (Stream) share, so the two
-// cannot drift.
+// Validate checks the conversion options: a BlockBytes of 0 selects the
+// 16-byte default, any other value must be a power of two.
+func (o Options) Validate() error {
+	if o.BlockBytes&(o.BlockBytes-1) != 0 {
+		return fmt.Errorf("stackdist: block size %d not a power of two", o.BlockBytes)
+	}
+	return nil
+}
+
+// blockMapper is the record-to-block conversion both the whole-source
+// path (BlocksSource) and the record-fed path (Stream) share, so the two
+// cannot drift. It assumes validated options.
 type blockMapper struct {
 	opts  Options
 	shift uint
@@ -171,13 +182,8 @@ func (m blockMapper) block(r trace.Record) (uint64, bool) {
 	return b, true
 }
 
-// Blocks converts a trace into the block-address stream Analyze expects.
-func Blocks(recs []trace.Record, opts Options) []uint64 {
-	return BlocksSource(trace.Records(recs), opts)
-}
-
-// BlocksSource is Blocks over any record source, built in one streaming
-// pass.
+// BlocksSource converts a record source into the block-address stream
+// Analyze expects, in one pass.
 func BlocksSource(src trace.Source, opts Options) []uint64 {
 	m := newBlockMapper(opts)
 	out := make([]uint64, 0, src.NumRecords())
@@ -192,12 +198,8 @@ func BlocksSource(src trace.Source, opts Options) []uint64 {
 	return out
 }
 
-// FromTrace is the convenience composition of Blocks and Analyze.
-func FromTrace(recs []trace.Record, opts Options) *Profile {
-	return Analyze(Blocks(recs, opts))
-}
-
-// FromSource is FromTrace over any record source.
+// FromSource is the composition of BlocksSource and Analyze: the
+// whole-source analysis the record-fed Stream is checked against.
 func FromSource(src trace.Source, opts Options) *Profile {
 	return Analyze(BlocksSource(src, opts))
 }

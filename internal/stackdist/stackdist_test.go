@@ -106,7 +106,7 @@ func TestAgreesWithCacheSimulator(t *testing.T) {
 		recs[i] = trace.Record{Kind: trace.KindDRead, Addr: addr, Width: 4, User: true, PID: 1}
 	}
 	const blockBytes = 16
-	prof := FromTrace(recs, Options{BlockBytes: blockBytes, PIDTag: true})
+	prof := FromSource(trace.Records(recs), Options{BlockBytes: blockBytes, PIDTag: true})
 
 	for _, capacity := range []int{4, 16, 64, 256, 1024} {
 		cfg := cache.Config{
@@ -118,7 +118,14 @@ func TestAgreesWithCacheSimulator(t *testing.T) {
 			WriteAllocate: true,
 			PIDTags:       true,
 		}
-		res, err := cache.RunUnified(recs, cfg, cache.RunOptions{})
+		sim, err := cache.NewUnifiedSim(cfg, cache.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Feed(recs); err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Result()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,6 +136,7 @@ func TestAgreesWithCacheSimulator(t *testing.T) {
 }
 
 func TestBlocksFiltering(t *testing.T) {
+	blocks := func(recs []trace.Record, opts Options) []uint64 { return BlocksSource(trace.Records(recs), opts) }
 	recs := []trace.Record{
 		{Kind: trace.KindIFetch, Addr: 0x200, Width: 4, User: true, PID: 1},
 		{Kind: trace.KindDRead, Addr: 0x80000200, Width: 4, User: false, PID: 1},
@@ -136,27 +144,43 @@ func TestBlocksFiltering(t *testing.T) {
 		{Kind: trace.KindCtxSwitch, Extra: 2, Width: 1},
 		{Kind: trace.KindDRead, Addr: 0x200, Width: 4, User: true, PID: 2},
 	}
-	all := Blocks(recs, Options{BlockBytes: 16, PIDTag: true, IncludePTE: true})
+	all := blocks(recs, Options{BlockBytes: 16, PIDTag: true, IncludePTE: true})
 	if len(all) != 4 {
 		t.Errorf("blocks = %d, want 4", len(all))
 	}
-	user := Blocks(recs, Options{BlockBytes: 16, UserOnly: true})
+	user := blocks(recs, Options{BlockBytes: 16, UserOnly: true})
 	if len(user) != 2 {
 		t.Errorf("user blocks = %d, want 2", len(user))
 	}
 	// PID tagging separates the same VA across processes.
-	tagged := Blocks(recs[0:1], Options{BlockBytes: 16, PIDTag: true})
-	tagged2 := Blocks(recs[4:5], Options{BlockBytes: 16, PIDTag: true})
+	tagged := blocks(recs[0:1], Options{BlockBytes: 16, PIDTag: true})
+	tagged2 := blocks(recs[4:5], Options{BlockBytes: 16, PIDTag: true})
 	if tagged[0] == tagged2[0] {
 		t.Error("PID tag did not separate address spaces")
 	}
 	// System addresses are shared regardless of PID.
-	sysA := Blocks([]trace.Record{{Kind: trace.KindDRead, Addr: 0x80000200, Width: 4, PID: 1}},
+	sysA := blocks([]trace.Record{{Kind: trace.KindDRead, Addr: 0x80000200, Width: 4, PID: 1}},
 		Options{BlockBytes: 16, PIDTag: true})
-	sysB := Blocks([]trace.Record{{Kind: trace.KindDRead, Addr: 0x80000200, Width: 4, PID: 2}},
+	sysB := blocks([]trace.Record{{Kind: trace.KindDRead, Addr: 0x80000200, Width: 4, PID: 2}},
 		Options{BlockBytes: 16, PIDTag: true})
 	if sysA[0] != sysB[0] {
 		t.Error("system space wrongly PID-tagged")
+	}
+}
+
+// TestOptionsValidate: the block mapper shifts by log2 of the block
+// size, so a size that is not a power of two would silently round down
+// (24 to 16); Validate rejects it and keeps 0 as the 16-byte default.
+func TestOptionsValidate(t *testing.T) {
+	for _, b := range []uint32{0, 1, 16, 64, 4096} {
+		if err := (Options{BlockBytes: b}).Validate(); err != nil {
+			t.Errorf("block %d rejected: %v", b, err)
+		}
+	}
+	for _, b := range []uint32{3, 24, 48, 100} {
+		if err := (Options{BlockBytes: b}).Validate(); err == nil {
+			t.Errorf("block %d accepted", b)
+		}
 	}
 }
 

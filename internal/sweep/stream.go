@@ -1,15 +1,3 @@
-// Streaming pipeline: the push-based half of the sweep engine. The
-// batch path decodes a whole trace into a shared arena and replays it
-// per configuration; the pipeline instead accepts records as they are
-// produced — segments teed out of the kernel spill service, batches
-// from a streaming decoder, or chunks of any Source — and fans each
-// chunk across incremental simulators (cache.UnifiedSim,
-// cache.HierarchySim, tlbsim.Sim, stackdist.Stream) immediately. No
-// trace file is ever re-read and memory stays bounded by one decoded
-// segment plus the simulators' own state, so arbitrarily long captures
-// analyse live. Results are identical to the batch path record for
-// record — the determinism matrix in stream_test.go pins it across
-// segment counts, codecs and worker counts.
 package sweep
 
 import (
@@ -104,13 +92,15 @@ var (
 	_ Sim[*stackdist.Profile]    = (*stackdist.Stream)(nil)
 )
 
-// Pipeline fans pushed record chunks across a set of incremental
-// simulators over a bounded worker pool. Chunks arrive from one
-// producer goroutine (Feed/HandleSegment/FeedSource/FeedStream are not
-// themselves concurrency-safe); within a chunk every simulator runs in
-// parallel, and because each simulator sees every chunk in stream order
-// the results are independent of the worker count — workers == 1 is
-// the serial reference path, exactly as in the batch engine.
+// Pipeline drives a set of incremental simulators over a bounded
+// worker pool. Input arrives from one producer goroutine
+// (Feed/HandleSegment/FeedSource/FeedStream are not themselves
+// concurrency-safe). Pushed chunks are fanned out: every simulator
+// consumes a chunk, in parallel, before the next is accepted. A source
+// handed to FeedSource is instead replayed per simulator (see there).
+// Either way each simulator sees every record in trace order, so the
+// results are independent of the worker count and of the input mode —
+// workers == 1 is the serial reference path.
 type Pipeline struct {
 	workers int
 	feeders []func([]trace.Record) error
@@ -129,8 +119,8 @@ type Pipeline struct {
 	buf []trace.Record
 
 	// decoded counts records decoded from segments so far; it is the
-	// base for record-indexed decode errors, matching what a batch
-	// re-read of the same stream would report.
+	// base for record-indexed decode errors, matching what a whole-file
+	// read of the same stream would report.
 	decoded uint64
 
 	filter func(trace.Record) bool
@@ -182,7 +172,7 @@ func (p *Pipeline) SetFilter(keep func(trace.Record) bool) { p.filter = keep }
 // (<= 0 selects a small default) and a background goroutine drains the
 // queue: the caller must Drain() after the last Feed and before reading
 // collectors. In Block mode nothing changes except the wait telemetry
-// turning on.
+// turning on for pushed chunks.
 func (p *Pipeline) SetBackpressure(policy Backpressure, queueChunks int) {
 	p.explicit = true
 	if policy != BackpressureDrop {
@@ -311,9 +301,8 @@ func (p *Pipeline) fanOut(chunk []trace.Record) {
 // HandleSegment decodes one teed segment into the pipeline's reusable
 // buffer and feeds it: the splice between kernel.SpillConfig.OnSegment
 // and the simulators. A truncated or corrupt segment feeds its decoded
-// prefix, then fails with the identical record-indexed error a batch
-// re-read of the stream would produce — and stays failed, like the
-// batch path's lowest-index error.
+// prefix, then fails with the identical record-indexed error a whole-file
+// read of the stream would produce — and stays failed.
 func (p *Pipeline) HandleSegment(seg trace.StreamSegment) error {
 	if err := p.Err(); err != nil {
 		return err
@@ -343,10 +332,41 @@ func (p *Pipeline) OnSegment() func(trace.StreamSegment) {
 	return func(seg trace.StreamSegment) { _ = p.HandleSegment(seg) }
 }
 
-// FeedSource pushes an already-materialised source through the
-// pipeline, chunk by chunk.
+// FeedSource replays an already-materialised source through every
+// simulator. The source can be read again, so each simulator replays the
+// whole of it in turn on the worker pool: one simulator's state stays in
+// cache for the entire replay, which measures faster than fanning every
+// chunk out to every simulator. With a Drop queue or a filter installed
+// the source is pushed chunk by chunk through Feed instead, so both
+// apply exactly as they do to streamed input.
 func (p *Pipeline) FeedSource(src trace.Source) error {
-	_ = src.EachChunk(func(chunk []trace.Record) error { return p.Feed(chunk) })
+	if p.queue != nil || p.filter != nil {
+		_ = src.EachChunk(p.Feed)
+		return p.Err()
+	}
+	if err := p.Err(); err != nil {
+		return err
+	}
+	records := uint64(src.NumRecords())
+	submitted := time.Now()
+	_, err := par.Map(p.workers, len(p.feeders), func(i int) (struct{}, error) {
+		// Queue wait: how long this simulator sat behind earlier ones
+		// before a worker picked it up.
+		mQueueSecs.Observe(time.Since(submitted).Seconds())
+		start := time.Now()
+		err := src.EachChunk(p.feeders[i])
+		secs := time.Since(start).Seconds()
+		mRunSecs.Observe(secs)
+		mConfigs.Inc()
+		if secs > 0 && records > 0 {
+			mReplayRate.Set(float64(records) / secs)
+		}
+		return struct{}{}, err
+	})
+	p.fed.Add(records)
+	if err != nil {
+		p.fail(err)
+	}
 	return p.Err()
 }
 
@@ -354,7 +374,7 @@ func (p *Pipeline) FeedSource(src trace.Source) error {
 // io.Reader — segment by segment and feeds each through HandleSegment,
 // the same path a live spill tee takes. Memory stays bounded by one
 // segment however long the stream is. Decode errors are sticky,
-// record-indexed, and identical to what a batch read reports.
+// record-indexed, and identical to what a whole-file read reports.
 func (p *Pipeline) FeedStream(r io.Reader) error {
 	sc, err := trace.NewScanner(r)
 	if err != nil {
@@ -373,66 +393,4 @@ func (p *Pipeline) FeedStream(r io.Reader) error {
 		p.HandleSegment(seg)
 	}
 	return p.Err()
-}
-
-// StreamCaches replays src through every cache configuration in one
-// streamed pass: the push-mode counterpart of Caches, with identical
-// results.
-func StreamCaches(src trace.Source, cfgs []cache.Config, opts cache.RunOptions, workers int) ([]cache.Result, error) {
-	p := NewPipeline(workers)
-	collect := make([]func() (cache.Result, error), len(cfgs))
-	for i, cfg := range cfgs {
-		sim, err := cache.NewUnifiedSim(cfg, opts)
-		if err != nil {
-			return nil, err
-		}
-		collect[i] = AddSim[cache.Result](p, cfg.Name(), sim)
-	}
-	p.FeedSource(src)
-	return gather(collect)
-}
-
-// StreamHierarchies is the push-mode counterpart of Hierarchies.
-func StreamHierarchies(src trace.Source, cfgs []cache.HierarchyConfig, opts cache.RunOptions, workers int) ([]cache.HierarchyResult, error) {
-	p := NewPipeline(workers)
-	collect := make([]func() (cache.HierarchyResult, error), len(cfgs))
-	for i, cfg := range cfgs {
-		sim, err := cache.NewHierarchySim(cfg, opts)
-		if err != nil {
-			return nil, err
-		}
-		collect[i] = AddSim[cache.HierarchyResult](p, cfg.Name(), sim)
-	}
-	p.FeedSource(src)
-	return gather(collect)
-}
-
-// StreamTBs is the push-mode counterpart of TBs.
-func StreamTBs(src trace.Source, cfgs []tlbsim.Config, workers int) ([]tlbsim.Stats, error) {
-	p := NewPipeline(workers)
-	collect := make([]func() (tlbsim.Stats, error), len(cfgs))
-	for i, cfg := range cfgs {
-		sim, err := tlbsim.NewSim(cfg)
-		if err != nil {
-			return nil, err
-		}
-		collect[i] = AddSim[tlbsim.Stats](p, cfg.Name(), sim)
-	}
-	p.FeedSource(src)
-	return gather(collect)
-}
-
-// gather drains a collector list into a result slice, stopping at the
-// first error (every collector reports the same sticky pipeline error,
-// so the first is also the only one).
-func gather[R any](collect []func() (R, error)) ([]R, error) {
-	out := make([]R, len(collect))
-	for i, c := range collect {
-		r, err := c()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
-	}
-	return out, nil
 }

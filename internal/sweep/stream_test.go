@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -66,103 +67,195 @@ func streamSegments(t *testing.T, p *Pipeline, recs []trace.Record, nseg int, co
 	}
 }
 
-// TestStreamDeterminism is the headline guarantee: a capture streamed
-// segment by segment through the pipeline produces results identical to
-// decoding the whole file and replaying it through the batch sweep
-// engine — for every simulator kind, across segment counts, both
-// codecs, and any worker count. Run under -race this also stress-tests
-// the per-chunk simulator fan-out.
+// streamResults is what the streamConfigs mix reports.
+type streamResults struct {
+	caches []cache.Result
+	hier   cache.HierarchyResult
+	tbs    []tlbsim.Stats
+	prof   stackdist.Profile
+}
+
+// addStreamSims registers the streamConfigs mix and a Mattson analysis
+// on p and returns their collector.
+func addStreamSims(t *testing.T, p *Pipeline, opts cache.RunOptions, sdOpts stackdist.Options) func() streamResults {
+	t.Helper()
+	cfgs, hcfg, tcfgs := streamConfigs()
+	caches, err := AddSims(p, cfgs, func(cfg cache.Config) (Sim[cache.Result], error) {
+		return cache.NewUnifiedSim(cfg, opts)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hsim, err := cache.NewHierarchySim(hcfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hier := AddSim(p, hcfg.Name(), hsim)
+	tbs, err := AddSims(p, tcfgs, func(cfg tlbsim.Config) (Sim[tlbsim.Stats], error) {
+		return tlbsim.NewSim(cfg)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd := AddSim(p, "mattson", stackdist.NewStream(sdOpts))
+	return func() streamResults {
+		t.Helper()
+		var r streamResults
+		var err error
+		if r.caches, err = caches(); err != nil {
+			t.Fatal(err)
+		}
+		if r.hier, err = hier(); err != nil {
+			t.Fatal(err)
+		}
+		if r.tbs, err = tbs(); err != nil {
+			t.Fatal(err)
+		}
+		prof, err := sd()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.prof = *prof
+		return r
+	}
+}
+
+// refCache replays recs through a bare cache.Cache one record at a time:
+// UnifiedSim's routing written out independently of it.
+func refCache(t *testing.T, recs []trace.Record, cfg cache.Config, opts cache.RunOptions) cache.Result {
+	t.Helper()
+	c, err := cache.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		pid := r.PID
+		if r.Phys || r.Addr>>30 == 2 {
+			pid = 0 // system and physical space are shared
+		}
+		switch r.Kind {
+		case trace.KindCtxSwitch:
+			if cfg.FlushOnSwitch {
+				c.Flush()
+			}
+		case trace.KindIFetch:
+			c.Access(r.Addr, false, pid)
+		case trace.KindDRead, trace.KindDWrite:
+			if !r.Phys || !opts.SkipPhys {
+				c.Access(r.Addr, r.Kind == trace.KindDWrite, pid)
+			}
+		case trace.KindPTERead, trace.KindPTEWrite:
+			if opts.IncludePTE {
+				c.Access(r.Addr, r.Kind == trace.KindPTEWrite, pid)
+			}
+		}
+	}
+	return cache.Result{Config: cfg, Stats: c.Stats}
+}
+
+// refTB replays recs through a bare tlbsim.TB one record at a time.
+func refTB(t *testing.T, recs []trace.Record, cfg tlbsim.Config) tlbsim.Stats {
+	t.Helper()
+	tb, err := tlbsim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		switch r.Kind {
+		case trace.KindCtxSwitch:
+			if cfg.FlushOnSwitch {
+				tb.FlushProcess()
+			}
+		case trace.KindIFetch, trace.KindDRead, trace.KindDWrite:
+			if !r.Phys && (cfg.IncludeSystem || r.User) {
+				tb.Access(r.Addr, r.PID)
+			}
+		case trace.KindPTERead, trace.KindPTEWrite:
+			if cfg.WalkRefs && !r.Phys {
+				tb.Touch(r.Addr, r.PID)
+			}
+		}
+	}
+	return tb.Stats
+}
+
+// TestStreamDeterminism is the headline guarantee: the engine's two loop
+// orders — FeedSource replaying a materialised source per simulator, and
+// a capture pushed segment by segment and fanned out per chunk — produce
+// results identical to a per-record reference loop, for every simulator
+// kind, across segment counts, both codecs, worker counts, and with and
+// without the user-only filter. The caches and TBs are checked against
+// bare cache.Cache / tlbsim.TB loops written above, the hierarchy
+// against its Sim fed the whole trace at once, and the Mattson stream
+// against Analyze. Run under -race this also stress-tests both fan-outs.
 func TestStreamDeterminism(t *testing.T) {
 	recs := stressTrace(60_000)
-	arena := trace.NewArena(recs)
+	var chunks [][]trace.Record
+	for off := 0; off < len(recs); off += 7_000 {
+		chunks = append(chunks, recs[off:min(off+7_000, len(recs))])
+	}
+	arena := trace.NewArenaFromChunks(chunks)
 	opts := cache.RunOptions{IncludePTE: true}
 	cfgs, hcfg, tcfgs := streamConfigs()
 	sdOpts := stackdist.Options{BlockBytes: 16, PIDTag: true, IncludePTE: true}
 
-	batchCache, err := Caches(arena, cfgs, opts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchHier, err := Hierarchies(arena, []cache.HierarchyConfig{hcfg}, opts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchTB, err := TBs(arena, tcfgs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchSD := stackdist.FromSource(arena, sdOpts)
+	for _, userOnly := range []bool{false, true} {
+		src, in := arena, recs
+		if userOnly {
+			src, in = arena.FilterUser(), trace.FilterUser(recs)
+		}
+		var want streamResults
+		for _, cfg := range cfgs {
+			want.caches = append(want.caches, refCache(t, in, cfg, opts))
+		}
+		hsim, err := cache.NewHierarchySim(hcfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := hsim.Feed(in); err != nil {
+			t.Fatal(err)
+		}
+		if want.hier, err = hsim.Result(); err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range tcfgs {
+			want.tbs = append(want.tbs, refTB(t, in, cfg))
+		}
+		want.prof = *stackdist.FromSource(trace.Records(in), sdOpts)
 
-	for _, nseg := range []int{1, 3, 8} {
-		for _, codec := range []uint16{trace.CodecRaw, trace.CodecDelta} {
-			for _, workers := range []int{1, 8} {
+		for _, workers := range []int{1, 4} {
+			run := func(mode string, feed func(*Pipeline)) {
+				t.Helper()
 				p := NewPipeline(workers)
-				var cacheCollect []func() (cache.Result, error)
-				for _, cfg := range cfgs {
-					sim, err := cache.NewUnifiedSim(cfg, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cacheCollect = append(cacheCollect, AddSim[cache.Result](p, cfg.Name(), sim))
-				}
-				hsim, err := cache.NewHierarchySim(hcfg, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				hierCollect := AddSim[cache.HierarchyResult](p, hcfg.Name(), hsim)
-				var tbCollect []func() (tlbsim.Stats, error)
-				for _, cfg := range tcfgs {
-					sim, err := tlbsim.NewSim(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					tbCollect = append(tbCollect, AddSim[tlbsim.Stats](p, cfg.Name(), sim))
-				}
-				sdCollect := AddSim[*stackdist.Profile](p, "mattson", stackdist.NewStream(sdOpts))
-
-				streamSegments(t, p, recs, nseg, codec)
-
+				collect := addStreamSims(t, p, opts, sdOpts)
+				feed(p)
 				if err := p.Err(); err != nil {
-					t.Fatalf("nseg=%d codec=%d workers=%d: pipeline error: %v", nseg, codec, workers, err)
+					t.Fatalf("user-only=%v workers=%d %s: pipeline error: %v", userOnly, workers, mode, err)
 				}
-				if got := p.RecordsFed(); got != uint64(len(recs)) {
-					t.Fatalf("nseg=%d codec=%d workers=%d: fed %d records, want %d", nseg, codec, workers, got, len(recs))
+				if got := p.RecordsFed(); got != uint64(len(in)) {
+					t.Errorf("user-only=%v workers=%d %s: fed %d records, want %d", userOnly, workers, mode, got, len(in))
 				}
-				for i, c := range cacheCollect {
-					r, err := c()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(r, batchCache[i]) {
-						t.Errorf("nseg=%d codec=%d workers=%d: cache %s: streamed %+v != batch %+v",
-							nseg, codec, workers, cfgs[i].Name(), r, batchCache[i])
-					}
+				if got := collect(); !reflect.DeepEqual(got, want) {
+					t.Errorf("user-only=%v workers=%d %s: results differ from the per-record reference:\n got %+v\nwant %+v",
+						userOnly, workers, mode, got, want)
 				}
-				hr, err := hierCollect()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(hr, batchHier[0]) {
-					t.Errorf("nseg=%d codec=%d workers=%d: hierarchy: streamed %+v != batch %+v",
-						nseg, codec, workers, hr, batchHier[0])
-				}
-				for i, c := range tbCollect {
-					st, err := c()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(st, batchTB[i]) {
-						t.Errorf("nseg=%d codec=%d workers=%d: TB %s: streamed %+v != batch %+v",
-							nseg, codec, workers, tcfgs[i].Name(), st, batchTB[i])
-					}
-				}
-				prof, err := sdCollect()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(*prof, *batchSD) {
-					t.Errorf("nseg=%d codec=%d workers=%d: stack-distance profile differs from batch",
-						nseg, codec, workers)
+			}
+			run("per-simulator replay", func(p *Pipeline) { p.FeedSource(src) })
+			if userOnly {
+				// A filter turns FeedSource into a per-chunk push.
+				run("filtered replay", func(p *Pipeline) {
+					p.SetFilter(trace.UserRecord)
+					p.FeedSource(arena)
+				})
+			}
+			for _, nseg := range []int{1, 3, 8} {
+				for _, codec := range []uint16{trace.CodecRaw, trace.CodecDelta} {
+					run(fmt.Sprintf("segments nseg=%d codec=%d", nseg, codec), func(p *Pipeline) {
+						if userOnly {
+							p.SetFilter(trace.UserRecord)
+						}
+						streamSegments(t, p, recs, nseg, codec)
+					})
 				}
 			}
 		}
@@ -209,64 +302,15 @@ func TestStreamBoundedMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := cache.RunUnified(recs, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r, want) {
-		t.Errorf("streamed result %+v != batch %+v", r, want)
-	}
-}
-
-// TestStreamHelpersMatchBatch pins the push-mode sweep helpers (what
-// cachesim -stream and atum-experiments -stream run) against the batch
-// engine over the same source.
-func TestStreamHelpersMatchBatch(t *testing.T) {
-	arena := trace.NewArena(stressTrace(40_000))
-	opts := cache.RunOptions{IncludePTE: true}
-	cfgs, hcfg, tcfgs := streamConfigs()
-
-	batch, err := Caches(arena, cfgs, opts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := StreamCaches(arena, cfgs, opts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(streamed, batch) {
-		t.Error("StreamCaches differs from Caches")
-	}
-
-	hbatch, err := Hierarchies(arena, []cache.HierarchyConfig{hcfg}, opts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hstreamed, err := StreamHierarchies(arena, []cache.HierarchyConfig{hcfg}, opts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(hstreamed, hbatch) {
-		t.Error("StreamHierarchies differs from Hierarchies")
-	}
-
-	tbatch, err := TBs(arena, tcfgs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tstreamed, err := StreamTBs(arena, tcfgs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tstreamed, tbatch) {
-		t.Error("StreamTBs differs from TBs")
+	if want := refCache(t, recs, cfg, opts); !reflect.DeepEqual(r, want) {
+		t.Errorf("streamed result %+v != per-record reference %+v", r, want)
 	}
 }
 
 // TestStreamStickyError checks failure semantics: a truncated segment
 // feeds its decoded prefix, fails the pipeline with a record-indexed
 // unexpected-EOF, drops everything after, and every collector reports
-// the same error.
+// the same error; a simulator failing under FeedSource does the same.
 func TestStreamStickyError(t *testing.T) {
 	recs := stressTrace(1_000)
 	var segs []trace.StreamSegment
@@ -314,6 +358,21 @@ func TestStreamStickyError(t *testing.T) {
 	}
 	if _, cerr := collect(); !errors.Is(cerr, io.ErrUnexpectedEOF) {
 		t.Errorf("collector returned %v, want the sticky error", cerr)
+	}
+
+	// FeedSource's per-simulator replay fails the same way: a failing
+	// simulator's error is sticky and every collector reports it.
+	boom := errors.New("sim exploded")
+	for _, workers := range []int{1, 4} {
+		p := NewPipeline(workers)
+		healthy := AddSim[uint64](p, "healthy", &countSim{})
+		AddSim[uint64](p, "boom", &countSim{fail: boom})
+		if err := p.FeedSource(trace.Records(recs)); !errors.Is(err, boom) {
+			t.Errorf("workers=%d: FeedSource returned %v, want %v", workers, err, boom)
+		}
+		if _, err := healthy(); !errors.Is(err, boom) {
+			t.Errorf("workers=%d: healthy collector returned %v, want the sticky error", workers, err)
+		}
 	}
 }
 

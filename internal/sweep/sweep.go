@@ -1,30 +1,35 @@
-// Package sweep is the parallel sweep engine for trace-driven
-// simulation: it fans a set of independent simulator configurations out
-// over a bounded worker pool, all replaying one shared read-only record
-// source (trace.Arena), and aggregates results in configuration order.
+// Package sweep is the one analysis engine for trace-driven simulation:
+// a Pipeline drives a set of incremental simulators (cache.UnifiedSim,
+// cache.HierarchySim, tlbsim.Sim, stackdist.Stream, or any Sim) over a
+// bounded worker pool, and aggregates results in registration order.
 //
 // This is the one-pass-many-configs methodology of the era's trace
 // processing (Mattson-style size sweeps, the paper's F1-F5 figures)
-// mapped onto cores: the trace is decoded once, each worker owns its
-// simulator state, and because aggregation is ordered by index the
-// output is byte-identical to the serial path — workers == 1 *is* the
-// serial reference path, not a separate implementation.
+// mapped onto cores: the trace is decoded once, each simulator owns its
+// state, and because every simulator sees every record in trace order
+// the output is byte-identical for any worker count — workers == 1 *is*
+// the serial reference path, not a separate implementation.
+//
+// Input arrives in one of two modes. A materialised source (FeedSource)
+// is replayed per simulator: each simulator walks the whole source on
+// its own worker, so the source is read once per simulator while that
+// simulator's state stays in cache. Pushed input (Feed, HandleSegment,
+// FeedStream) is fanned out per chunk: every simulator consumes a chunk
+// before the next one is accepted, which bounds memory by one chunk
+// however long the stream runs. Both modes produce identical results.
 package sweep
 
 import (
-	"time"
-
 	"atum/internal/cache"
 	"atum/internal/obs"
-	"atum/internal/par"
 	"atum/internal/tlbsim"
 	"atum/internal/trace"
 )
 
-// Sweep telemetry in the process-wide registry: how many configurations
-// have replayed, how long each took, how long each waited in the queue
-// behind earlier configurations, and the most recent per-config replay
-// rate. Observations happen once per configuration — far off the
+// Replay telemetry in the process-wide registry: how many simulators
+// have replayed a whole source, how long each took, how long each waited
+// in the queue behind earlier ones, and the most recent per-simulator
+// replay rate. Observations happen once per simulator — far off the
 // per-record replay path.
 var (
 	mConfigs    = obs.Default().Counter("atum_sweep_configs_total")
@@ -33,79 +38,64 @@ var (
 	mReplayRate = obs.Default().Gauge("atum_sweep_replay_rate_recs_per_sec")
 )
 
-// Resolve maps a workers argument to an actual pool size: values <= 0
-// mean "all available cores" (GOMAXPROCS).
-func Resolve(workers int) int { return par.Resolve(workers) }
-
-// Map runs fn(0..n-1) over a pool of at most workers goroutines and
-// returns the results in index order. Every job runs to completion (no
-// mid-sweep cancellation), and the error returned is the lowest-index
-// one — so both results and errors are independent of scheduling, and
-// any workers value produces output identical to workers == 1.
-//
-// The pool itself lives in internal/par, where the trace decoder's
-// segment fan-out shares it; this wrapper keeps the sweep API stable.
-func Map[T any](workers, n int, fn func(int) (T, error)) ([]T, error) {
-	return par.Map(workers, n, fn)
-}
-
-// Config is the naming contract every simulator configuration shares:
-// experiment reports, CLI tables and sweep diagnostics all name a
-// configuration through this one method, whichever simulator it drives.
-// cache.Config, cache.HierarchyConfig and tlbsim.Config implement it.
-type Config interface {
-	Name() string
-}
-
-// Compile-time checks that every simulator configuration satisfies the
-// naming contract.
-var (
-	_ Config = cache.Config{}
-	_ Config = cache.HierarchyConfig{}
-	_ Config = tlbsim.Config{}
-)
-
-// Run replays src through every configuration concurrently and returns
-// the results in configuration order: the one generic entry point the
-// per-simulator helpers below are built on. run is typically a closure
-// over simulator options (e.g. cache.RunOptions).
-func Run[C Config, R any](src trace.Source, cfgs []C, workers int, run func(trace.Source, C) (R, error)) ([]R, error) {
-	records := uint64(src.NumRecords())
-	submitted := time.Now()
-	return Map(workers, len(cfgs), func(i int) (R, error) {
-		// Queue wait: how long this configuration sat behind earlier
-		// ones before a worker picked it up.
-		mQueueSecs.Observe(time.Since(submitted).Seconds())
-		start := time.Now()
-		r, err := run(src, cfgs[i])
-		secs := time.Since(start).Seconds()
-		mRunSecs.Observe(secs)
-		mConfigs.Inc()
-		if secs > 0 && records > 0 {
-			mReplayRate.Set(float64(records) / secs)
-		}
-		return r, err
-	})
-}
-
-// Caches replays src through every cache configuration concurrently and
-// returns the results in configuration order.
+// Caches replays src through every cache configuration and returns the
+// results in configuration order.
 func Caches(src trace.Source, cfgs []cache.Config, opts cache.RunOptions, workers int) ([]cache.Result, error) {
-	return Run(src, cfgs, workers, func(src trace.Source, cfg cache.Config) (cache.Result, error) {
-		return cache.RunUnifiedSource(src, cfg, opts)
+	return run(src, cfgs, workers, func(cfg cache.Config) (Sim[cache.Result], error) {
+		return cache.NewUnifiedSim(cfg, opts)
 	})
 }
 
 // Hierarchies replays src through every two-level hierarchy
-// configuration concurrently, in order.
+// configuration, in order.
 func Hierarchies(src trace.Source, cfgs []cache.HierarchyConfig, opts cache.RunOptions, workers int) ([]cache.HierarchyResult, error) {
-	return Run(src, cfgs, workers, func(src trace.Source, cfg cache.HierarchyConfig) (cache.HierarchyResult, error) {
-		return cache.RunHierarchySource(src, cfg, opts)
+	return run(src, cfgs, workers, func(cfg cache.HierarchyConfig) (Sim[cache.HierarchyResult], error) {
+		return cache.NewHierarchySim(cfg, opts)
 	})
 }
 
-// TBs replays src through every translation-buffer configuration
-// concurrently, in order.
+// TBs replays src through every translation-buffer configuration, in
+// order.
 func TBs(src trace.Source, cfgs []tlbsim.Config, workers int) ([]tlbsim.Stats, error) {
-	return Run(src, cfgs, workers, tlbsim.RunSource)
+	return run(src, cfgs, workers, func(cfg tlbsim.Config) (Sim[tlbsim.Stats], error) {
+		return tlbsim.NewSim(cfg)
+	})
+}
+
+// run registers one simulator per configuration on a fresh pipeline,
+// feeds it src and collects the results in configuration order.
+func run[C interface{ Name() string }, R any](src trace.Source, cfgs []C, workers int, newSim func(C) (Sim[R], error)) ([]R, error) {
+	p := NewPipeline(workers)
+	collect, err := AddSims(p, cfgs, newSim)
+	if err != nil {
+		return nil, err
+	}
+	p.FeedSource(src)
+	return collect()
+}
+
+// AddSims registers one simulator per configuration, each under the
+// configuration's Name, and returns one collector for all their results
+// in configuration order. Like AddSim's collectors it reports the
+// pipeline's sticky error instead, if there is one.
+func AddSims[C interface{ Name() string }, R any](p *Pipeline, cfgs []C, newSim func(C) (Sim[R], error)) (func() ([]R, error), error) {
+	collect := make([]func() (R, error), len(cfgs))
+	for i, cfg := range cfgs {
+		sim, err := newSim(cfg)
+		if err != nil {
+			return nil, err
+		}
+		collect[i] = AddSim(p, cfg.Name(), sim)
+	}
+	return func() ([]R, error) {
+		out := make([]R, len(collect))
+		for i, c := range collect {
+			r, err := c()
+			if err != nil {
+				return nil, err
+			}
+			out[i] = r
+		}
+		return out, nil
+	}, nil
 }

@@ -1,10 +1,9 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"atum/internal/cache"
@@ -12,85 +11,11 @@ import (
 	"atum/internal/trace"
 )
 
-func TestResolve(t *testing.T) {
-	if got := Resolve(0); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("Resolve(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := Resolve(-3); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("Resolve(-3) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := Resolve(7); got != 7 {
-		t.Errorf("Resolve(7) = %d", got)
-	}
-}
-
-func TestMapEmpty(t *testing.T) {
-	out, err := Map(4, 0, func(i int) (int, error) { return 0, nil })
-	if err != nil || len(out) != 0 {
-		t.Errorf("Map over zero jobs: %v, %v", out, err)
-	}
-}
-
-// TestMapOrdering: results land at their job's index for every worker
-// count, including pools larger than the job count.
-func TestMapOrdering(t *testing.T) {
-	const n = 100
-	want := make([]int, n)
-	for i := range want {
-		want[i] = i * i
-	}
-	for _, workers := range []int{0, 1, 2, 3, 8, n + 5} {
-		out, err := Map(workers, n, func(i int) (int, error) { return i * i, nil })
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(out, want) {
-			t.Errorf("workers=%d: results out of order", workers)
-		}
-	}
-}
-
-// TestMapLowestError: whichever worker fails first by wall clock, the
-// reported error is the lowest-index one — scheduling-independent, like
-// the serial path's fail-first behaviour.
-func TestMapLowestError(t *testing.T) {
-	for _, workers := range []int{1, 4, 16} {
-		_, err := Map(workers, 50, func(i int) (int, error) {
-			if i%2 == 1 {
-				return 0, fmt.Errorf("job %d failed", i)
-			}
-			return i, nil
-		})
-		if err == nil || err.Error() != "job 1 failed" {
-			t.Errorf("workers=%d: error = %v, want job 1's", workers, err)
-		}
-	}
-}
-
-// TestMapRunsEverything: parallel Map has no mid-sweep cancellation — an
-// early error must not stop later jobs (determinism of side effects).
-func TestMapRunsEverything(t *testing.T) {
-	var ran atomic.Int64
-	_, err := Map(4, 20, func(i int) (int, error) {
-		ran.Add(1)
-		if i == 0 {
-			return 0, fmt.Errorf("first job failed")
-		}
-		return i, nil
-	})
-	if err == nil {
-		t.Fatal("expected error")
-	}
-	if got := ran.Load(); got != 20 {
-		t.Errorf("ran %d of 20 jobs after an early error", got)
-	}
-}
-
 func TestConfigNaming(t *testing.T) {
-	// Every simulator configuration names itself through the one
-	// sweep.Config contract: label when set, geometry otherwise.
+	// Every simulator configuration names itself the same way — label
+	// when set, geometry otherwise — and registers under that name.
 	cases := []struct {
-		cfg  Config
+		cfg  interface{ Name() string }
 		want string
 	}{
 		{cache.Config{SizeBytes: 8 << 10, BlockBytes: 16, Assoc: 2}, "8KB/16B/2-way"},
@@ -110,24 +35,44 @@ func TestConfigNaming(t *testing.T) {
 }
 
 func TestRunGeneric(t *testing.T) {
-	// Run is the generic engine the per-simulator helpers wrap: results
-	// come back in configuration order for any worker count.
-	src := trace.Records(nil)
+	// run is the generic loop the per-simulator helpers wrap: any
+	// configuration type with a Name, any Sim, results in configuration
+	// order for any worker count, every simulator fed every record once.
+	src := trace.Records(stressTrace(5_000))
 	cfgs := []cache.Config{
 		{SizeBytes: 1 << 10, BlockBytes: 16, Assoc: 1},
 		{SizeBytes: 2 << 10, BlockBytes: 16, Assoc: 1},
 		{SizeBytes: 4 << 10, BlockBytes: 16, Assoc: 1},
 	}
+	newSim := func(cfg cache.Config) (Sim[string], error) { return &nameSim{name: cfg.Name()}, nil }
 	for _, workers := range []int{1, 2, 8} {
-		names, err := Run(src, cfgs, workers, func(_ trace.Source, cfg cache.Config) (string, error) {
-			return cfg.Name(), nil
-		})
+		names, err := run(src, cfgs, workers, newSim)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := []string{"1KB/16B/1-way", "2KB/16B/1-way", "4KB/16B/1-way"}
+		want := []string{"1KB/16B/1-way:5000", "2KB/16B/1-way:5000", "4KB/16B/1-way:5000"}
 		if !reflect.DeepEqual(names, want) {
 			t.Errorf("workers=%d: %v", workers, names)
 		}
 	}
+	// A configuration that cannot build its simulator fails the run.
+	boom := errors.New("no such cache")
+	_, err := run(src, cfgs, 1, func(cfg cache.Config) (Sim[string], error) {
+		if cfg.SizeBytes == 2<<10 {
+			return nil, boom
+		}
+		return newSim(cfg)
+	})
+	if !errors.Is(err, boom) {
+		t.Errorf("run returned %v, want %v", err, boom)
+	}
 }
+
+// nameSim reports its configuration's name and how many records it saw.
+type nameSim struct {
+	name string
+	n    int
+}
+
+func (s *nameSim) Feed(chunk []trace.Record) error { s.n += len(chunk); return nil }
+func (s *nameSim) Result() (string, error)         { return fmt.Sprintf("%s:%d", s.name, s.n), nil }

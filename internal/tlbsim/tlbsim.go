@@ -47,8 +47,8 @@ func (c Config) String() string {
 }
 
 // Name returns the configuration's reporting name — the label when one
-// is set, the geometry otherwise. It implements sweep.Config, the
-// naming contract all simulator configurations share.
+// is set, the geometry otherwise, as every simulator configuration
+// names itself.
 func (c Config) Name() string {
 	if c.Label != "" {
 		return c.Label
@@ -192,30 +192,10 @@ func (t *TB) FlushProcess() {
 	}
 }
 
-// Run replays a trace through the TB. PTE references are skipped (they
-// are the *product* of TB misses, not translated themselves in the same
-// way), as are physical references.
-func Run(recs []trace.Record, cfg Config) (Stats, error) {
-	return RunSource(trace.Records(recs), cfg)
-}
-
-// RunSource is Run over any record source (e.g. a shared trace.Arena
-// replayed by many configurations concurrently). The per-record routing
-// lives in Sim.Feed, shared with the streaming pipeline.
-func RunSource(src trace.Source, cfg Config) (Stats, error) {
-	s, err := NewSim(cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	if err := src.EachChunk(s.Feed); err != nil {
-		return Stats{}, err
-	}
-	return s.Result()
-}
-
-// Sim is an incrementally-fed TB simulation: the streaming counterpart
-// of RunSource, consumed by the capture→decode→sweep pipeline
-// (internal/sweep).
+// Sim is an incrementally-fed TB simulation, driven by the sweep
+// pipeline (internal/sweep) or fed directly. PTE references are not
+// translated (they are the *product* of TB misses) unless WalkRefs
+// feeds them as untallied lookups; physical references never are.
 type Sim struct {
 	t   *TB
 	cfg Config
@@ -261,18 +241,3 @@ func (s *Sim) Feed(chunk []trace.Record) error {
 
 // Result reports the simulation so far.
 func (s *Sim) Result() (Stats, error) { return s.t.Stats, nil }
-
-// SweepSizes evaluates a series of TB capacities.
-func SweepSizes(recs []trace.Record, base Config, sizes []uint32) ([]Stats, error) {
-	out := make([]Stats, 0, len(sizes))
-	for _, n := range sizes {
-		cfg := base
-		cfg.Entries = n
-		st, err := Run(recs, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, st)
-	}
-	return out, nil
-}

@@ -11,6 +11,18 @@ func base() Config {
 	return Config{Entries: 64, Assoc: 2, PIDTags: true, IncludeSystem: true}
 }
 
+// simulate feeds recs through one Sim and reports its statistics.
+func simulate(recs []trace.Record, cfg Config) (Stats, error) {
+	s, err := NewSim(cfg)
+	if err != nil {
+		return Stats{}, err
+	}
+	if err := s.Feed(recs); err != nil {
+		return Stats{}, err
+	}
+	return s.Result()
+}
+
 func TestValidate(t *testing.T) {
 	bad := []Config{
 		{},
@@ -101,7 +113,7 @@ func TestRunTrace(t *testing.T) {
 		{Kind: trace.KindIFetch, Addr: 0x200, Width: 4, User: true, PID: 2},
 	}
 	cfg := base()
-	st, err := Run(recs, cfg)
+	st, err := simulate(recs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +127,7 @@ func TestRunTrace(t *testing.T) {
 
 	// User-only view drops the kernel reference.
 	cfg.IncludeSystem = false
-	st2, _ := Run(recs, cfg)
+	st2, _ := simulate(recs, cfg)
 	if st2.Accesses != 3 {
 		t.Errorf("user-only accesses = %d, want 3", st2.Accesses)
 	}
@@ -124,7 +136,7 @@ func TestRunTrace(t *testing.T) {
 	cfg2 := base()
 	cfg2.PIDTags = false
 	cfg2.FlushOnSwitch = true
-	st3, _ := Run(recs, cfg2)
+	st3, _ := simulate(recs, cfg2)
 	if st3.Flushes != 1 {
 		t.Errorf("flushes = %d", st3.Flushes)
 	}
@@ -152,7 +164,7 @@ func TestWalkRefsFedThroughRun(t *testing.T) {
 	}
 	cfg := base()
 	cfg.WalkRefs = true
-	st, err := Run(recs, cfg)
+	st, err := simulate(recs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +192,7 @@ func TestSweepSizesMonotone(t *testing.T) {
 		cfg := base
 		cfg.Entries = n
 		cfg.Assoc = n
-		st, err := Run(recs, cfg)
+		st, err := simulate(recs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,8 +201,5 @@ func TestSweepSizesMonotone(t *testing.T) {
 			t.Errorf("TB miss rate rose with size %d: %.4f > %.4f", n, mr, prev)
 		}
 		prev = mr
-	}
-	if _, err := SweepSizes(recs, base, []uint32{16, 64}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -115,12 +115,9 @@ func (a *Arena) Filter(keep func(Record) bool) *Arena {
 	return out
 }
 
-// FilterUser returns the user-mode subset (see FilterUser on slices).
-func (a *Arena) FilterUser() *Arena {
-	return a.Filter(func(r Record) bool {
-		return r.User && r.Kind != KindPTERead && r.Kind != KindPTEWrite
-	})
-}
+// FilterUser returns the user-mode subset (the records UserRecord
+// keeps).
+func (a *Arena) FilterUser() *Arena { return a.Filter(UserRecord) }
 
 // Flatten returns the records as one contiguous slice. A single-chunk
 // arena returns its chunk directly; otherwise the flattening is done

@@ -149,13 +149,19 @@ func ParseBuffer(buf []byte) ([]Record, error) {
 	return out, nil
 }
 
-// FilterUser returns only user-mode references — what a user-level
-// tracing tool would have seen. Marker records from user context are
-// retained; kernel references, PTE references and kernel markers drop.
+// UserRecord reports whether r belongs to the user-only view of a trace
+// — what a user-level tracing tool would have seen. Marker records from
+// user context are kept; kernel references, PTE references and kernel
+// markers are not. Every user-only filter applies this one predicate.
+func UserRecord(r Record) bool {
+	return r.User && r.Kind != KindPTERead && r.Kind != KindPTEWrite
+}
+
+// FilterUser returns only the records UserRecord keeps.
 func FilterUser(recs []Record) []Record {
 	out := make([]Record, 0, len(recs))
 	for _, r := range recs {
-		if r.User && r.Kind != KindPTERead && r.Kind != KindPTEWrite {
+		if UserRecord(r) {
 			out = append(out, r)
 		}
 	}

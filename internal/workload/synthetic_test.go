@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"atum/internal/cache"
+	"atum/internal/sweep"
 	"atum/internal/trace"
 )
 
@@ -14,15 +15,20 @@ func synthBase() SynthConfig {
 
 func runCache(t *testing.T, recs []trace.Record, size uint32) cache.Stats {
 	t.Helper()
-	cfg := cache.Config{
+	return simulate(t, recs, cache.Config{
 		Label: "synth", SizeBytes: size, BlockBytes: 16, Assoc: 2,
 		Replacement: cache.LRU, WriteAllocate: true, PIDTags: true,
-	}
-	res, err := cache.RunUnified(recs, cfg, cache.RunOptions{})
+	})
+}
+
+// simulate replays recs through one cache configuration.
+func simulate(t *testing.T, recs []trace.Record, cfg cache.Config) cache.Stats {
+	t.Helper()
+	res, err := sweep.Caches(trace.Records(recs), []cache.Config{cfg}, cache.RunOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Stats
+	return res[0].Stats
 }
 
 func TestSequentialSpatialLocality(t *testing.T) {
@@ -36,11 +42,7 @@ func TestSequentialSpatialLocality(t *testing.T) {
 	// Larger blocks cut it proportionally.
 	cfg := cache.Config{Label: "b64", SizeBytes: 4 << 10, BlockBytes: 64, Assoc: 2,
 		Replacement: cache.LRU, WriteAllocate: true}
-	res, err := cache.RunUnified(recs, cfg, cache.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := res.Stats.MissRate(); r < 0.04 || r > 0.09 {
+	if r := simulate(t, recs, cfg).MissRate(); r < 0.04 || r > 0.09 {
 		t.Errorf("64B-block sequential miss rate %.3f, want ~0.0625", r)
 	}
 }
