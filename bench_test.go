@@ -21,7 +21,6 @@ import (
 	"atum/internal/cache"
 	"atum/internal/kernel"
 	"atum/internal/micro"
-	"atum/internal/par"
 	"atum/internal/sweep"
 	"atum/internal/tlbsim"
 	"atum/internal/trace"
@@ -323,17 +322,17 @@ func BenchmarkA2Codec(b *testing.B) {
 	b.ReportMetric(float64(deltaN)/float64(len(recs)), "delta-bytes/record")
 }
 
-// ---- sweep engine: serial vs parallel throughput ----
+// ---- sweep engine: the stack-simulated grid vs per-config replays ----
 
-// sweepJSON, when set, makes BenchmarkSweepEngine record its serial and
-// parallel throughput numbers (BENCH_sweep.json):
+// sweepJSON, when set, makes BenchmarkSweepEngine record its grid and
+// per-config timings (BENCH_sweep.json):
 //
-//	go test -bench=SweepEngine -benchtime=1x -sweep-json=BENCH_sweep.json
+//	go test -bench=SweepEngine -benchtime=1x -run '^$' -sweep-json=BENCH_sweep.json
 var sweepJSON = flag.String("sweep-json", "", "write sweep benchmark results to this JSON file")
 
-// sweepBenchConfigs is the config grid the sweep benchmark fans out:
-// six sizes by four associativities, the cross product the paper's size
-// and associativity figures sample.
+// sweepBenchConfigs is the config grid the sweep benchmark runs: six
+// sizes by four associativities, the cross product the paper's size and
+// associativity figures sample.
 func sweepBenchConfigs() []cache.Config {
 	var cfgs []cache.Config
 	base := benchCacheCfg()
@@ -343,67 +342,76 @@ func sweepBenchConfigs() []cache.Config {
 	return cfgs
 }
 
-// BenchmarkSweepEngine measures the parallel sweep engine against its
-// serial reference path (workers == 1) over one shared arena, and
-// verifies the two produce identical results while timing them.
+// BenchmarkSweepEngine times the cache grid through sweep.Caches, which
+// stack-simulates all 24 configs in one cache.GridSim, against replaying
+// the shared arena through one cache.UnifiedSim per config, both on one
+// worker, and fails if any Stats field differs.
 func BenchmarkSweepEngine(b *testing.B) {
 	src := trace.NewArena(benchTrace(b))
 	cfgs := sweepBenchConfigs()
 	opts := cache.RunOptions{IncludePTE: true}
-	nrec := float64(src.NumRecords())
 	b.ResetTimer()
-	var serialSec, parallelSec float64
+	var gridSec, perConfigSec float64
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		serial, err := sweep.Caches(src, cfgs, opts, 1)
+		grid, err := sweep.Caches(src, cfgs, opts, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		t1 := time.Now()
-		parallel, err := sweep.Caches(src, cfgs, opts, 0)
+		p := sweep.NewPipeline(1)
+		collect, err := sweep.AddSims(p, cfgs, func(cfg cache.Config) (sweep.Sim[cache.Result], error) {
+			return cache.NewUnifiedSim(cfg, opts)
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.FeedSource(src)
+		perConfig, err := collect()
 		if err != nil {
 			b.Fatal(err)
 		}
 		t2 := time.Now()
-		for j := range serial {
-			if serial[j] != parallel[j] {
-				b.Fatalf("config %s: serial and parallel results differ", cfgs[j].Name())
+		for j := range grid {
+			if grid[j] != perConfig[j] {
+				b.Fatalf("config %s: grid %+v, per-config replay %+v", cfgs[j].Name(), grid[j].Stats, perConfig[j].Stats)
 			}
 		}
-		serialSec, parallelSec = t1.Sub(t0).Seconds(), t2.Sub(t1).Seconds()
+		gridSec, perConfigSec = t1.Sub(t0).Seconds(), t2.Sub(t1).Seconds()
 	}
-	nc := float64(len(cfgs))
-	b.ReportMetric(nc/serialSec, "serial-configs/s")
-	b.ReportMetric(nc/parallelSec, "parallel-configs/s")
-	b.ReportMetric(serialSec/parallelSec, "speedup-x")
+	b.ReportMetric(gridSec*1e3, "grid-ms")
+	b.ReportMetric(perConfigSec*1e3, "per-config-ms")
+	b.ReportMetric(perConfigSec/gridSec, "speedup-x")
 
 	if *sweepJSON == "" {
 		return
 	}
+	nrec := float64(src.NumRecords())
 	type lane struct {
-		Workers       int     `json:"workers"`
+		Simulators    int     `json:"simulators"`
 		Seconds       float64 `json:"seconds"`
-		ConfigsPerSec float64 `json:"configs_per_sec"`
 		RecordsPerSec float64 `json:"records_per_sec"`
 	}
 	out := struct {
 		GeneratedBy  string  `json:"generated_by"`
 		Cores        int     `json:"cores"`
 		GOMAXPROCS   int     `json:"gomaxprocs"`
+		Workers      int     `json:"workers"`
 		TraceRecords int     `json:"trace_records"`
 		Configs      int     `json:"configs"`
-		Serial       lane    `json:"serial"`
-		Parallel     lane    `json:"parallel"`
+		Grid         lane    `json:"grid"`
+		PerConfig    lane    `json:"per_config"`
 		SpeedupX     float64 `json:"speedup_x"`
 	}{
-		GeneratedBy:  "go test -bench=SweepEngine -benchtime=1x -sweep-json=" + *sweepJSON,
+		GeneratedBy:  "go test -bench=SweepEngine -benchtime=1x -run '^$' -sweep-json=" + *sweepJSON,
 		Cores:        runtime.NumCPU(),
 		GOMAXPROCS:   runtime.GOMAXPROCS(0),
+		Workers:      1,
 		TraceRecords: src.NumRecords(),
 		Configs:      len(cfgs),
-		Serial:       lane{Workers: 1, Seconds: serialSec, ConfigsPerSec: nc / serialSec, RecordsPerSec: nc * nrec / serialSec},
-		Parallel:     lane{Workers: par.Resolve(0), Seconds: parallelSec, ConfigsPerSec: nc / parallelSec, RecordsPerSec: nc * nrec / parallelSec},
-		SpeedupX:     serialSec / parallelSec,
+		Grid:         lane{Simulators: 1, Seconds: gridSec, RecordsPerSec: nrec / gridSec},
+		PerConfig:    lane{Simulators: len(cfgs), Seconds: perConfigSec, RecordsPerSec: nrec / perConfigSec},
+		SpeedupX:     perConfigSec / gridSec,
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

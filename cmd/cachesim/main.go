@@ -126,8 +126,7 @@ func main() {
 		return
 	}
 
-	collect := must(sweep.AddSims(pipe, sweepConfigs(cfg, *sweepArg, *sizesArg),
-		func(cfg cache.Config) (sweep.Sim[cache.Result], error) { return cache.NewUnifiedSim(cfg, opts) }))
+	collect := must(sweep.AddCaches(pipe, sweepConfigs(cfg, *sweepArg, *sizesArg), opts))
 	feed()
 	report(must(collect()))
 }

@@ -78,13 +78,6 @@ func (h *Hierarchy) access(l1 *Cache, addr uint32, write bool, pid uint8) {
 	h.MemoryAccesses += h.L2.Stats.Writebacks - wb2
 }
 
-// Flush invalidates all levels (context switch without PID tags).
-func (h *Hierarchy) Flush() {
-	h.L1I.Flush()
-	h.L1D.Flush()
-	h.L2.Flush()
-}
-
 // HierarchyResult reports a trace-driven hierarchy simulation.
 type HierarchyResult struct {
 	L1I, L1D, L2 Stats

@@ -126,3 +126,41 @@ func TestHierarchyConfigErrors(t *testing.T) {
 		t.Error("invalid L1 accepted")
 	}
 }
+
+// TestHierarchyFlushesOnlyFlushingLevels: a context switch flushes each
+// level whose configuration asks for it and leaves the others alone, so
+// a PID-tagged L2 behind flushing L1s keeps its lines, and PID-tagged
+// L1s in front of a flushing L2 keep theirs.
+func TestHierarchyFlushesOnlyFlushingLevels(t *testing.T) {
+	recs := []trace.Record{
+		{Kind: trace.KindDRead, Addr: 0x1000, Width: 4, User: true, PID: 1},
+		{Kind: trace.KindCtxSwitch, PID: 2, Extra: 2},
+		{Kind: trace.KindCtxSwitch, PID: 1, Extra: 1},
+		{Kind: trace.KindDRead, Addr: 0x1000, Width: 4, User: true, PID: 1},
+	}
+
+	l1Flush := hierCfg()
+	l1Flush.L1.PIDTags, l1Flush.L1.FlushOnSwitch = false, true
+	res, err := simulateHierarchy(recs, l1Flush, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.L1I.Flushes != 2 || res.L1D.Flushes != 2 || res.L1D.Invalidated != 1 {
+		t.Errorf("flushing L1: L1I %+v, L1D %+v; want 2 flushes each, 1 line dropped from L1D", res.L1I, res.L1D)
+	}
+	if res.L2.Flushes != 0 || res.L2.Invalidated != 0 || res.L2.Hits != 1 {
+		t.Errorf("PID-tagged L2 behind a flushing L1: %+v; want no flushes and the re-read to hit", res.L2)
+	}
+
+	l2Flush := hierCfg()
+	l2Flush.L2.PIDTags, l2Flush.L2.FlushOnSwitch = false, true
+	if res, err = simulateHierarchy(recs, l2Flush, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if res.L1I.Flushes != 0 || res.L1D.Flushes != 0 || res.L1D.Hits != 1 {
+		t.Errorf("PID-tagged L1s in front of a flushing L2: L1I %+v, L1D %+v; want no flushes and the re-read to hit", res.L1I, res.L1D)
+	}
+	if res.L2.Flushes != 2 || res.L2.Invalidated != 1 {
+		t.Errorf("flushing L2: %+v; want 2 flushes, 1 line dropped", res.L2)
+	}
+}

@@ -7,9 +7,6 @@ type RunOptions struct {
 	// IncludePTE feeds translation-microcode references to the data
 	// cache (they are real bus references on the 8200).
 	IncludePTE bool
-	// SkipPhys drops physical-address records (PCB context references)
-	// rather than mixing address spaces; default keeps them.
-	SkipPhys bool
 	// SampleSets enables 1-in-K block sampling: only references whose
 	// block address is congruent to SampleOffset mod SampleSets are
 	// simulated (marker records always pass). 0 or 1 simulates

@@ -439,8 +439,8 @@ func T2TraceCharacteristics(Options) (*Report, error) {
 
 // F1OSImpact sweeps cache size and compares the miss rate computed from
 // the full system trace against the user-only subset of the same trace —
-// the paper's headline comparison. Both sweeps fan out over the engine:
-// one shared arena per trace, one worker-owned cache per configuration.
+// the paper's headline comparison. Both sweeps run on the engine: one
+// shared arena per trace, stack-simulated in one pass per cache class.
 func F1OSImpact(opt Options) (*Report, error) {
 	fullSrc, userSrc, err := standardMixArena()
 	if err != nil {

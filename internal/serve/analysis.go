@@ -61,22 +61,26 @@ func (s *Server) runAnalysis(t *tenant, req api.AnalysisRequest) (*api.AnalysisR
 		if len(req.Caches) == 0 {
 			return nil, fmt.Errorf("kind %q needs at least one cache config", req.Kind)
 		}
-		resp.Caches, resp.DroppedRecords, err = sweepSims(src, req, req.Caches, func(cfg cache.Config) (sweep.Sim[cache.Result], error) {
-			return cache.NewUnifiedSim(cfg, req.Run)
+		resp.Caches, resp.DroppedRecords, err = sweepSims(src, req, func(p *sweep.Pipeline) (func() ([]cache.Result, error), error) {
+			return sweep.AddCaches(p, req.Caches, req.Run)
 		})
 	case api.KindHierarchies:
 		if len(req.Hierarchies) == 0 {
 			return nil, fmt.Errorf("kind %q needs at least one hierarchy config", req.Kind)
 		}
-		resp.Hierarchies, resp.DroppedRecords, err = sweepSims(src, req, req.Hierarchies, func(cfg cache.HierarchyConfig) (sweep.Sim[cache.HierarchyResult], error) {
-			return cache.NewHierarchySim(cfg, req.Run)
+		resp.Hierarchies, resp.DroppedRecords, err = sweepSims(src, req, func(p *sweep.Pipeline) (func() ([]cache.HierarchyResult, error), error) {
+			return sweep.AddSims(p, req.Hierarchies, func(cfg cache.HierarchyConfig) (sweep.Sim[cache.HierarchyResult], error) {
+				return cache.NewHierarchySim(cfg, req.Run)
+			})
 		})
 	case api.KindTBs:
 		if len(req.TBs) == 0 {
 			return nil, fmt.Errorf("kind %q needs at least one TB config", req.Kind)
 		}
-		resp.TBs, resp.DroppedRecords, err = sweepSims(src, req, req.TBs, func(cfg tlbsim.Config) (sweep.Sim[tlbsim.Stats], error) {
-			return tlbsim.NewSim(cfg)
+		resp.TBs, resp.DroppedRecords, err = sweepSims(src, req, func(p *sweep.Pipeline) (func() ([]tlbsim.Stats, error), error) {
+			return sweep.AddSims(p, req.TBs, func(cfg tlbsim.Config) (sweep.Sim[tlbsim.Stats], error) {
+				return tlbsim.NewSim(cfg)
+			})
 		})
 	case api.KindStackdist:
 		opts := stackdist.Options{}
@@ -99,18 +103,18 @@ func (s *Server) runAnalysis(t *tenant, req api.AnalysisRequest) (*api.AnalysisR
 	return resp, nil
 }
 
-// sweepSims runs one simulator per configuration through one pipeline
+// sweepSims runs the simulators register adds through one pipeline
 // under the request's backpressure policy: Block replays every record
 // (results identical to a local sweep); Drop sheds counted records when
 // the bounded queue backs up — the same degrade-never-stall stance the
 // capture side takes.
-func sweepSims[C interface{ Name() string }, R any](src trace.Source, req api.AnalysisRequest, cfgs []C, newSim func(C) (sweep.Sim[R], error)) ([]R, uint64, error) {
+func sweepSims[R any](src trace.Source, req api.AnalysisRequest, register func(*sweep.Pipeline) (func() ([]R, error), error)) ([]R, uint64, error) {
 	policy, err := sweep.ParseBackpressure(req.Backpressure)
 	if err != nil {
 		return nil, 0, err
 	}
 	p := sweep.NewPipeline(req.Workers)
-	collect, err := sweep.AddSims(p, cfgs, newSim)
+	collect, err := register(p)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -329,6 +329,24 @@ func TestAnalysisRemoteVsLocal(t *testing.T) {
 		t.Fatal("wire forms differ")
 	}
 
+	// A request still carrying the retired SkipPhys run option is
+	// answered as if the field were absent.
+	cj, _ := json.Marshal(cfgs)
+	body := `{"trace":"syn","kind":"caches","caches":` + string(cj) + `,"run":{"IncludePTE":true,"SkipPhys":true}}`
+	hresp, err := http.Post(ts.URL+"/v1/tenants/alpha/analyses", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old api.AnalysisResponse
+	err = json.NewDecoder(hresp.Body).Decode(&old)
+	hresp.Body.Close()
+	if err != nil || hresp.StatusCode != http.StatusOK {
+		t.Fatalf("request with SkipPhys: HTTP %d, %v", hresp.StatusCode, err)
+	}
+	if !reflect.DeepEqual(old.Caches, local) {
+		t.Fatalf("request with SkipPhys: results differ from local:\n%+v\nvs\n%+v", old.Caches, local)
+	}
+
 	// The drop policy must still produce a response (possibly shedding);
 	// with no contention on a small trace it typically sheds nothing.
 	resp, err = c.Analyze(api.AnalysisRequest{Trace: "syn", Kind: api.KindCaches, Caches: cfgs[:1], Run: run,

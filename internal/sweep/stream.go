@@ -86,6 +86,7 @@ type Sim[R any] interface {
 // Compile-time checks that every simulator adapter satisfies the
 // contract.
 var (
+	_ Sim[[]cache.Result]        = (*cache.GridSim)(nil)
 	_ Sim[cache.Result]          = (*cache.UnifiedSim)(nil)
 	_ Sim[cache.HierarchyResult] = (*cache.HierarchySim)(nil)
 	_ Sim[tlbsim.Stats]          = (*tlbsim.Sim)(nil)

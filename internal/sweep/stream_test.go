@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -80,9 +81,7 @@ type streamResults struct {
 func addStreamSims(t *testing.T, p *Pipeline, opts cache.RunOptions, sdOpts stackdist.Options) func() streamResults {
 	t.Helper()
 	cfgs, hcfg, tcfgs := streamConfigs()
-	caches, err := AddSims(p, cfgs, func(cfg cache.Config) (Sim[cache.Result], error) {
-		return cache.NewUnifiedSim(cfg, opts)
-	})
+	caches, err := AddCaches(p, cfgs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +120,19 @@ func addStreamSims(t *testing.T, p *Pipeline, opts cache.RunOptions, sdOpts stac
 }
 
 // refCache replays recs through a bare cache.Cache one record at a time:
-// UnifiedSim's routing written out independently of it.
+// the simulators' routing, set sampling included, written out
+// independently of them.
 func refCache(t *testing.T, recs []trace.Record, cfg cache.Config, opts cache.RunOptions) cache.Result {
 	t.Helper()
 	c, err := cache.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	shift := bits.TrailingZeros32(cfg.BlockBytes)
 	for _, r := range recs {
+		if opts.SampleSets > 1 && r.Kind.IsMemRef() && (r.Addr>>shift)%opts.SampleSets != opts.SampleOffset {
+			continue
+		}
 		pid := r.PID
 		if r.Phys || r.Addr>>30 == 2 {
 			pid = 0 // system and physical space are shared
@@ -141,9 +145,7 @@ func refCache(t *testing.T, recs []trace.Record, cfg cache.Config, opts cache.Ru
 		case trace.KindIFetch:
 			c.Access(r.Addr, false, pid)
 		case trace.KindDRead, trace.KindDWrite:
-			if !r.Phys || !opts.SkipPhys {
-				c.Access(r.Addr, r.Kind == trace.KindDWrite, pid)
-			}
+			c.Access(r.Addr, r.Kind == trace.KindDWrite, pid)
 		case trace.KindPTERead, trace.KindPTEWrite:
 			if opts.IncludePTE {
 				c.Access(r.Addr, r.Kind == trace.KindPTEWrite, pid)

@@ -1,14 +1,18 @@
 // Package sweep is the one analysis engine for trace-driven simulation:
-// a Pipeline drives a set of incremental simulators (cache.UnifiedSim,
-// cache.HierarchySim, tlbsim.Sim, stackdist.Stream, or any Sim) over a
-// bounded worker pool, and aggregates results in registration order.
+// a Pipeline drives a set of incremental simulators (cache.GridSim,
+// cache.UnifiedSim, cache.HierarchySim, tlbsim.Sim, stackdist.Stream, or
+// any Sim) over a bounded worker pool, and aggregates results in
+// registration order.
 //
 // This is the one-pass-many-configs methodology of the era's trace
-// processing (Mattson-style size sweeps, the paper's F1-F5 figures)
-// mapped onto cores: the trace is decoded once, each simulator owns its
-// state, and because every simulator sees every record in trace order
-// the output is byte-identical for any worker count — workers == 1 *is*
-// the serial reference path, not a separate implementation.
+// processing (Mattson-style size sweeps, the paper's F1-F5 figures): the
+// trace is decoded once, each simulator owns its state, and because
+// every simulator sees every record in trace order the output is
+// byte-identical for any worker count — workers == 1 *is* the serial
+// reference path, not a separate implementation. A cache sweep is not
+// one simulator per configuration: AddCaches stack-simulates each class
+// of LRU, write-allocate configurations in one cache.GridSim, and only
+// the configurations that break inclusion get a cache.UnifiedSim each.
 //
 // Input arrives in one of two modes. A materialised source (FeedSource)
 // is replayed per simulator: each simulator walks the whole source on
@@ -29,8 +33,8 @@ import (
 // Replay telemetry in the process-wide registry: how many simulators
 // have replayed a whole source, how long each took, how long each waited
 // in the queue behind earlier ones, and the most recent per-simulator
-// replay rate. Observations happen once per simulator — far off the
-// per-record replay path.
+// replay rate. Observations happen once per simulator — a cache grid is
+// one — far off the per-record replay path.
 var (
 	mConfigs    = obs.Default().Counter("atum_sweep_configs_total")
 	mRunSecs    = obs.Default().Histogram("atum_sweep_config_run_seconds", obs.DefSecondsBuckets)
@@ -41,9 +45,64 @@ var (
 // Caches replays src through every cache configuration and returns the
 // results in configuration order.
 func Caches(src trace.Source, cfgs []cache.Config, opts cache.RunOptions, workers int) ([]cache.Result, error) {
-	return run(src, cfgs, workers, func(cfg cache.Config) (Sim[cache.Result], error) {
-		return cache.NewUnifiedSim(cfg, opts)
-	})
+	p := NewPipeline(workers)
+	collect, err := AddCaches(p, cfgs, opts)
+	if err != nil {
+		return nil, err
+	}
+	p.FeedSource(src)
+	return collect()
+}
+
+// AddCaches registers the simulators for a list of cache configurations
+// and returns one collector for their results in configuration order:
+// one cache.GridSim per class cache.GridClasses forms, and one
+// cache.UnifiedSim per configuration left over. It is the only way the
+// engine registers caches, so every caller gets the same split.
+func AddCaches(p *Pipeline, cfgs []cache.Config, opts cache.RunOptions) (func() ([]cache.Result, error), error) {
+	classes, rest := cache.GridClasses(cfgs)
+	var fills []func(out []cache.Result) error
+	for _, idx := range classes {
+		class := make([]cache.Config, len(idx))
+		for j, i := range idx {
+			class[j] = cfgs[i]
+		}
+		sim, err := cache.NewGridSim(class, opts)
+		if err != nil {
+			return nil, err
+		}
+		get := AddSim(p, class[0].Name(), sim)
+		fills = append(fills, func(out []cache.Result) error {
+			res, err := get()
+			if err != nil {
+				return err
+			}
+			for j, i := range idx {
+				out[i] = res[j]
+			}
+			return nil
+		})
+	}
+	for _, i := range rest {
+		sim, err := cache.NewUnifiedSim(cfgs[i], opts)
+		if err != nil {
+			return nil, err
+		}
+		get := AddSim(p, cfgs[i].Name(), sim)
+		fills = append(fills, func(out []cache.Result) (err error) {
+			out[i], err = get()
+			return err
+		})
+	}
+	return func() ([]cache.Result, error) {
+		out := make([]cache.Result, len(cfgs))
+		for _, fill := range fills {
+			if err := fill(out); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}, nil
 }
 
 // Hierarchies replays src through every two-level hierarchy
