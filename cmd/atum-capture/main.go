@@ -20,16 +20,20 @@
 // the end as a one-segment stream carrying the collector's drop and
 // dilation totals.
 //
-// -compress stores each spilled segment flate-compressed (container v2
-// per-segment encoding) on top of whatever codec is selected; decode
-// output is identical, only the file shrinks. It requires the spill
-// path (-segment-bytes), whose segments are the unit of compression.
+// Every segment header carries its capturing CPU and a sequence mark;
+// a serial capture is CPU 0 with marks 1, 2, 3, ...
+//
+// -compress stores each spilled segment flate-compressed (the
+// per-segment payload encoding) on top of whatever codec is selected;
+// decode output is identical, only the file shrinks. It requires the
+// spill path (-segment-bytes), whose segments are the unit of
+// compression.
 //
 // -cpus boots an N-processor machine: the reserved region is divided
-// into per-CPU slices, every core's microcode spills its own sequence-
-// stamped stream, and the output file is the sequence-ordered merge
-// (container v3) — replay it whole, or pick one core back out with
-// cachesim -cpu.
+// into per-CPU slices, every core's microcode spills its own stream,
+// all drawing marks from one machine-wide counter, and the output file
+// is the sequence-ordered merge — replay it whole, or pick one core
+// back out with cachesim -cpu.
 //
 //	atum-capture -o smp.trc -cpus 4 -workloads sort,sieve,hash,producer,consumer
 package main
@@ -142,7 +146,6 @@ func main() {
 		}
 		captureSMP(sys, opts, kernel.SpillConfig{
 			SegmentBytes: segBytes, Codec: codecID, Encoding: enc, Meta: cfgMeta,
-			Seq: new(trace.SeqCounter),
 		}, *out, runMix, *verbose)
 		metrics.Finish(os.Stdout)
 		return
@@ -176,7 +179,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if _, err := sw.WriteSegment(recs, cap.Collector.Dropped, cap.Collector.DilationCycles); err != nil {
+	stamp := trace.SegmentInfo{Dropped: cap.Collector.Dropped, DilationCycles: cap.Collector.DilationCycles}
+	if _, err := sw.WriteSegment(recs, stamp); err != nil {
 		fatal(err)
 	}
 	if err := sw.Close(); err != nil {

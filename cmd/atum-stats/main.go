@@ -76,8 +76,9 @@ func main() {
 	}
 	fmt.Printf("segments: %d (%d records dropped at capture, %d dilation cycles)\n",
 		len(rd.Segments()), dropped, cycles)
-	if rd.SeqStamped() {
-		printCPUBreakdown(rd.Segments())
+	perCPU := cpuTally(rd.Segments())
+	for cpu, t := range perCPU {
+		fmt.Printf("  cpu %d: %d segment(s), %d records\n", cpu, t.segments, t.records)
 	}
 	if *metaOnly {
 		// The segment index was built from headers alone; no payload has
@@ -89,12 +90,8 @@ func main() {
 		for _, s := range rd.Segments() {
 			stored += s.PayloadBytes
 			raw += s.RawBytes
-			stamp := ""
-			if rd.SeqStamped() {
-				stamp = fmt.Sprintf(" [cpu %d seq %d]", s.CPU, s.Seq)
-			}
-			fmt.Printf("  segment %d:%s %d records, %d bytes stored (%s, %d uncompressed), %d dropped, %d dilation cycles\n",
-				s.Index, stamp, s.Records, s.PayloadBytes, trace.EncodingName(s.Encoding), s.RawBytes, s.Dropped, s.DilationCycles)
+			fmt.Printf("  segment %d: [cpu %d seq %d] %d records, %d bytes stored (%s, %d uncompressed), %d dropped, %d dilation cycles\n",
+				s.Index, s.CPU, s.Seq, s.Records, s.PayloadBytes, trace.EncodingName(s.Encoding), s.RawBytes, s.Dropped, s.DilationCycles)
 		}
 		// Every stream with segments gets the payload summary — a stream
 		// of empty segments (stored == 0) used to drop the line entirely,
@@ -139,24 +136,17 @@ func main() {
 			// across switch markers) only hold per CPU — lint each
 			// core's stream, not the interleave.
 			var violations []string
-			if rd.SeqStamped() {
-				maxCPU := 0
-				for _, s := range rd.Segments() {
-					if int(s.CPU) > maxCPU {
-						maxCPU = int(s.CPU)
-					}
+			for c, t := range perCPU {
+				if t.segments == 0 {
+					continue
 				}
-				for c := 0; c <= maxCPU; c++ {
-					ca, err := rd.ArenaCPU(*decodeW, c)
-					if err != nil {
-						fatal(err)
-					}
-					for _, v := range trace.Lint(ca.Flatten()) {
-						violations = append(violations, fmt.Sprintf("cpu %d: %s", c, v))
-					}
+				ca, err := rd.ArenaCPU(*decodeW, c)
+				if err != nil {
+					fatal(err)
 				}
-			} else {
-				violations = trace.Lint(arena.Flatten())
+				for _, v := range trace.Lint(ca.Flatten()) {
+					violations = append(violations, fmt.Sprintf("cpu %d: %s", c, v))
+				}
 			}
 			// Container-framing checks ride along: a compressed segment
 			// whose header lies about its uncompressed length decodes
@@ -265,25 +255,22 @@ func loadBaseline(path string) (float64, error) {
 	return doc.Parallel.RecordsPerSec, nil
 }
 
-// printCPUBreakdown aggregates an SMP stream's segment index by
-// processor — pure header arithmetic, so it prints even under
-// -meta-only without decoding a record.
-func printCPUBreakdown(segs []trace.SegmentInfo) {
+type tally struct{ segments, records uint64 }
+
+// cpuTally aggregates a stream's segment index by processor, from CPU 0
+// to the highest one present — pure header arithmetic, so the
+// breakdown prints even under -meta-only without decoding a record.
+func cpuTally(segs []trace.SegmentInfo) []tally {
 	maxCPU := 0
 	for _, s := range segs {
-		if int(s.CPU) > maxCPU {
-			maxCPU = int(s.CPU)
-		}
+		maxCPU = max(maxCPU, int(s.CPU))
 	}
-	type tally struct{ segments, records uint64 }
 	per := make([]tally, maxCPU+1)
 	for _, s := range segs {
 		per[s.CPU].segments++
 		per[s.CPU].records += s.Records
 	}
-	for cpu, t := range per {
-		fmt.Printf("  cpu %d: %d segment(s), %d records\n", cpu, t.segments, t.records)
-	}
+	return per
 }
 
 func fatal(err error) {

@@ -44,7 +44,7 @@ func main() {
 		entries  = flag.Uint("entries", 256, "TLB entries")
 		mattson  = flag.Bool("mattson", false, "one-pass stack-distance analysis: print the fully-associative LRU miss curve")
 		l2       = flag.String("l2", "", "two-level mode: unified L2 of this size behind split L1s of -size")
-		cpu      = flag.Int("cpu", -1, "replay only this CPU's segments of a sequence-stamped SMP trace (-1: whole machine)")
+		cpu      = flag.Int("cpu", -1, "replay only this CPU's segments, which must exist (a serial capture is all CPU 0; -1: whole machine)")
 		stream   = flag.Bool("stream", false, "stream the trace through the pipeline: one pass, memory bounded by one segment; trace-file - reads stdin")
 		common   cliutil.CommonOptions
 	)

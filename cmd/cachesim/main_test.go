@@ -51,8 +51,9 @@ func cachesim(t *testing.T, stdin string, args ...string) ([]byte, int) {
 
 // testTrace writes a small multi-segment trace: three processes with
 // private working sets, shared kernel references, PTE walks and context
-// switches.
-func testTrace(t *testing.T) string {
+// switches. Its segments are dealt round-robin to cpus processors, so
+// cpus == 1 is a serial capture.
+func testTrace(t *testing.T, cpus int) string {
 	t.Helper()
 	var recs []trace.Record
 	seed := uint32(12345)
@@ -84,8 +85,9 @@ func testTrace(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for off := 0; off < len(recs); off += 3_000 {
-		if _, err := sw.WriteSegment(recs[off:min(off+3_000, len(recs))], 0, 0); err != nil {
+	for i, off := 0, 0; off < len(recs); i, off = i+1, off+3_000 {
+		stamp := trace.SegmentInfo{CPU: uint16(i % cpus)}
+		if _, err := sw.WriteSegment(recs[off:min(off+3_000, len(recs))], stamp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,9 +102,10 @@ func testTrace(t *testing.T) string {
 
 // TestInputModes: the simulators are registered once and -stream only
 // chooses how the trace reaches them, so a decoded file, a streamed file
-// and streamed stdin print the same bytes.
+// and streamed stdin print the same bytes. A serial capture is all
+// CPU 0, so -cpu 0 replays the whole trace too.
 func TestInputModes(t *testing.T) {
-	path := testTrace(t)
+	path := testTrace(t, 1)
 	for _, flags := range [][]string{
 		{"-sweep", "sizes"},
 		{"-mattson"},
@@ -122,6 +125,24 @@ func TestInputModes(t *testing.T) {
 		if got, code := cachesim(t, path, stdin...); code != 0 || !bytes.Equal(got, want) {
 			t.Errorf("%v: -stream stdin printed (exit %d)\n%s\nwant\n%s", flags, code, got, want)
 		}
+		cpu0 := append(append([]string{"-cpu", "0"}, flags...), path)
+		if got, code := cachesim(t, "", cpu0...); code != 0 || !bytes.Equal(got, want) {
+			t.Errorf("%v: -cpu 0 printed (exit %d)\n%s\nwant\n%s", flags, code, got, want)
+		}
+	}
+}
+
+// TestCPUFilterAbsent: a -cpu no segment carries fails instead of
+// printing the all-zero statistics of an empty replay.
+func TestCPUFilterAbsent(t *testing.T) {
+	path := testTrace(t, 2)
+	for _, cpu := range []string{"0", "1"} {
+		if out, code := cachesim(t, "", "-cpu", cpu, path); code != 0 || len(out) == 0 {
+			t.Errorf("-cpu %s: exit %d, %d bytes of output", cpu, code, len(out))
+		}
+	}
+	if out, code := cachesim(t, "", "-cpu", "2", path); code == 0 {
+		t.Errorf("-cpu 2 on a 2-CPU trace: exit 0, printed\n%s", out)
 	}
 }
 
@@ -130,7 +151,7 @@ func TestInputModes(t *testing.T) {
 // power of two, and a cache size that is not sets*assoc*block fails
 // instead of simulating a smaller cache under the requested label.
 func TestRejectsUnsimulatableSizes(t *testing.T) {
-	path := testTrace(t)
+	path := testTrace(t, 1)
 	for _, stream := range [][]string{nil, {"-stream"}} {
 		if _, code := cachesim(t, "", append(stream, "-mattson", "-block", "24", path)...); code != 2 {
 			t.Errorf("%v -mattson -block 24: exit %d, want 2", stream, code)

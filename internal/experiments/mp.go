@@ -4,7 +4,7 @@
 // "tracing multiprocessors is no harder than tracing one processor,
 // because each processor traces itself"). These experiments reproduce
 // that methodology on the simulated SMP machine: each core's microcode
-// spills sequence-stamped segments into its own stream, trace.MergeCPUs
+// spills sequence-marked segments into its own stream, trace.MergeCPUs
 // reassembles the machine-wide interleave, and the M* experiments ask
 // the questions only a multiprocessor trace can answer — how sharing
 // one cache across cores changes miss traffic, what cross-CPU process
@@ -77,7 +77,6 @@ func runMPCapture(ncpu int) (perCPU [][]byte, merged []byte, err error) {
 		SegmentBytes: mpSegmentBytes,
 		Codec:        trace.CodecDelta,
 		Meta:         fmt.Sprintf("experiment=MP cpus=%d", ncpu),
-		Seq:          new(trace.SeqCounter),
 	})
 	if err != nil {
 		return nil, nil, err

@@ -59,7 +59,6 @@ func runSMPCapture(t *testing.T, ncpu int) ([]*kernel.SpillService, []*bytes.Buf
 		SegmentBytes: 8 << 10,
 		Codec:        trace.CodecDelta,
 		Meta:         "smp-test",
-		Seq:          new(trace.SeqCounter),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,9 +161,6 @@ func TestSMPPerCPUSpillAccounting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !mf.SeqStamped() {
-				t.Fatal("merged stream is not sequence-stamped")
-			}
 			if mf.NumRecords() != total {
 				t.Fatalf("merged stream has %d records, cores spilled %d", mf.NumRecords(), total)
 			}
@@ -232,7 +228,6 @@ func TestSMPSpillPollingRace(t *testing.T) {
 		SegmentBytes: 8 << 10,
 		Codec:        trace.CodecDelta,
 		Meta:         "smp-race",
-		Seq:          new(trace.SeqCounter),
 	})
 	if err != nil {
 		t.Fatal(err)

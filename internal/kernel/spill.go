@@ -57,19 +57,6 @@ type SpillConfig struct {
 	// Meta is the stream's provenance string.
 	Meta string
 
-	// CPU stamps every segment of this service with a processor id; it
-	// only takes effect with Seq set (uniprocessor streams carry no
-	// per-segment identity). StartSpillCPUs fills it per core.
-	CPU uint16
-
-	// Seq, when non-nil, switches the stream to the sequence-stamped v3
-	// container: every spilled segment draws the next machine-wide
-	// sequence mark at the moment it is written. All services of one
-	// SMP capture share a single counter, so the marks are the global
-	// spill order and trace.MergeCPUs can interleave the per-CPU
-	// streams deterministically.
-	Seq *trace.SeqCounter
-
 	// OnSegment, when set, observes every segment immediately after it
 	// reaches the sink — the splice point for the streaming analysis
 	// pipeline (sweep.Pipeline.OnSegment), which decodes and simulates
@@ -132,8 +119,8 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 type SpillService struct {
 	col *atum.Collector
 	sw  *trace.SegmentWriter
-	cpu uint16
-	seq *trace.SeqCounter // nil for unstamped (uniprocessor) streams
+	cpu uint16            // written into every segment header
+	seq *trace.SeqCounter // machine-wide sequence marks, one per spill
 
 	// spilled/lost/segments are polled by monitors while the capture
 	// loop writes them: atomics, never plain fields.
@@ -159,11 +146,12 @@ type SpillService struct {
 }
 
 // StartSpill installs ATUM on the system's machine and arranges for
-// every watermark crossing to append one segment to w. The caller runs
-// the workload, then calls Close to flush the final partial segment and
-// uninstall the patches.
+// every watermark crossing to append one segment to w, marked CPU 0
+// with sequence marks 1, 2, 3, ... from the service's own counter. The
+// caller runs the workload, then calls Close to flush the final
+// partial segment and uninstall the patches.
 func StartSpill(sys *System, w io.Writer, cfg SpillConfig) (*SpillService, error) {
-	return startSpillOn(sys.M, w, cfg)
+	return startSpillOn(sys.M, w, cfg, 0, new(trace.SeqCounter))
 }
 
 // StartSpillCPUs starts one spill service per core of an SMP system,
@@ -178,9 +166,7 @@ func StartSpillCPUs(sys *System, sinks []io.Writer, cfg SpillConfig) ([]*SpillSe
 	if len(sinks) != n {
 		return nil, fmt.Errorf("kernel: %d spill sinks for %d CPUs", len(sinks), n)
 	}
-	if cfg.Seq == nil {
-		cfg.Seq = new(trace.SeqCounter)
-	}
+	seq := new(trace.SeqCounter)
 	reserved := sys.M.Mem.ReservedSize()
 	slice := reserved / uint32(n)
 	slice -= slice % trace.RecordBytes
@@ -193,10 +179,9 @@ func StartSpillCPUs(sys *System, sinks []io.Writer, cfg SpillConfig) ([]*SpillSe
 	svcs := make([]*SpillService, 0, n)
 	for c, m := range sys.Cores {
 		ccfg := cfg
-		ccfg.CPU = uint16(c)
 		ccfg.Options.BufOffset = uint32(c) * slice
 		ccfg.Options.BufBytes = ccfg.SegmentBytes
-		s, err := startSpillOn(m, sinks[c], ccfg)
+		s, err := startSpillOn(m, sinks[c], ccfg, uint16(c), seq)
 		if err != nil {
 			for _, prev := range svcs {
 				prev.Close()
@@ -208,19 +193,13 @@ func StartSpillCPUs(sys *System, sinks []io.Writer, cfg SpillConfig) ([]*SpillSe
 	return svcs, nil
 }
 
-func startSpillOn(m *micro.Machine, w io.Writer, cfg SpillConfig) (*SpillService, error) {
+func startSpillOn(m *micro.Machine, w io.Writer, cfg SpillConfig, cpu uint16, seq *trace.SeqCounter) (*SpillService, error) {
 	if cfg.Options.OnWatermark != nil || cfg.Options.OnFull != nil {
 		return nil, fmt.Errorf("kernel: spill service owns the collector callbacks")
 	}
 	met := newSpillMetrics(cfg.Metrics)
 	cw := &countingWriter{w: w, n: met.bytes}
-	var sw *trace.SegmentWriter
-	var err error
-	if cfg.Seq != nil {
-		sw, err = trace.NewSegmentWriterV3(cw, cfg.Codec, cfg.Meta)
-	} else {
-		sw, err = trace.NewSegmentWriter(cw, cfg.Codec, cfg.Meta)
-	}
+	sw, err := trace.NewSegmentWriter(cw, cfg.Codec, cfg.Meta)
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +209,7 @@ func startSpillOn(m *micro.Machine, w io.Writer, cfg SpillConfig) (*SpillService
 	if cfg.OnSegment != nil {
 		sw.Tee(cfg.OnSegment)
 	}
-	s := &SpillService{sw: sw, cpu: cfg.CPU, seq: cfg.Seq, met: met, done: make(chan struct{})}
+	s := &SpillService{sw: sw, cpu: cpu, seq: seq, met: met, done: make(chan struct{})}
 	opts := cfg.Options
 	if opts.Metrics == nil {
 		opts.Metrics = cfg.Metrics
@@ -293,12 +272,9 @@ func (s *SpillService) spillLocked(c *atum.Collector) {
 		return
 	}
 	start := time.Now()
-	var info trace.SegmentInfo
-	if s.seq != nil {
-		info, err = s.sw.WritePackedSeq(packed, st.Dropped, st.DilationCycles, s.cpu, s.seq.Next())
-	} else {
-		info, err = s.sw.WritePacked(packed, st.Dropped, st.DilationCycles)
-	}
+	info, err := s.sw.WritePacked(packed, trace.SegmentInfo{
+		Dropped: st.Dropped, DilationCycles: st.DilationCycles, CPU: s.cpu, Seq: s.seq.Next(),
+	})
 	if err != nil {
 		s.addLost(nrec)
 		s.fail(c, err)

@@ -147,9 +147,14 @@ func TestSpillStitchingDeterminism(t *testing.T) {
 				if rd.Meta() != "spill-test" {
 					t.Fatalf("meta %q", rd.Meta())
 				}
+				// A serial capture is the one-CPU case of the SMP
+				// stamps: CPU 0, marks 1..n in spill order.
 				var dil uint64
-				for _, s := range rd.Segments() {
+				for i, s := range rd.Segments() {
 					dil += s.DilationCycles
+					if s.CPU != 0 || s.Seq != uint64(i+1) {
+						t.Fatalf("segment %d stamped [cpu %d seq %d], want [cpu 0 seq %d]", i, s.CPU, s.Seq, i+1)
+					}
 				}
 				if dil != svc.Collector().DilationCycles {
 					t.Fatalf("per-segment dilation cycles sum to %d, collector charged %d",

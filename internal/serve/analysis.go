@@ -39,14 +39,13 @@ func (s *Server) runAnalysis(t *tenant, req api.AnalysisRequest) (*api.AnalysisR
 		return nil, fmt.Errorf("trace %q: %w", req.Trace, err)
 	}
 	if req.CPU != nil {
-		if !f.SeqStamped() {
-			return nil, fmt.Errorf("trace %q is not sequence-stamped; no per-CPU attribution to filter on", req.Trace)
+		idx, err := f.CPUSegments(*req.CPU)
+		if err != nil {
+			return nil, fmt.Errorf("trace %q: %w", req.Trace, err)
 		}
-		var sel [][]trace.Record
-		for i, info := range f.Segments() {
-			if int(info.CPU) == *req.CPU {
-				sel = append(sel, chunks[i])
-			}
+		sel := make([][]trace.Record, len(idx))
+		for i, si := range idx {
+			sel[i] = chunks[si]
 		}
 		chunks = sel
 	}

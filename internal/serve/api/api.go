@@ -62,9 +62,9 @@ type CreateSessionRequest struct {
 	Codec string `json:"codec,omitempty"`
 
 	// Compress stores each spilled segment flate-compressed (the
-	// container v2 per-segment encoding). Decode and analysis results
-	// are byte-identical to an uncompressed capture; only the stored
-	// bytes shrink.
+	// per-segment payload encoding). Decode and analysis results are
+	// byte-identical to an uncompressed capture; only the stored bytes
+	// shrink.
 	Compress bool `json:"compress,omitempty"`
 
 	// CostPerRecord overrides the per-record microcycle cost (default
@@ -135,10 +135,10 @@ type AnalysisRequest struct {
 	UserOnly bool             `json:"user_only,omitempty"`
 
 	// CPU, when set, replays only the segments the given processor
-	// captured — meaningful for sequence-stamped (container v3) SMP
-	// traces, whose segments carry per-CPU attribution. Nil replays
-	// the whole machine-wide interleave. Requests naming a CPU against
-	// an unstamped trace fail rather than silently analysing nothing.
+	// captured (every segment carries its CPU; a serial capture is all
+	// CPU 0). Nil replays the whole machine-wide interleave. Requests
+	// naming a CPU no segment carries, or a negative one, fail rather
+	// than silently analysing nothing.
 	CPU *int `json:"cpu,omitempty"`
 
 	Workers       int    `json:"workers,omitempty"`

@@ -70,7 +70,7 @@ func makeSegmentedTraceEnc(t *testing.T, recs []trace.Record, segsize int, enc u
 		if hi > len(recs) {
 			hi = len(recs)
 		}
-		if _, err := sw.WriteSegment(recs[lo:hi], 0, 0); err != nil {
+		if _, err := sw.WriteSegment(recs[lo:hi], trace.SegmentInfo{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -372,6 +372,73 @@ func TestAnalysisRemoteVsLocal(t *testing.T) {
 	}
 }
 
+// TestAnalysisCPUFilter: the cpu field replays exactly the segments
+// that processor captured, so each core's remote sweep equals a local
+// ArenaCPU sweep; a CPU no segment carries is a bad request rather than
+// an analysis of nothing.
+func TestAnalysisCPUFilter(t *testing.T) {
+	ts, _ := testServer(t, Options{})
+	c := NewClient(ts.URL, "alpha")
+
+	// Segments dealt round-robin to two CPUs, as a merged SMP capture.
+	recs := makeRecords(20_000)
+	var buf bytes.Buffer
+	sw, err := trace.NewSegmentWriter(&buf, trace.CodecDelta, "two-CPU test trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, lo := 0, 0; lo < len(recs); i, lo = i+1, lo+3000 {
+		if _, err := sw.WriteSegment(recs[lo:min(lo+3000, len(recs))], trace.SegmentInfo{CPU: uint16(i % 2)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if _, err := c.UploadTrace("smp", data); err != nil {
+		t.Fatal(err)
+	}
+	f, err := trace.OpenReaderAt(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	cfgs := []cache.Config{
+		{Label: "a", SizeBytes: 1 << 10, BlockBytes: 16, Assoc: 1, Replacement: cache.LRU, WriteAllocate: true, PIDTags: true},
+	}
+	run := cache.RunOptions{IncludePTE: true}
+	for cpu := 0; cpu < 2; cpu++ {
+		a, err := f.ArenaCPU(0, cpu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local, err := sweep.Caches(a, cfgs, run, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.Analyze(api.AnalysisRequest{Trace: "smp", Kind: api.KindCaches, Caches: cfgs, Run: run, CPU: &cpu})
+		if err != nil {
+			t.Fatalf("cpu %d: %v", cpu, err)
+		}
+		if !reflect.DeepEqual(resp.Caches, local) {
+			t.Fatalf("cpu %d: remote results differ from local ArenaCPU sweep:\n%+v\nvs\n%+v", cpu, resp.Caches, local)
+		}
+	}
+	for _, cpu := range []int{5, -1} {
+		body := fmt.Sprintf(`{"trace":"smp","kind":"summary","cpu":%d}`, cpu)
+		resp, err := http.Post(ts.URL+"/v1/tenants/alpha/analyses", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("cpu %d: HTTP %d, want %d", cpu, resp.StatusCode, http.StatusBadRequest)
+		}
+	}
+}
+
 // TestLintEndpoint checks the lint route returns the shared findings
 // schema over the daemon's decoded arena.
 func TestLintEndpoint(t *testing.T) {
@@ -614,7 +681,7 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// TestCompressedStoredTrace pins the serve half of the container-v2
+// TestCompressedStoredTrace pins the serve half of the compressed-segment
 // lane: a flate-encoded stored trace must analyse byte-identically to
 // a local sweep over the same bytes, repeated analyses must hit the
 // arena cache (decoded segments are cached post-inflate, so the

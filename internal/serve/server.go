@@ -267,7 +267,7 @@ func (s *Server) handlePutTrace(w http.ResponseWriter, r *http.Request, t *tenan
 }
 
 // traceInfo builds the header-only description of a stored trace: the
-// segment index comes from walking 40-byte headers, no payload decode.
+// segment index comes from walking 59-byte headers, no payload decode.
 // A live capture's spool can end mid-anything, so open errors on an
 // incomplete trace degrade to a bytes-only answer instead of failing.
 func (s *Server) traceInfo(t *tenant, st *storedTrace) api.TraceInfo {

@@ -59,7 +59,7 @@ func streamSegments(t *testing.T, p *Pipeline, recs []trace.Record, nseg int, co
 		if end > len(recs) {
 			end = len(recs)
 		}
-		if _, err := sw.WriteSegment(recs[off:end], 0, 0); err != nil {
+		if _, err := sw.WriteSegment(recs[off:end], trace.SegmentInfo{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,10 +328,10 @@ func TestStreamStickyError(t *testing.T) {
 			Payload: append([]byte(nil), s.Payload...),
 		})
 	})
-	if _, err := sw.WriteSegment(recs[:500], 0, 0); err != nil {
+	if _, err := sw.WriteSegment(recs[:500], trace.SegmentInfo{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sw.WriteSegment(recs[500:], 0, 0); err != nil {
+	if _, err := sw.WriteSegment(recs[500:], trace.SegmentInfo{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -472,12 +472,12 @@ func FuzzStreamSegmentFeed(f *testing.F) {
 			if end > len(recs) {
 				end = len(recs)
 			}
-			if _, err := sw.WriteSegment(recs[off:end], 0, 0); err != nil {
+			if _, err := sw.WriteSegment(recs[off:end], trace.SegmentInfo{}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if len(segs) == 0 {
-			if _, err := sw.WriteSegment(nil, 0, 0); err != nil {
+			if _, err := sw.WriteSegment(nil, trace.SegmentInfo{}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -126,7 +126,7 @@ func benchStream(b *testing.B, recs []Record, nseg int, codec uint16, enc uint8)
 		if hi > n {
 			hi = n
 		}
-		if _, err := sw.WriteSegment(recs[lo:hi], 0, 0); err != nil {
+		if _, err := sw.WriteSegment(recs[lo:hi], SegmentInfo{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -160,7 +160,7 @@ func decodeLane(b *testing.B, fn func() int) (sec float64, allocs uint64, nrec i
 // BenchmarkDecodeSegmented measures the segmented delta decode five
 // ways on the same records — the preserved PR 3 per-record path, the
 // serial batch path (workers == 1), the parallel batch path (4
-// workers), the flate-encoded stream (container v2, parallel decode
+// workers), the flate-encoded stream (per-segment deflate, parallel decode
 // pays the inflate), and the memory-mapped zero-copy lane
 // (OpenFileMapped + SegmentPayload + DecodeSegment) — verifying
 // record-identical output while timing, and optionally records the

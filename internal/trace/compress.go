@@ -9,7 +9,8 @@ import (
 	"time"
 )
 
-// Per-segment payload encodings (container v2). The codec field picks
+// Per-segment payload encodings (the enc byte of every segment header;
+// see segment.go). The codec field picks
 // how records become bytes (raw or delta); the encoding byte picks how
 // those bytes are stored in the segment. The two compose: a flate
 // segment holds the deflated codec stream, and rawLen in the header

@@ -76,7 +76,7 @@ func TestHeaderOnlyIndexReadsNoPayload(t *testing.T) {
 	compareRecords(t, got, recs)
 }
 
-// buildFlateSegment assembles a single-segment v2 stream whose header
+// buildFlateSegment assembles a single-segment stream whose header
 // fields the test controls completely.
 func buildFlateSegment(t *testing.T, codec uint16, records uint64, stored []byte, rawLen uint64) []byte {
 	t.Helper()
@@ -92,6 +92,7 @@ func buildFlateSegment(t *testing.T, codec uint16, records uint64, stored []byte
 	binary.LittleEndian.PutUint64(hdr[28:], uint64(len(stored)))
 	hdr[36] = SegEncFlate
 	binary.LittleEndian.PutUint64(hdr[37:], rawLen)
+	binary.LittleEndian.PutUint64(hdr[47:], 1) // sequence mark
 	b.Write(hdr[:])
 	b.Write(stored)
 	return b.Bytes()
@@ -304,7 +305,7 @@ func TestIncompressibleSegmentStoredRaw(t *testing.T) {
 		t.Fatal(err)
 	}
 	one := makeTrace(1, 61)
-	info, err := sw.WriteSegment(one, 0, 0)
+	info, err := sw.WriteSegment(one, SegmentInfo{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +314,7 @@ func TestIncompressibleSegmentStoredRaw(t *testing.T) {
 			info.Encoding, info.PayloadBytes, info.RawBytes)
 	}
 	// An empty segment is always raw, never a deflate header for nothing.
-	einfo, err := sw.WriteSegment(nil, 0, 0)
+	einfo, err := sw.WriteSegment(nil, SegmentInfo{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,7 @@ func buildSegmented(codec uint16, tail []byte) []byte {
 
 // segmentBlob encodes one segment (header + payload) with an arbitrary
 // declared payload length, letting tests declare more than they attach.
+// It stamps CPU 0 and sequence mark index+1, as a serial capture does.
 func segmentBlob(index uint32, records uint64, payload []byte, declaredLen uint64) []byte {
 	var b bytes.Buffer
 	b.Write(segMarker[:])
@@ -32,6 +33,7 @@ func segmentBlob(index uint32, records uint64, payload []byte, declaredLen uint6
 	binary.LittleEndian.PutUint32(hdr[0:], index)
 	binary.LittleEndian.PutUint64(hdr[4:], records)
 	binary.LittleEndian.PutUint64(hdr[28:], declaredLen)
+	binary.LittleEndian.PutUint64(hdr[47:], uint64(index)+1)
 	b.Write(hdr[:])
 	b.Write(payload)
 	return b.Bytes()
@@ -44,8 +46,8 @@ func segmentBlob(index uint32, records uint64, payload []byte, declaredLen uint6
 // input is ErrEmpty, truncations are record- or segment-indexed
 // wrapped io.ErrUnexpectedEOF, and a bare stream header is a legal
 // zero-record trace, not an error. The retired formats — the
-// monolithic container and version-1 segment streams — are rejected
-// by name.
+// monolithic container and version-1 and version-2 segment streams —
+// are rejected by name.
 func TestOpenDegenerateInputs(t *testing.T) {
 	// A header of the retired monolithic container, promising one raw
 	// record with no payload.
@@ -58,6 +60,11 @@ func TestOpenDegenerateInputs(t *testing.T) {
 	// encodings) with no segments.
 	v1 := buildSegmented(CodecDelta, nil)
 	binary.LittleEndian.PutUint16(v1[8:], 1)
+
+	// A version-2 segment-stream header (the layout whose serial
+	// segments carried no cpu/seq stamps) with no segments.
+	v2 := buildSegmented(CodecDelta, nil)
+	binary.LittleEndian.PutUint16(v2[8:], 2)
 
 	// A segmented stream whose only segment declares 8 payload bytes
 	// but the file ends after 4.
@@ -89,6 +96,7 @@ func TestOpenDegenerateInputs(t *testing.T) {
 		{name: "bare segmented header zero segments", in: buildSegmented(CodecDelta, nil), records: 0},
 		{name: "monolithic header no payload", in: monoHeader, substr: "bad magic"},
 		{name: "v1 segment-stream header", in: v1, substr: "unsupported segment-stream version 1"},
+		{name: "v2 segment-stream header", in: v2, substr: "unsupported segment-stream version 2"},
 		{name: "segment payload overruns file", in: overrun, wantErr: io.ErrUnexpectedEOF, substr: "record 0"},
 		{name: "empty segment payload overruns file", in: emptyOverrun, wantErr: io.ErrUnexpectedEOF, substr: "segment 0"},
 		{name: "segment header cut short", in: shortHeader, wantErr: io.ErrUnexpectedEOF, substr: "segment 0 header"},

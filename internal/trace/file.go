@@ -20,7 +20,7 @@ var ErrEmpty = errors.New("empty trace stream")
 // memory until the end is simply a one-segment stream.
 //
 //	magic   [8]byte  "ATUMSEG\x00"
-//	version uint16   (2: serial captures; 3: sequence-stamped SMP streams)
+//	version uint16   3 (readers reject the retired versions 1 and 2)
 //	codec   uint16   (CodecRaw or CodecDelta)
 //	metaLen uint32   length of the metadata string (may be 0)
 //	meta    [metaLen]byte   free-form capture provenance (UTF-8)
@@ -44,10 +44,9 @@ const (
 
 var segMagic = [8]byte{'A', 'T', 'U', 'M', 'S', 'E', 'G', 0}
 
-const (
-	segVersion  = 2 // serial captures
-	segVersion3 = 3 // sequence-stamped (SMP per-CPU / merged) streams
-)
+// segVersion is the one stream layout: every segment header carries
+// the cpu/seq stamps.
+const segVersion = 3
 
 // maxMetaLen bounds the provenance string (untrusted input on read).
 const maxMetaLen = 1 << 16
@@ -63,7 +62,7 @@ func WriteFile(w io.Writer, recs []Record, codec uint16) error {
 	if err != nil {
 		return err
 	}
-	if _, err := sw.WriteSegment(recs, 0, 0); err != nil {
+	if _, err := sw.WriteSegment(recs, SegmentInfo{}); err != nil {
 		return err
 	}
 	return sw.Close()
@@ -81,14 +80,13 @@ func promisedEOF(err error) error {
 // headerWalk reads a stream's headers in order: the stream header at
 // construction, then one segment header per next call. It is the one
 // place headers are validated — magic, version, codec, metadata
-// length, segment marker, index order, field bounds and sequence-mark
-// order — so the Scanner (which reads each payload after its header)
-// and File's index walk (which seeks past it) reject a malformed
-// stream with the same message.
+// length, segment marker, index order, field bounds and sequence marks
+// (nonzero and strictly increasing) — so the Scanner (which reads each
+// payload after its header) and File's index walk (which seeks past
+// it) reject a malformed stream with the same message.
 type headerWalk struct {
 	r       io.Reader
 	codec   uint16
-	stamped bool // version 3: segments carry cpu/seq marks
 	meta    string
 	hdr     []byte // segment header scratch, marker included
 	segs    int    // segment headers read so far
@@ -113,10 +111,10 @@ func newHeaderWalk(r io.Reader) (*headerWalk, error) {
 		return nil, fmt.Errorf("trace: reading segment-stream header: %w", promisedEOF(err))
 	}
 	v := binary.LittleEndian.Uint16(hdr[0:])
-	if v != segVersion && v != segVersion3 {
+	if v != segVersion {
 		return nil, fmt.Errorf("trace: unsupported segment-stream version %d", v)
 	}
-	w := &headerWalk{r: r, codec: binary.LittleEndian.Uint16(hdr[2:]), stamped: v == segVersion3}
+	w := &headerWalk{r: r, codec: binary.LittleEndian.Uint16(hdr[2:])}
 	if w.codec != CodecRaw && w.codec != CodecDelta {
 		return nil, fmt.Errorf("trace: unknown codec %d", w.codec)
 	}
@@ -130,9 +128,6 @@ func newHeaderWalk(r io.Reader) (*headerWalk, error) {
 	}
 	w.meta = string(meta)
 	w.hdr = make([]byte, 4+segHeaderBytes)
-	if w.stamped {
-		w.hdr = make([]byte, 4+segHeaderBytesV3)
-	}
 	return w, nil
 }
 
@@ -154,7 +149,7 @@ func (w *headerWalk) next() (SegmentInfo, error) {
 	if err != nil {
 		return SegmentInfo{}, err
 	}
-	if w.stamped && info.Seq <= w.lastSeq {
+	if info.Seq <= w.lastSeq {
 		return SegmentInfo{}, fmt.Errorf("trace: segment %d: sequence mark %d not above previous %d",
 			info.Index, info.Seq, w.lastSeq)
 	}

@@ -29,8 +29,8 @@ func FuzzReadFile(f *testing.F) {
 	// mid-record truncation regression.
 	var seg bytes.Buffer
 	if sw, err := NewSegmentWriter(&seg, CodecDelta, "fuzz"); err == nil {
-		_, _ = sw.WriteSegment(makeTrace(30, 3), 1, 100)
-		_, _ = sw.WriteSegment(makeTrace(30, 4), 0, 90)
+		_, _ = sw.WriteSegment(makeTrace(30, 3), SegmentInfo{Dropped: 1, DilationCycles: 100})
+		_, _ = sw.WriteSegment(makeTrace(30, 4), SegmentInfo{DilationCycles: 90})
 		_ = sw.Close()
 	}
 	f.Add(seg.Bytes())
@@ -45,8 +45,8 @@ func FuzzReadFile(f *testing.F) {
 	// payLen field overruns the stream (records intact).
 	var segRaw bytes.Buffer
 	if sw, err := NewSegmentWriter(&segRaw, CodecRaw, ""); err == nil {
-		_, _ = sw.WriteSegment(makeTrace(20, 6), 0, 10)
-		_, _ = sw.WriteSegment(makeTrace(20, 7), 0, 20)
+		_, _ = sw.WriteSegment(makeTrace(20, 6), SegmentInfo{DilationCycles: 10})
+		_, _ = sw.WriteSegment(makeTrace(20, 7), SegmentInfo{DilationCycles: 20})
 		_ = sw.Close()
 	}
 	f.Add(segRaw.Bytes())
@@ -56,14 +56,14 @@ func FuzzReadFile(f *testing.F) {
 	// count(8) dropped(8) cycles(8).
 	overrun[8+8+4+4+4+8+8+8] ^= 0x40
 	f.Add(overrun)
-	// Container v2 seeds: a compressed two-segment stream, a truncation
+	// Compressed-payload seeds: a compressed two-segment stream, a truncation
 	// cutting its deflate payload, and a flipped rawLen byte (the
 	// declared-length field the container lint audits).
 	var comp bytes.Buffer
 	if sw, err := NewSegmentWriter(&comp, CodecDelta, "fuzz"); err == nil {
 		_ = sw.SetEncoding(SegEncFlate)
-		_, _ = sw.WriteSegment(makeTrace(60, 8), 0, 50)
-		_, _ = sw.WriteSegment(makeTrace(60, 9), 2, 60)
+		_, _ = sw.WriteSegment(makeTrace(60, 8), SegmentInfo{DilationCycles: 50})
+		_, _ = sw.WriteSegment(makeTrace(60, 9), SegmentInfo{Dropped: 2, DilationCycles: 60})
 		_ = sw.Close()
 	}
 	f.Add(comp.Bytes())
@@ -174,7 +174,7 @@ func FuzzCompressedSegmentRoundTrip(f *testing.F) {
 			if hi > len(recs) {
 				hi = len(recs)
 			}
-			if _, err := sw.WriteSegment(recs[lo:hi], 0, 0); err != nil {
+			if _, err := sw.WriteSegment(recs[lo:hi], SegmentInfo{}); err != nil {
 				t.Fatalf("WriteSegment: %v", err)
 			}
 			if lo == 0 && len(recs) == 0 {

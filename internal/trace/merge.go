@@ -7,13 +7,12 @@ import (
 	"sync/atomic"
 )
 
-// SeqCounter issues the machine-wide sequence marks that stamp SMP
+// SeqCounter issues the machine-wide sequence marks that stamp
 // segments. One counter is shared by every CPU's spill service; marks
-// start at 1 (0 means "unstamped" in SegmentInfo) and each spill takes
-// the next one at the moment its segment is written, so the marks are
-// the global spill order by construction. The counter is atomic so
-// spill paths need no extra lock even if cores ever spill from
-// concurrent goroutines.
+// start at 1 and each spill takes the next one at the moment its
+// segment is written, so the marks are the global spill order by
+// construction. The counter is atomic so spill paths need no extra
+// lock even if cores ever spill from concurrent goroutines.
 type SeqCounter struct {
 	n atomic.Uint64
 }
@@ -21,14 +20,14 @@ type SeqCounter struct {
 // Next returns the next sequence mark (1, 2, 3, ...).
 func (c *SeqCounter) Next() uint64 { return c.n.Add(1) }
 
-// MergeCPUs interleaves the per-CPU streams of one SMP capture into a
-// single sequence-stamped stream on w, ordered by global sequence mark.
-// Every input must be a sequence-stamped (v3) stream and all must share
-// one codec; segments keep their cpu/seq stamps and per-segment
-// counters, and each is re-encoded with its original payload encoding. Because marks are unique across a capture (one
-// shared SeqCounter) the output is a pure function of the input
-// segments: any permutation of files yields byte-identical output, so
-// a merged trace is a stable artifact to diff, hash, or cache.
+// MergeCPUs interleaves the per-CPU streams of one capture into a
+// single stream on w, ordered by global sequence mark. All inputs must
+// share one codec; segments keep their cpu/seq stamps and per-segment
+// counters, and each is re-encoded with its original payload encoding.
+// Because marks are unique across a capture (one shared SeqCounter)
+// the output is a pure function of the input segments: any permutation
+// of files yields byte-identical output, so a merged trace is a stable
+// artifact to diff, hash, or cache.
 //
 // The merged stream replays exactly the machine-wide spill order —
 // readers see one stream whose segments carry per-CPU attribution, and
@@ -39,9 +38,6 @@ func MergeCPUs(w io.Writer, meta string, files ...*File) error {
 	}
 	codec := files[0].codec
 	for i, f := range files {
-		if !f.seqStamped {
-			return fmt.Errorf("trace: merge: input %d is not a sequence-stamped stream", i)
-		}
 		if f.codec != codec {
 			return fmt.Errorf("trace: merge: input %d codec %d differs from input 0 codec %d", i, f.codec, codec)
 		}
@@ -68,7 +64,7 @@ func MergeCPUs(w io.Writer, meta string, files ...*File) error {
 	// the output bytes — is independent of the argument order.
 	sort.Slice(slots, func(i, j int) bool { return slots[i].seq < slots[j].seq })
 
-	sw, err := NewSegmentWriterV3(w, codec, meta)
+	sw, err := NewSegmentWriter(w, codec, meta)
 	if err != nil {
 		return err
 	}
@@ -82,7 +78,7 @@ func MergeCPUs(w io.Writer, meta string, files ...*File) error {
 		if err := sw.SetEncoding(info.Encoding); err != nil {
 			return err
 		}
-		if _, err := sw.WriteSegmentSeq(recs, info.Dropped, info.DilationCycles, info.CPU, info.Seq); err != nil {
+		if _, err := sw.WriteSegment(recs, info); err != nil {
 			return fmt.Errorf("trace: merge: input %d segment %d: %w", s.file, s.seg, err)
 		}
 	}

@@ -34,21 +34,21 @@ func splitSMP(recs []Record, ncpu, nseg int) [][]cpuSeg {
 	return out
 }
 
-// writeCPUStream writes one CPU's segments as a sequence-stamped (v3)
-// stream.
+// writeCPUStream writes one CPU's segments as a stream stamped with
+// their cpu/seq marks.
 func writeCPUStream(t *testing.T, segs []cpuSeg, codec uint16, enc uint8, meta string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	sw, err := NewSegmentWriterV3(&buf, codec, meta)
+	sw, err := NewSegmentWriter(&buf, codec, meta)
 	if err != nil {
-		t.Fatalf("NewSegmentWriterV3: %v", err)
+		t.Fatalf("NewSegmentWriter: %v", err)
 	}
 	if err := sw.SetEncoding(enc); err != nil {
 		t.Fatalf("SetEncoding: %v", err)
 	}
 	for _, s := range segs {
-		if _, err := sw.WriteSegmentSeq(s.recs, 0, 0, s.cpu, s.seq); err != nil {
-			t.Fatalf("WriteSegmentSeq: %v", err)
+		if _, err := sw.WriteSegment(s.recs, SegmentInfo{CPU: s.cpu, Seq: s.seq}); err != nil {
+			t.Fatalf("WriteSegment: %v", err)
 		}
 	}
 	if err := sw.Close(); err != nil {
@@ -112,9 +112,6 @@ func TestMergeCPUsDeterminism(t *testing.T) {
 				}
 
 				f := openStream(t, merged)
-				if !f.SeqStamped() {
-					t.Fatalf("%s: merged stream is not sequence-stamped", name)
-				}
 				serial, err := f.Records(1)
 				if err != nil {
 					t.Fatalf("%s: decode: %v", name, err)
@@ -152,7 +149,7 @@ func TestMergeCPUsDeterminism(t *testing.T) {
 }
 
 // TestMergeCPUsRejects: inputs that are not one capture's coherent set
-// of sequence-stamped streams are errors, not silent corruption.
+// of per-CPU streams are errors, not silent corruption.
 func TestMergeCPUsRejects(t *testing.T) {
 	recs := makeTrace(600, 5)
 	perCPU := splitSMP(recs, 2, 4)
@@ -162,12 +159,6 @@ func TestMergeCPUsRejects(t *testing.T) {
 
 	if err := MergeCPUs(&buf, "m"); err == nil {
 		t.Error("merge of zero inputs accepted")
-	}
-
-	// Unstamped (v2) input.
-	v2 := writeSegmented(t, recs, 3, CodecDelta, "v2")
-	if err := MergeCPUs(&buf, "m", openStream(t, v2)); err == nil {
-		t.Error("merge accepted an unstamped v2 stream")
 	}
 
 	// Codec mismatch.
@@ -185,13 +176,13 @@ func TestMergeCPUsRejects(t *testing.T) {
 
 // FuzzMergeCPUs: per-CPU streams built from fuzzed bytes — sequence
 // marks that may repeat, run backwards or be missing, inputs that may
-// be unstamped (v2), disagree on codec or end mid-segment, either
-// payload encoding — never panic MergeCPUs. Inputs OpenReaderAt
-// rejects (a stream whose own marks do not strictly increase) never
-// reach it. Whenever the merge succeeds, its output opens with strictly
-// increasing marks, replays the inputs' segments in mark order record
-// for record (with their cpu/seq stamps and counters), and is
-// byte-identical for every input order.
+// disagree on codec or end mid-segment, either payload encoding —
+// never panic MergeCPUs. Inputs OpenReaderAt rejects (a stream whose
+// own marks do not strictly increase) never reach it. Whenever the
+// merge succeeds, its output opens with strictly increasing marks,
+// replays the inputs' segments in mark order record for record (with
+// their cpu/seq stamps and counters), and is byte-identical for every
+// input order.
 func FuzzMergeCPUs(f *testing.F) {
 	material := func(nseg int) []byte {
 		var b []byte
@@ -209,7 +200,7 @@ func FuzzMergeCPUs(f *testing.F) {
 	f.Add(uint8(1), uint8(0x00), material(3))  // raw, one CPU
 	f.Add(uint8(3), uint8(0x05), material(9))  // free-form marks
 	f.Add(uint8(2), uint8(0x09), material(6))  // mixed codecs
-	f.Add(uint8(2), uint8(0x11), material(6))  // one unstamped input
+	f.Add(uint8(0), uint8(0x03), material(5))  // one stream: a serial capture merged alone
 	f.Add(uint8(2), uint8(0xa3), material(6))  // truncated tail
 	f.Fuzz(func(t *testing.T, ncpu, flags uint8, b []byte) {
 		n := 1 + int(ncpu%4)
@@ -252,7 +243,7 @@ func FuzzMergeCPUs(f *testing.F) {
 			if flags&0x08 != 0 && c == n-1 {
 				cc ^= 1 // mixed codecs
 			}
-			streams[c] = writeMarkedStream(t, segs, cc, enc, flags&0x10 != 0 && c == 0)
+			streams[c] = writeMarkedStream(t, segs, cc, enc)
 		}
 		if flags&0x20 != 0 {
 			cut := 1 + int(flags>>6)
@@ -272,9 +263,6 @@ func FuzzMergeCPUs(f *testing.F) {
 			return
 		}
 		merged := openStream(t, out.Bytes())
-		if !merged.SeqStamped() {
-			t.Fatal("merged stream is not sequence-stamped")
-		}
 		type inSeg struct {
 			info SegmentInfo
 			recs []Record
@@ -325,18 +313,13 @@ func FuzzMergeCPUs(f *testing.F) {
 	})
 }
 
-// writeMarkedStream writes one CPU's segments as a sequence-stamped
-// stream carrying exactly the given marks — zero, repeated or
-// decreasing ones included, which the writer itself refuses to emit —
-// or, when unstamped, as a v2 stream with no marks at all.
-func writeMarkedStream(t *testing.T, segs []cpuSeg, codec uint16, enc uint8, unstamped bool) []byte {
+// writeMarkedStream writes one CPU's segments as a stream carrying
+// exactly the given marks — zero, repeated or decreasing ones included,
+// which the writer itself refuses to emit.
+func writeMarkedStream(t *testing.T, segs []cpuSeg, codec uint16, enc uint8) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	newWriter := NewSegmentWriterV3
-	if unstamped {
-		newWriter = NewSegmentWriter
-	}
-	sw, err := newWriter(&buf, codec, "")
+	sw, err := NewSegmentWriter(&buf, codec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,26 +329,19 @@ func writeMarkedStream(t *testing.T, segs []cpuSeg, codec uint16, enc uint8, uns
 	var seqOffs []int // byte offset of each segment's seq field
 	off := 16         // stream header, no meta
 	for i, s := range segs {
-		var info SegmentInfo
-		if unstamped {
-			info, err = sw.WriteSegment(s.recs, uint64(i), uint64(i)*56)
-		} else {
-			info, err = sw.WriteSegmentSeq(s.recs, uint64(i), uint64(i)*56, s.cpu, uint64(i+1))
-		}
+		info, err := sw.WriteSegment(s.recs, SegmentInfo{Dropped: uint64(i), DilationCycles: uint64(i) * 56, CPU: s.cpu})
 		if err != nil {
 			t.Fatal(err)
 		}
 		seqOffs = append(seqOffs, off+4+47)
-		off += 4 + segHeaderBytesV3 + int(info.PayloadBytes)
+		off += 4 + segHeaderBytes + int(info.PayloadBytes)
 	}
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.Bytes()
-	if !unstamped {
-		for i, o := range seqOffs {
-			binary.LittleEndian.PutUint64(out[o:], segs[i].seq)
-		}
+	for i, o := range seqOffs {
+		binary.LittleEndian.PutUint64(out[o:], segs[i].seq)
 	}
 	return out
 }

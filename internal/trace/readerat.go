@@ -30,10 +30,9 @@ type File struct {
 	closer io.Closer
 	mapped []byte // whole container, when memory-mapped (OpenFileMapped)
 
-	codec      uint16
-	meta       string
-	seqStamped bool   // v3 stream: segments carry cpu/seq marks
-	count      uint64 // records promised by every header in the index
+	codec uint16
+	meta  string
+	count uint64 // records promised by every header in the index
 
 	segs    []SegmentInfo // per-segment metadata
 	segOff  []int64       // file offset of each segment's payload
@@ -155,7 +154,7 @@ func OpenReaderAt(ra io.ReaderAt, size int64) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &File{ra: ra, size: size, codec: w.codec, meta: w.meta, seqStamped: w.stamped}
+	f := &File{ra: ra, size: size, codec: w.codec, meta: w.meta}
 	for {
 		info, err := w.next()
 		if err == io.EOF {
@@ -177,10 +176,6 @@ func OpenReaderAt(ra io.ReaderAt, size int64) (*File, error) {
 
 // Meta returns the stream's provenance string.
 func (f *File) Meta() string { return f.meta }
-
-// SeqStamped reports whether the stream's segments carry cpu/seq marks
-// (a version-3 container: a per-CPU SMP stream or a MergeCPUs output).
-func (f *File) SeqStamped() bool { return f.seqStamped }
 
 // Codec returns the stream's record codec (CodecRaw or CodecDelta).
 func (f *File) Codec() uint16 { return f.codec }
@@ -221,23 +216,35 @@ func (f *File) Arena(workers int) (*Arena, error) {
 	return NewArenaFromChunks(chunks), nil
 }
 
-// ArenaCPU decodes only the segments captured by one processor of a
-// sequence-stamped (v3) stream into a chunked arena — a single core's
-// replay out of a per-CPU or merged SMP trace. cpu < 0 selects every
+// CPUSegments returns the indices, in stream order, of the segments
+// captured by processor cpu. A CPU no segment carries — absent from
+// the capture, or negative — is an error, not an empty selection, so a
+// mistyped filter cannot silently analyse nothing.
+func (f *File) CPUSegments(cpu int) ([]int, error) {
+	var idx []int
+	for i, s := range f.segs {
+		if int(s.CPU) == cpu {
+			idx = append(idx, i)
+		}
+	}
+	if len(idx) == 0 {
+		return nil, fmt.Errorf("trace: no segment was captured by CPU %d", cpu)
+	}
+	return idx, nil
+}
+
+// ArenaCPU decodes only the segments captured by one processor into a
+// chunked arena — a single core's replay out of a per-CPU or merged
+// SMP trace (a serial capture is all CPU 0). cpu < 0 selects every
 // segment (identical to Arena). Chunk order follows segment order, so
 // the result is deterministic for any worker count.
 func (f *File) ArenaCPU(workers, cpu int) (*Arena, error) {
 	if cpu < 0 {
 		return f.Arena(workers)
 	}
-	if !f.seqStamped {
-		return nil, fmt.Errorf("trace: stream is not sequence-stamped; no per-CPU attribution to filter on")
-	}
-	var idx []int
-	for i, s := range f.segs {
-		if int(s.CPU) == cpu {
-			idx = append(idx, i)
-		}
+	idx, err := f.CPUSegments(cpu)
+	if err != nil {
+		return nil, err
 	}
 	chunks, err := par.Map(workers, len(idx), func(i int) ([]Record, error) {
 		return f.Segment(idx[i])

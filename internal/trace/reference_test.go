@@ -128,10 +128,6 @@ func referenceReadAll(r io.Reader) ([]Record, error) {
 	if _, err := io.ReadFull(in, hdr[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading segment-stream header: %w", promisedEOF(err))
 	}
-	segHdr := segHeaderBytes
-	if binary.LittleEndian.Uint16(hdr[0:]) == segVersion3 {
-		segHdr = segHeaderBytesV3
-	}
 	d := &refStream{codec: binary.LittleEndian.Uint16(hdr[2:])}
 	metaLen := binary.LittleEndian.Uint32(hdr[4:])
 	if metaLen > maxMetaLen {
@@ -142,7 +138,7 @@ func referenceReadAll(r io.Reader) ([]Record, error) {
 	}
 	var recs []Record
 	for seg := 0; ; seg++ {
-		sh := make([]byte, 4+segHdr)
+		sh := make([]byte, 4+segHeaderBytes)
 		if _, err := io.ReadFull(in, sh); err != nil {
 			if err == io.EOF {
 				return recs, nil

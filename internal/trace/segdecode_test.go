@@ -38,7 +38,7 @@ func captureSegments(t *testing.T, recs []Record, n int, codec uint16) ([]Stream
 		if end > len(recs) {
 			end = len(recs)
 		}
-		if _, err := sw.WriteSegment(recs[off:end], 0, 0); err != nil {
+		if _, err := sw.WriteSegment(recs[off:end], SegmentInfo{}); err != nil {
 			t.Fatal(err)
 		}
 	}

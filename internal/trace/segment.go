@@ -24,38 +24,34 @@ import (
 //	enc     uint8    payload encoding (SegEncRaw / SegEncFlate)
 //	rawLen  uint64   payload bytes after inflation (== payLen for raw
 //	                 segments)
-//	cpu     uint16   capturing processor id; v3 only
+//	cpu     uint16   capturing processor id (0 for a serial capture)
 //	seq     uint64   global sequence mark (machine-wide spill order,
-//	                 strictly increasing within a stream); v3 only
+//	                 from 1, strictly increasing within a stream)
 //	payload [payLen]byte   count records in the stream's codec,
 //	                       stored per enc
 //
-// Every field is little endian. Version 3 streams append the SMP
-// cpu/seq stamps; readers accept versions 2 and 3. Headers are never
-// compressed, so the index walk stays header-only. The delta codec's
-// inter-record state resets at each segment boundary, so any segment
-// can be decoded knowing only the stream codec — and the concatenation
-// of all segments' records is byte-identical to the same capture
-// written as one segment, whatever each segment's encoding.
+// Every field is little endian. Headers are never compressed, so the
+// index walk stays header-only. The delta codec's inter-record state
+// resets at each segment boundary, so any segment can be decoded
+// knowing only the stream codec — and the concatenation of all
+// segments' records is byte-identical to the same capture written as
+// one segment, whatever each segment's encoding.
 //
 // The cpu/seq pair is what makes multiprocessor capture mergeable: each
 // core spills into its own stream, every spill draws the next value
 // from one machine-wide sequence counter, and trace.MergeCPUs later
 // interleaves the per-CPU segments back into global spill order by seq
 // alone — no cross-core clock needed, exactly the "global sequence
-// mark" the roadmap's MP tracing lineage calls for.
+// mark" the roadmap's MP tracing lineage calls for. A serial capture is
+// the one-CPU case: CPU 0, marks 1, 2, 3, ...
 
 // segMarker guards each segment header; a payload/payLen mismatch (or
 // corrupt payload) desynchronises the stream and is caught here rather
 // than silently decoding garbage.
 var segMarker = [4]byte{'A', 'S', 'E', 'G'}
 
-// segHeaderBytes is the fixed v2 header size after the marker;
-// segHeaderBytesV3 appends the cpu/seq stamps.
-const (
-	segHeaderBytes   = 45
-	segHeaderBytesV3 = 55
-)
+// segHeaderBytes is the fixed segment header size after the marker.
+const segHeaderBytes = 55
 
 // maxSegPayload bounds one segment's payload length from an untrusted
 // header.
@@ -71,8 +67,8 @@ type SegmentInfo struct {
 	PayloadBytes   uint64 // stored payload size (compressed for flate segments)
 	Encoding       uint8  // payload encoding (SegEncRaw / SegEncFlate)
 	RawBytes       uint64 // payload size after inflation (== PayloadBytes when raw)
-	CPU            uint16 // capturing processor (v3 streams; 0 otherwise)
-	Seq            uint64 // global sequence mark (v3 streams; sequence marks start at 1, so 0 means unstamped)
+	CPU            uint16 // capturing processor (0 for a serial capture)
+	Seq            uint64 // global sequence mark (from 1, strictly increasing within a stream)
 }
 
 func (s SegmentInfo) String() string {
@@ -81,10 +77,7 @@ func (s SegmentInfo) String() string {
 	if s.Encoding != SegEncRaw {
 		base += fmt.Sprintf(" (%s, %d bytes uncompressed)", EncodingName(s.Encoding), s.RawBytes)
 	}
-	if s.Seq != 0 {
-		base += fmt.Sprintf(" [cpu %d seq %d]", s.CPU, s.Seq)
-	}
-	return base
+	return base + fmt.Sprintf(" [cpu %d seq %d]", s.CPU, s.Seq)
 }
 
 // SegmentWriter appends buffer dumps to a segmented trace stream. The
@@ -97,8 +90,7 @@ type SegmentWriter struct {
 	codec   uint16
 	enc     uint8
 	next    uint32
-	seqOn   bool         // v3 stream: segments carry cpu/seq stamps
-	lastSeq uint64       // last stamp written (stamps must strictly increase)
+	lastSeq uint64       // last mark written (marks must strictly increase)
 	packed  []byte       // WriteSegment's packing buffer, reused
 	pay     []byte       // per-segment delta encode buffer, reused
 	comp    bytes.Buffer // per-segment compression buffer, reused
@@ -135,24 +127,6 @@ func (sw *SegmentWriter) Tee(fn func(StreamSegment)) { sw.tee = fn }
 // NewSegmentWriter writes the segmented stream header to w and returns
 // the writer positioned for the first segment.
 func NewSegmentWriter(w io.Writer, codec uint16, meta string) (*SegmentWriter, error) {
-	return newSegmentWriter(w, codec, meta, segVersion)
-}
-
-// NewSegmentWriterV3 opens a version-3 (sequence-stamped) stream:
-// every segment must be written through WriteSegmentSeq with a CPU id
-// and a strictly increasing global sequence mark. Per-CPU SMP spill
-// services and MergeCPUs write these; uniprocessor captures keep
-// writing v2 so their bytes are unchanged.
-func NewSegmentWriterV3(w io.Writer, codec uint16, meta string) (*SegmentWriter, error) {
-	sw, err := newSegmentWriter(w, codec, meta, segVersion3)
-	if err != nil {
-		return nil, err
-	}
-	sw.seqOn = true
-	return sw, nil
-}
-
-func newSegmentWriter(w io.Writer, codec uint16, meta string, version uint16) (*SegmentWriter, error) {
 	if codec != CodecRaw && codec != CodecDelta {
 		return nil, fmt.Errorf("trace: unknown codec %d", codec)
 	}
@@ -164,7 +138,7 @@ func newSegmentWriter(w io.Writer, codec uint16, meta string, version uint16) (*
 		return nil, err
 	}
 	var hdr [8]byte
-	binary.LittleEndian.PutUint16(hdr[0:], version)
+	binary.LittleEndian.PutUint16(hdr[0:], segVersion)
 	binary.LittleEndian.PutUint16(hdr[2:], codec)
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(meta)))
 	if _, err := sw.w.Write(hdr[:]); err != nil {
@@ -179,55 +153,26 @@ func newSegmentWriter(w io.Writer, codec uint16, meta string, version uint16) (*
 	return sw, nil
 }
 
-// WriteSegment appends one buffer dump with its capture-side counters
-// and flushes it to the sink, returning the header it wrote (stored and
-// uncompressed sizes, the encoding actually used). Empty segments are
-// legal (a spill can race an already-drained buffer) and always stored
-// raw. Errors are sticky: once the sink fails, every later call reports
-// the same error so a capture loop can fall back to counted-drop mode.
-func (sw *SegmentWriter) WriteSegment(recs []Record, dropped, dilationCycles uint64) (SegmentInfo, error) {
+// WriteSegment appends one buffer dump and flushes it to the sink,
+// returning the header it wrote (stored and uncompressed sizes, the
+// encoding actually used). Of stamp only the capture-side fields are
+// read: Dropped, DilationCycles, CPU and Seq. Seq is the segment's
+// global sequence mark and must exceed the previous segment's; zero
+// means one past it, so a serial writer numbers its segments 1, 2, 3,
+// ... without a counter. Empty segments are legal (a spill can race an
+// already-drained buffer) and always stored raw. Errors are sticky:
+// once the sink fails, every later call reports the same error so a
+// capture loop can fall back to counted-drop mode.
+func (sw *SegmentWriter) WriteSegment(recs []Record, stamp SegmentInfo) (SegmentInfo, error) {
 	sw.packed = appendPacked(sw.packed[:0], recs)
-	return sw.WritePacked(sw.packed, dropped, dilationCycles)
+	return sw.WritePacked(sw.packed, stamp)
 }
 
 // WritePacked is WriteSegment for records already in the packed layout
 // the collector's trace store writes — a buffer dump as it sits in
 // reserved memory. packed must hold whole records; the writer reads it
 // only during the call.
-func (sw *SegmentWriter) WritePacked(packed []byte, dropped, dilationCycles uint64) (SegmentInfo, error) {
-	if sw.seqOn {
-		return SegmentInfo{}, fmt.Errorf("trace: sequence-stamped (v3) stream: use WriteSegmentSeq")
-	}
-	return sw.writeSegment(packed, dropped, dilationCycles, 0, 0)
-}
-
-// WriteSegmentSeq appends one buffer dump to a v3 stream, stamped with
-// the capturing CPU and a global sequence mark. Marks start at 1 and
-// must strictly increase within the stream (per-CPU streams drawing
-// from one shared counter satisfy this naturally; so does a merged
-// stream, whose marks are the union).
-func (sw *SegmentWriter) WriteSegmentSeq(recs []Record, dropped, dilationCycles uint64, cpu uint16, seq uint64) (SegmentInfo, error) {
-	sw.packed = appendPacked(sw.packed[:0], recs)
-	return sw.WritePackedSeq(sw.packed, dropped, dilationCycles, cpu, seq)
-}
-
-// WritePackedSeq is WriteSegmentSeq for packed records (see
-// WritePacked).
-func (sw *SegmentWriter) WritePackedSeq(packed []byte, dropped, dilationCycles uint64, cpu uint16, seq uint64) (SegmentInfo, error) {
-	if !sw.seqOn {
-		return SegmentInfo{}, fmt.Errorf("trace: not a sequence-stamped stream: use WriteSegment")
-	}
-	if seq <= sw.lastSeq {
-		return SegmentInfo{}, fmt.Errorf("trace: sequence mark %d not above previous %d", seq, sw.lastSeq)
-	}
-	info, err := sw.writeSegment(packed, dropped, dilationCycles, cpu, seq)
-	if err == nil {
-		sw.lastSeq = seq
-	}
-	return info, err
-}
-
-func (sw *SegmentWriter) writeSegment(packed []byte, dropped, dilationCycles uint64, cpu uint16, seq uint64) (SegmentInfo, error) {
+func (sw *SegmentWriter) WritePacked(packed []byte, stamp SegmentInfo) (SegmentInfo, error) {
 	if sw.err != nil {
 		return SegmentInfo{}, sw.err
 	}
@@ -236,6 +181,12 @@ func (sw *SegmentWriter) writeSegment(packed []byte, dropped, dilationCycles uin
 	}
 	if len(packed)%RecordBytes != 0 {
 		return SegmentInfo{}, fmt.Errorf("trace: packed segment length %d not a record multiple", len(packed))
+	}
+	seq := stamp.Seq
+	if seq == 0 {
+		seq = sw.lastSeq + 1
+	} else if seq <= sw.lastSeq {
+		return SegmentInfo{}, fmt.Errorf("trace: sequence mark %d not above previous %d", seq, sw.lastSeq)
 	}
 	// Encode to memory first: payLen must precede the payload, and a
 	// sink error mid-segment must not leave a half-written segment
@@ -259,30 +210,26 @@ func (sw *SegmentWriter) writeSegment(packed []byte, dropped, dilationCycles uin
 	info := SegmentInfo{
 		Index:          sw.next,
 		Records:        uint64(len(packed) / RecordBytes),
-		Dropped:        dropped,
-		DilationCycles: dilationCycles,
+		Dropped:        stamp.Dropped,
+		DilationCycles: stamp.DilationCycles,
 		PayloadBytes:   uint64(len(stored)),
 		Encoding:       enc,
 		RawBytes:       uint64(len(raw)),
-		CPU:            cpu,
+		CPU:            stamp.CPU,
 		Seq:            seq,
 	}
-	var hdr [4 + segHeaderBytesV3]byte
+	var hdr [4 + segHeaderBytes]byte
 	copy(hdr[:4], segMarker[:])
 	binary.LittleEndian.PutUint32(hdr[4:], info.Index)
 	binary.LittleEndian.PutUint64(hdr[8:], info.Records)
-	binary.LittleEndian.PutUint64(hdr[16:], dropped)
-	binary.LittleEndian.PutUint64(hdr[24:], dilationCycles)
+	binary.LittleEndian.PutUint64(hdr[16:], info.Dropped)
+	binary.LittleEndian.PutUint64(hdr[24:], info.DilationCycles)
 	binary.LittleEndian.PutUint64(hdr[32:], info.PayloadBytes)
 	hdr[40] = enc
 	binary.LittleEndian.PutUint64(hdr[41:], info.RawBytes)
-	hdrLen := 4 + segHeaderBytes
-	if sw.seqOn {
-		binary.LittleEndian.PutUint16(hdr[49:], cpu)
-		binary.LittleEndian.PutUint64(hdr[51:], seq)
-		hdrLen = 4 + segHeaderBytesV3
-	}
-	if _, err := sw.w.Write(hdr[:hdrLen]); err != nil {
+	binary.LittleEndian.PutUint16(hdr[49:], info.CPU)
+	binary.LittleEndian.PutUint64(hdr[51:], info.Seq)
+	if _, err := sw.w.Write(hdr[:]); err != nil {
 		return SegmentInfo{}, sw.fail(err)
 	}
 	if _, err := sw.w.Write(stored); err != nil {
@@ -295,6 +242,7 @@ func (sw *SegmentWriter) writeSegment(packed []byte, dropped, dilationCycles uin
 		sw.tee(StreamSegment{Codec: sw.codec, Info: info, Payload: stored})
 	}
 	sw.next++
+	sw.lastSeq = seq
 	return info, nil
 }
 
@@ -324,8 +272,8 @@ func (sw *SegmentWriter) Close() error {
 }
 
 // parseSegmentHeader decodes and validates the fixed fields after the
-// "ASEG" marker; hdr's length selects the stream version (45 bytes for
-// v2, 55 for v3). Both readers reach it through headerWalk.next.
+// "ASEG" marker. Both readers reach it through headerWalk.next, which
+// also checks the sequence marks' order.
 func parseSegmentHeader(hdr []byte, at int, codec uint16) (SegmentInfo, error) {
 	info := SegmentInfo{
 		Index:          binary.LittleEndian.Uint32(hdr[0:]),
@@ -335,13 +283,8 @@ func parseSegmentHeader(hdr []byte, at int, codec uint16) (SegmentInfo, error) {
 		PayloadBytes:   binary.LittleEndian.Uint64(hdr[28:]),
 		Encoding:       hdr[36],
 		RawBytes:       binary.LittleEndian.Uint64(hdr[37:]),
-	}
-	if len(hdr) >= segHeaderBytesV3 {
-		info.CPU = binary.LittleEndian.Uint16(hdr[45:])
-		info.Seq = binary.LittleEndian.Uint64(hdr[47:])
-		if info.Seq == 0 {
-			return info, fmt.Errorf("trace: segment %d: zero sequence mark in a stamped stream", info.Index)
-		}
+		CPU:            binary.LittleEndian.Uint16(hdr[45:]),
+		Seq:            binary.LittleEndian.Uint64(hdr[47:]),
 	}
 	if info.Encoding == SegEncRaw {
 		// The raw payload IS the codec stream; rawLen is informational

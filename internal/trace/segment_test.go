@@ -38,7 +38,7 @@ func writeSegmentedEnc(t *testing.T, recs []Record, n int, codec uint16, enc uin
 		if hi > len(recs) {
 			hi = len(recs)
 		}
-		if _, err := sw.WriteSegment(recs[lo:hi], uint64(i), uint64(i)*1000); err != nil {
+		if _, err := sw.WriteSegment(recs[lo:hi], SegmentInfo{Dropped: uint64(i), DilationCycles: uint64(i) * 1000}); err != nil {
 			t.Fatalf("WriteSegment %d: %v", i, err)
 		}
 	}
@@ -204,7 +204,7 @@ func TestSegmentEmptySegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, seg := range [][]Record{nil, recs[:4], nil, recs[4:], nil} {
-		if _, err := sw.WriteSegment(seg, 0, 0); err != nil {
+		if _, err := sw.WriteSegment(seg, SegmentInfo{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -323,6 +323,36 @@ func TestSegmentHeaderValidation(t *testing.T) {
 	}
 }
 
+// TestSegmentWriterSequenceMarks: a zero Seq takes one past the
+// previous mark, an explicit one must exceed it, and readers see the
+// marks and CPU the writer stamped.
+func TestSegmentWriterSequenceMarks(t *testing.T) {
+	recs := makeTrace(8, 3)
+	var buf bytes.Buffer
+	sw, err := NewSegmentWriter(&buf, CodecDelta, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stamp := range []SegmentInfo{{}, {CPU: 2, Seq: 5}, {CPU: 2}} {
+		if _, err := sw.WriteSegment(recs, stamp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sw.WriteSegment(recs, SegmentInfo{Seq: 6}); err == nil {
+		t.Fatal("repeated sequence mark 6 accepted")
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got []SegmentInfo
+	for _, s := range scanSegments(t, buf.Bytes()) {
+		got = append(got, SegmentInfo{CPU: s.CPU, Seq: s.Seq})
+	}
+	if want := []SegmentInfo{{Seq: 1}, {CPU: 2, Seq: 5}, {CPU: 2, Seq: 6}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("stamps %+v, want %+v", got, want)
+	}
+}
+
 // TestSegmentWriterStickyError: a failing sink poisons the writer so a
 // capture loop can detect it once and fall back to counted-drop mode.
 func TestSegmentWriterStickyError(t *testing.T) {
@@ -332,13 +362,13 @@ func TestSegmentWriterStickyError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sw.WriteSegment(recs, 0, 0); err == nil {
+	if _, err := sw.WriteSegment(recs, SegmentInfo{}); err == nil {
 		t.Fatal("write into failing sink succeeded")
 	}
 	if sw.Err() == nil {
 		t.Fatal("Err() nil after sink failure")
 	}
-	if _, err := sw.WriteSegment(recs, 0, 0); err == nil {
+	if _, err := sw.WriteSegment(recs, SegmentInfo{}); err == nil {
 		t.Fatal("sticky error not reported on retry")
 	}
 	if err := sw.Close(); err == nil {

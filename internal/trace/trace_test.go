@@ -50,7 +50,7 @@ func writeOneSegment(w io.Writer, recs []Record, codec uint16, meta string) erro
 	if err != nil {
 		return err
 	}
-	if _, err := sw.WriteSegment(recs, 0, 0); err != nil {
+	if _, err := sw.WriteSegment(recs, SegmentInfo{}); err != nil {
 		return err
 	}
 	return sw.Close()
