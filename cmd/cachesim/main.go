@@ -95,7 +95,7 @@ func main() {
 	if *mattson {
 		collect := sweep.AddSim(pipe, "mattson", stackdist.NewStream(sdOpts))
 		feed()
-		printMattson(must(collect()), uint32(*block))
+		printMattson(must(collect()), sdOpts)
 		return
 	}
 
@@ -218,15 +218,18 @@ func sweepConfigs(cfg cache.Config, sweepArg, sizesArg string) []cache.Config {
 
 // printMattson renders the stack-distance profile; local and -remote
 // runs print through this one function, so their bytes match.
-func printMattson(prof *stackdist.Profile, block uint32) {
+func printMattson(prof *stackdist.Profile, opts stackdist.Options) {
 	tb := &analysis.Table{
 		Title:   "fully-associative LRU miss-rate curve (one pass)",
 		Headers: []string{"capacity", "blocks", "miss rate"},
 	}
 	for _, blocks := range []int{16, 64, 256, 1024, 4096, 16384} {
-		bytes := uint32(blocks) * block
-		tb.AddRow(fmt.Sprintf("%dKB", bytes>>10), analysis.N(blocks),
-			analysis.Pct(prof.MissRate(blocks)))
+		bytes := uint64(blocks) * uint64(opts.Block())
+		capacity := fmt.Sprintf("%dKB", bytes>>10)
+		if bytes < 1<<10 {
+			capacity = fmt.Sprintf("%dB", bytes)
+		}
+		tb.AddRow(capacity, analysis.N(blocks), analysis.Pct(prof.MissRate(blocks)))
 	}
 	fmt.Print(tb)
 	fmt.Printf("cold misses: %d of %d refs; max stack depth %d\n",

@@ -6,6 +6,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"atum/internal/trace"
@@ -109,6 +111,7 @@ func TestInputModes(t *testing.T) {
 	for _, flags := range [][]string{
 		{"-sweep", "sizes"},
 		{"-mattson"},
+		{"-mattson", "-block", "64"},
 		{"-tlb"},
 		{"-l2", "256K"},
 		{"-user-only", "-sweep", "assoc"},
@@ -163,6 +166,36 @@ func TestRejectsUnsimulatableSizes(t *testing.T) {
 			if _, code := cachesim(t, "", append(stream, "-size", size, "-block", "16", path)...); code == 0 {
 				t.Errorf("%v -size %s -block 16: exit 0, want a failure", stream, size)
 			}
+		}
+	}
+}
+
+// TestMattsonCapacities: the -mattson capacity column is the byte size
+// of each row's block count at the block size the analysis ran with:
+// -block 0 runs (and prints) the 16-byte default, sizes below 1 KB
+// print in bytes, and 16384 blocks of 256 KB do not wrap to zero.
+func TestMattsonCapacities(t *testing.T) {
+	path := testTrace(t, 1)
+	for _, c := range []struct {
+		block string
+		want  []string
+	}{
+		{"16", []string{"256B", "1KB", "4KB", "16KB", "64KB", "256KB"}},
+		{"0", []string{"256B", "1KB", "4KB", "16KB", "64KB", "256KB"}},
+		{"262144", []string{"4096KB", "16384KB", "65536KB", "262144KB", "1048576KB", "4194304KB"}},
+	} {
+		out, code := cachesim(t, "", "-mattson", "-block", c.block, path)
+		if code != 0 {
+			t.Fatalf("-block %s: exit %d", c.block, code)
+		}
+		// Title, header and rule lines, then one row per capacity.
+		lines := strings.Split(string(out), "\n")
+		var got []string
+		for _, l := range lines[3:min(3+len(c.want), len(lines))] {
+			got = append(got, strings.Fields(l)[0])
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("-block %s: capacities %v, want %v\n%s", c.block, got, c.want, out)
 		}
 	}
 }

@@ -64,7 +64,7 @@ func remoteRun(addr, path string, f remoteFlags) {
 		if err != nil {
 			fatal(err)
 		}
-		printMattson(resp.Stackdist, f.block)
+		printMattson(resp.Stackdist, *req.Stackdist)
 
 	case f.tlb:
 		cfg := tlbsim.Config{

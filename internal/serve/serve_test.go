@@ -16,6 +16,7 @@ import (
 	"atum/internal/cache"
 	"atum/internal/obs"
 	"atum/internal/serve/api"
+	"atum/internal/stackdist"
 	"atum/internal/sweep"
 	"atum/internal/trace"
 )
@@ -369,6 +370,36 @@ func TestAnalysisRemoteVsLocal(t *testing.T) {
 	}
 	if !reflect.DeepEqual(uresp.Caches, userLocal) {
 		t.Fatalf("user-only remote differs from local FilterUser sweep")
+	}
+
+	// The stackdist kind runs the engine local cachesim -mattson runs: a
+	// Stream on a pipeline over the same bytes, user-filtered by the
+	// pipeline for user_only.
+	sdOpts := stackdist.Options{BlockBytes: 16, PIDTag: true, IncludePTE: true}
+	for _, userOnly := range []bool{false, true} {
+		p := sweep.NewPipeline(0)
+		if userOnly {
+			p.SetFilter(trace.UserRecord)
+		}
+		collect := sweep.AddSim(p, "mattson", stackdist.NewStream(sdOpts))
+		p.FeedSource(arena)
+		local, err := collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.Analyze(api.AnalysisRequest{Trace: "syn", Kind: api.KindStackdist, Stackdist: &sdOpts, UserOnly: userOnly})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if local.Total == 0 || !reflect.DeepEqual(resp.Stackdist, local) {
+			t.Fatalf("user_only=%v: remote stackdist profile differs from local Stream (total %d/%d, cold %d/%d)",
+				userOnly, resp.Stackdist.Total, local.Total, resp.Stackdist.Cold, local.Cold)
+		}
+		lj, _ := json.Marshal(local)
+		rj, _ := json.Marshal(resp.Stackdist)
+		if !bytes.Equal(lj, rj) {
+			t.Fatalf("user_only=%v: stackdist wire forms differ", userOnly)
+		}
 	}
 }
 

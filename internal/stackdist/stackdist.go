@@ -5,10 +5,13 @@
 // configuration analysis was the era's standard technique for exactly
 // the kind of size sweeps the paper's figures show.
 //
-// The implementation uses the classic time-stamp reformulation: the
-// stack distance of a reference equals the number of distinct blocks
-// referenced since this block's previous reference, which a Fenwick tree
-// over reference time counts in O(log n) per reference.
+// One engine serves every caller (FromSource, Stream, cachesim
+// -mattson, atum-serve and experiment A3). It keeps the 64 most
+// recently used blocks as an explicit move-to-front array, so a reuse
+// near the top of the stack costs a short scan, and counts the rest in
+// a Fenwick tree over the order in which blocks fell out of that array,
+// which gives a deeper reuse's distance in O(log n). Memory is
+// O(distinct blocks) however long the stream runs.
 package stackdist
 
 import (
@@ -26,63 +29,6 @@ type Profile struct {
 	Cold uint64
 	// Total is the number of references analysed.
 	Total uint64
-}
-
-// fenwick is a binary indexed tree of counts over 1..n.
-type fenwick struct {
-	tree []uint64
-}
-
-func newFenwick(n int) *fenwick { return &fenwick{tree: make([]uint64, n+1)} }
-
-func (f *fenwick) add(i int, d uint64) {
-	for ; i < len(f.tree); i += i & (-i) {
-		f.tree[i] += d
-	}
-}
-
-func (f *fenwick) sum(i int) uint64 {
-	var s uint64
-	for ; i > 0; i -= i & (-i) {
-		s += f.tree[i]
-	}
-	return s
-}
-
-// Analyze computes the profile of a block-address stream.
-func Analyze(blocks []uint64) *Profile {
-	p := &Profile{}
-	// Presized proportionally to the stream: real streams reuse blocks
-	// heavily, so a quarter of the references is a generous bound on the
-	// distinct-block count and spares the map most of its incremental
-	// rehashes (which dominated Analyze on long traces).
-	size := len(blocks) / 4
-	if size < 1024 {
-		size = 1024
-	}
-	last := make(map[uint64]int, size)
-	fw := newFenwick(len(blocks))
-	marked := 0 // live marks in the tree == current distinct-block count
-
-	for t, b := range blocks {
-		p.Total++
-		t1 := t + 1 // Fenwick is 1-based
-		if t0, seen := last[b]; seen {
-			// Distance = distinct blocks referenced in (t0, t) plus one
-			// (this block itself sits below them on the stack).
-			depth := int(fw.sum(t1-1) - fw.sum(t0))
-			p.observe(depth + 1)
-			fw.add(t0, ^uint64(0)) // remove the old mark (add -1)
-			marked--
-		} else {
-			p.Cold++
-		}
-		last[b] = t1
-		fw.add(t1, 1)
-		marked++
-	}
-	_ = marked
-	return p
 }
 
 func (p *Profile) observe(depth int) {
@@ -111,16 +57,6 @@ func (p *Profile) MissRate(capacity int) float64 {
 	return float64(p.Misses(capacity)) / float64(p.Total)
 }
 
-// MissCurve evaluates the full miss-rate curve at the given capacities
-// (in blocks).
-func (p *Profile) MissCurve(capacities []int) []float64 {
-	out := make([]float64, len(capacities))
-	for i, c := range capacities {
-		out[i] = p.MissRate(c)
-	}
-	return out
-}
-
 // MaxDepth returns the largest observed stack distance.
 func (p *Profile) MaxDepth() int { return len(p.Depths) }
 
@@ -141,20 +77,25 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// blockMapper is the record-to-block conversion both the whole-source
-// path (BlocksSource) and the record-fed path (Stream) share, so the two
-// cannot drift. It assumes validated options.
+// Block returns the block size the analysis uses: BlockBytes, or the
+// 16-byte default when it is 0.
+func (o Options) Block() uint32 {
+	if o.BlockBytes == 0 {
+		return 16
+	}
+	return o.BlockBytes
+}
+
+// blockMapper is Stream's record-to-block conversion. It assumes
+// validated options.
 type blockMapper struct {
 	opts  Options
 	shift uint
 }
 
 func newBlockMapper(opts Options) blockMapper {
-	if opts.BlockBytes == 0 {
-		opts.BlockBytes = 16
-	}
 	m := blockMapper{opts: opts}
-	for opts.BlockBytes>>m.shift != 1 {
+	for opts.Block()>>m.shift != 1 {
 		m.shift++
 	}
 	return m
@@ -182,24 +123,40 @@ func (m blockMapper) block(r trace.Record) (uint64, bool) {
 	return b, true
 }
 
-// BlocksSource converts a record source into the block-address stream
-// Analyze expects, in one pass.
-func BlocksSource(src trace.Source, opts Options) []uint64 {
-	m := newBlockMapper(opts)
-	out := make([]uint64, 0, src.NumRecords())
-	_ = src.EachChunk(func(chunk []trace.Record) error {
-		for _, r := range chunk {
-			if b, ok := m.block(r); ok {
-				out = append(out, b)
-			}
-		}
-		return nil
-	})
-	return out
+// Stream is the stack-distance analysis over trace records: it converts
+// each record to a block reference and feeds the one engine. It is the
+// Sim the sweep pipeline (internal/sweep) drives for cachesim -mattson
+// and experiment A3, and what FromSource runs.
+type Stream struct {
+	bm blockMapper
+	e  engine
 }
 
-// FromSource is the composition of BlocksSource and Analyze: the
-// whole-source analysis the record-fed Stream is checked against.
+// NewStream returns a record-fed analysis with the given conversion
+// options.
+func NewStream(opts Options) *Stream {
+	return &Stream{bm: newBlockMapper(opts), e: newEngine(defaultTableSlots, defaultTreeCap)}
+}
+
+// Feed converts one chunk of records to block references and observes
+// them. The chunk is only read; it may be reused after Feed returns.
+func (s *Stream) Feed(chunk []trace.Record) error {
+	for _, r := range chunk {
+		if b, ok := s.bm.block(r); ok {
+			s.e.add(b)
+		}
+	}
+	return nil
+}
+
+// Result reports the profile accumulated so far. The returned value is
+// the analysis's own state: read it after the final Feed.
+func (s *Stream) Result() (*Profile, error) { return &s.e.p, nil }
+
+// FromSource is the profile of a whole record source: a Stream fed
+// every chunk in order.
 func FromSource(src trace.Source, opts Options) *Profile {
-	return Analyze(BlocksSource(src, opts))
+	s := NewStream(opts)
+	_ = src.EachChunk(s.Feed) // Feed never fails
+	return &s.e.p
 }

@@ -9,10 +9,15 @@ import (
 	"atum/internal/trace"
 )
 
+// analyze is the engine's profile of a block stream.
+func analyze(blocks []uint64) *Profile {
+	return &run(blocks, defaultTableSlots, defaultTreeCap).p
+}
+
 func TestSimpleDistances(t *testing.T) {
 	// Stream: A B A C B A — distances: A cold, B cold, A=2, C cold,
 	// B=3 (C,A above it), A=3 (B,C above it).
-	p := Analyze([]uint64{1, 2, 1, 3, 2, 1})
+	p := analyze([]uint64{1, 2, 1, 3, 2, 1})
 	if p.Cold != 3 {
 		t.Errorf("cold = %d, want 3", p.Cold)
 	}
@@ -38,7 +43,7 @@ func TestSimpleDistances(t *testing.T) {
 
 func TestRepeatedSingleBlock(t *testing.T) {
 	stream := make([]uint64, 100)
-	p := Analyze(stream)
+	p := analyze(stream)
 	if p.Cold != 1 || p.Depths[0] != 99 {
 		t.Errorf("cold=%d depths=%v", p.Cold, p.Depths)
 	}
@@ -49,18 +54,20 @@ func TestRepeatedSingleBlock(t *testing.T) {
 
 func TestLoopPattern(t *testing.T) {
 	// Cyclic sweep over N blocks: with capacity >= N everything hits
-	// after warmup; below N, LRU misses every time.
-	const N = 16
-	var stream []uint64
-	for i := 0; i < 10*N; i++ {
-		stream = append(stream, uint64(i%N))
-	}
-	p := Analyze(stream)
-	if got := p.Misses(N); got != N {
-		t.Errorf("misses(N) = %d, want %d (cold only)", got, N)
-	}
-	if got := p.Misses(N - 1); got != uint64(len(stream)) {
-		t.Errorf("misses(N-1) = %d, want %d (LRU thrashes a cyclic scan)", got, len(stream))
+	// after warmup; below N, LRU misses every time. N at and just past
+	// the top's depth puts every reuse on its last entry or just below.
+	for _, N := range []int{16, topDepth, topDepth + 1, 300} {
+		var stream []uint64
+		for i := 0; i < 10*N; i++ {
+			stream = append(stream, uint64(i%N))
+		}
+		p := analyze(stream)
+		if got := p.Misses(N); got != uint64(N) {
+			t.Errorf("N=%d: misses(N) = %d, want %d (cold only)", N, got, N)
+		}
+		if got := p.Misses(N - 1); got != uint64(len(stream)) {
+			t.Errorf("N=%d: misses(N-1) = %d, want %d (LRU thrashes a cyclic scan)", N, got, len(stream))
+		}
 	}
 }
 
@@ -71,7 +78,7 @@ func TestMonotonicity(t *testing.T) {
 		for i := range stream {
 			stream[i] = uint64(r.Intn(200))
 		}
-		p := Analyze(stream)
+		p := analyze(stream)
 		prev := uint64(1 << 62)
 		for c := 1; c <= 256; c *= 2 {
 			m := p.Misses(c)
@@ -136,7 +143,7 @@ func TestAgreesWithCacheSimulator(t *testing.T) {
 }
 
 func TestBlocksFiltering(t *testing.T) {
-	blocks := func(recs []trace.Record, opts Options) []uint64 { return BlocksSource(trace.Records(recs), opts) }
+	blocks := mapBlocks
 	recs := []trace.Record{
 		{Kind: trace.KindIFetch, Addr: 0x200, Width: 4, User: true, PID: 1},
 		{Kind: trace.KindDRead, Addr: 0x80000200, Width: 4, User: false, PID: 1},
@@ -185,8 +192,9 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 func TestEmpty(t *testing.T) {
-	p := Analyze(nil)
-	if p.MissRate(16) != 0 || p.Total != 0 {
-		t.Error("empty stream not handled")
+	for _, p := range []*Profile{analyze(nil), FromSource(trace.Records(nil), Options{})} {
+		if p.MissRate(16) != 0 || p.Total != 0 || p.MaxDepth() != 0 {
+			t.Error("empty stream not handled")
+		}
 	}
 }

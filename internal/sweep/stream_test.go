@@ -189,7 +189,8 @@ func refTB(t *testing.T, recs []trace.Record, cfg tlbsim.Config) tlbsim.Stats {
 // without the user-only filter. The caches and TBs are checked against
 // bare cache.Cache / tlbsim.TB loops written above, the hierarchy
 // against its Sim fed the whole trace at once, and the Mattson stream
-// against Analyze. Run under -race this also stress-tests both fan-outs.
+// against FromSource over the whole trace. Run under -race this also
+// stress-tests both fan-outs.
 func TestStreamDeterminism(t *testing.T) {
 	recs := stressTrace(60_000)
 	var chunks [][]trace.Record
