@@ -3,7 +3,9 @@ package repro
 import (
 	"bytes"
 	"io"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"atum/internal/atum"
@@ -216,8 +218,21 @@ func TestDeterministicEndToEnd(t *testing.T) {
 // consumption: every experiment must render a byte-identical report from
 // the serial reference path (workers == 1) and from a saturated worker
 // pool, whatever the machine's core count — the parallel sweep engine is
-// an implementation detail, never a result change.
+// an implementation detail, never a result change. It also holds
+// EXPERIMENTS.md to the serial reports: every line of the fenced blocks
+// under an experiment's "## <ID> — " heading must be a line of that
+// experiment's report, whitespace aside.
 func TestSweepDeterminism(t *testing.T) {
+	docs := experimentDocBlocks(t)
+	known := map[string]bool{}
+	for _, e := range experiments.All() {
+		known[e.ID] = true
+	}
+	for id := range docs {
+		if !known[id] {
+			t.Errorf("EXPERIMENTS.md has a section for %s, which is not an experiment", id)
+		}
+	}
 	for _, e := range experiments.All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -232,8 +247,49 @@ func TestSweepDeterminism(t *testing.T) {
 			if s, p := serial.String(), parallel.String(); s != p {
 				t.Errorf("report differs between workers=1 and workers=8:\n--- serial ---\n%s\n--- parallel ---\n%s", s, p)
 			}
+			report := map[string]bool{}
+			for _, line := range strings.Split(serial.String(), "\n") {
+				report[strings.Join(strings.Fields(line), " ")] = true
+			}
+			if len(docs[e.ID]) == 0 {
+				t.Errorf("EXPERIMENTS.md shows no table for %s", e.ID)
+			}
+			for _, line := range docs[e.ID] {
+				if !report[strings.Join(strings.Fields(line), " ")] {
+					t.Errorf("EXPERIMENTS.md line is not in the %s report: %q", e.ID, line)
+				}
+			}
 		})
 	}
+}
+
+// experimentDocBlocks returns, by experiment ID (in lower case, as
+// experiments.All names them), the non-blank lines of the fenced blocks
+// under each "## <ID> — " heading of EXPERIMENTS.md.
+func experimentDocBlocks(t *testing.T) map[string][]string {
+	t.Helper()
+	data, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := map[string][]string{}
+	id, fenced := "", false
+	for _, line := range strings.Split(string(data), "\n") {
+		switch {
+		case strings.HasPrefix(line, "```"):
+			fenced = !fenced
+		case fenced:
+			if id != "" && strings.TrimSpace(line) != "" {
+				blocks[id] = append(blocks[id], line)
+			}
+		case strings.HasPrefix(line, "## "):
+			id = ""
+			if f := strings.Fields(line); len(f) > 2 && f[2] == "—" {
+				id = strings.ToLower(f[1])
+			}
+		}
+	}
+	return blocks
 }
 
 func benchConfigT() kernel.Config {

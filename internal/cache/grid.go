@@ -30,8 +30,22 @@ import (
 // is written back there when j >= t. A flush invalidates and writes
 // back from the stack the same way.
 //
+// Nesting: set counts are powers of two, so the blocks that share a
+// block's set under more sets are a subset of those that share it under
+// fewer. Its depth can only fall as the set count grows, and every miss
+// with more sets is a miss with fewer sets and the same ways, so a block
+// dirty in one group's 1-way member is dirty in every later group's.
+// Feed therefore walks the groups from fewest sets up and stops at the
+// first whose set has the block on top with nothing to change: a read,
+// or a write to a block with threshold 1. The block is on top,
+// unchanged, in every later group too. A member's hits are the walks
+// that stopped at its group or an earlier one, plus its group's depth
+// histogram below its ways.
+//
 // Cold misses depend only on the block address and PID keying, so the
-// class keeps one seen-set for all its members.
+// class keeps one seen-set for all its members. A block found in any
+// group has been referenced before, so only a reference found in none
+// consults it.
 type GridSim struct {
 	cfgs      []Config
 	at        []gridSlot // per config: its group and slot
@@ -41,18 +55,10 @@ type GridSim struct {
 	flush     bool
 	writeBack bool
 
-	groups []stackGroup // the largest member's first
+	groups []stackGroup // by ascending set count
 	seen   *stats.U64Set
 
 	accesses, cold, flushes uint64
-
-	// A read of the previous reference's block finds it on top of its
-	// stack in every group, so it counts as repeats and touches no
-	// stack. A write does the same when the previous reference already
-	// made the block dirty everywhere (prevDirty).
-	repeats   uint64
-	prev      uint64
-	prevDirty bool
 }
 
 type gridSlot struct{ group, slot int }
@@ -74,7 +80,8 @@ type stackGroup struct {
 	sets  uint32
 	depth int      // the largest member associativity
 	stack []uint64 // sets*depth entries, most recent first in each set
-	hist  []uint64 // stack hits by depth
+	hist  []uint64 // stack hits by depth, of walks that went on past this group
+	stops uint64   // walks that stopped here, hits in this and every later group
 
 	assoc []uint32 // per slot (one distinct member associativity)
 	slot  []int32  // slot by associativity, -1 where no member has that many ways
@@ -152,21 +159,19 @@ func NewGridSim(cfgs []Config, opts RunOptions) (*GridSim, error) {
 		s.blkShift++
 	}
 
-	// One group per set count, holding a slot per distinct associativity.
-	// The largest member's group goes first: a block found in its stack
-	// has been referenced before, so only a miss there can be cold (see
-	// Feed).
-	largest := slices.MaxFunc(cfgs, func(a, b Config) int { return cmp.Compare(a.SizeBytes, b.SizeBytes) })
-	group := map[uint32]int{largest.SizeBytes / largest.BlockBytes / largest.Assoc: 0}
-	s.groups = []stackGroup{{sets: largest.SizeBytes / largest.BlockBytes / largest.Assoc}}
+	// One group per set count, from fewest sets up (see Feed), holding a
+	// slot per distinct associativity.
+	sets := func(c Config) uint32 { return c.SizeBytes / c.BlockBytes / c.Assoc }
+	var counts []uint32
+	for _, c := range cfgs {
+		counts = append(counts, sets(c))
+	}
+	slices.Sort(counts)
+	for _, n := range slices.Compact(counts) {
+		s.groups = append(s.groups, stackGroup{sets: n})
+	}
 	for i, c := range cfgs {
-		sets := c.SizeBytes / c.BlockBytes / c.Assoc
-		g, ok := group[sets]
-		if !ok {
-			g = len(s.groups)
-			group[sets] = g
-			s.groups = append(s.groups, stackGroup{sets: sets})
-		}
+		g := slices.IndexFunc(s.groups, func(sg stackGroup) bool { return sg.sets == sets(c) })
 		sg := &s.groups[g]
 		slot := slices.Index(sg.assoc, c.Assoc)
 		if slot < 0 {
@@ -192,11 +197,13 @@ func NewGridSim(cfgs []Config, opts RunOptions) (*GridSim, error) {
 	}
 	// As in Cache: a trace that misses at all touches at least as many
 	// distinct blocks as the largest member holds.
+	largest := slices.MaxFunc(cfgs, func(a, b Config) int { return cmp.Compare(a.SizeBytes, b.SizeBytes) })
 	s.seen = stats.NewU64Set(int(largest.SizeBytes / largest.BlockBytes))
 	return s, nil
 }
 
-// Feed routes one chunk of records through every group.
+// Feed routes one chunk of records through the groups, each reference
+// from the fewest sets up to the first group where it changes nothing.
 func (s *GridSim) Feed(chunk []trace.Record) error {
 	for _, r := range chunk {
 		op, pid := s.rt.route(r)
@@ -213,65 +220,64 @@ func (s *GridSim) Feed(chunk []trace.Record) error {
 		}
 		s.accesses++
 		dirtying := op == opWrite && s.writeBack
-		if key == s.prev && (!dirtying || s.prevDirty) {
-			s.repeats++
-			continue
+		found := false
+		for g := range s.groups {
+			in, stop := s.groups[g].access(block, key, dirtying)
+			found = found || in
+			if stop {
+				break
+			}
 		}
-		s.prev, s.prevDirty = key, dirtying
-		// A block found in any stack has been referenced before, so
-		// only a miss in the largest stack can be a cold miss.
-		if !s.groups[0].access(block, key, dirtying) && s.seen.Add(key) {
+		if !found && s.seen.Add(key) {
 			s.cold++
-		}
-		for g := 1; g < len(s.groups); g++ {
-			s.groups[g].access(block, key, dirtying)
 		}
 	}
 	return nil
 }
 
 // access moves key to the top of its set's stack and reports whether it
-// was in the stack.
-func (g *stackGroup) access(block uint32, key uint64, dirtying bool) bool {
+// was in the stack. A key already on top with nothing to change (a read,
+// or a write with threshold 1) counts as a stop instead, and access
+// reports stop: the walk ends here (see GridSim).
+func (g *stackGroup) access(block uint32, key uint64, dirtying bool) (found, stop bool) {
 	base := int(block&(g.sets-1)) * g.depth
 	st := g.stack[base : base+g.depth : base+g.depth]
-	if st[0]&keyMask == key {
+	e := st[0]
+	if e&keyMask == key {
+		if !dirtying || e>>tShift == 1 {
+			g.stops++
+			return true, true
+		}
 		g.hist[0]++
-		if dirtying {
-			st[0] = key | 1<<tShift
-		}
-		return true
+		st[0] = key | 1<<tShift
+		return true, false
 	}
+	// One pass searches and shifts: each entry above the key moves down
+	// one, leaving the member whose ways it now exceeds.
 	d := 1
-	for d < len(st) && st[d]&keyMask != key {
-		d++
+	for ; d < len(st); d++ {
+		if e>>tShift <= uint64(d) {
+			g.writeback(d)
+		}
+		e, st[d] = st[d], e
+		if e&keyMask == key {
+			break
+		}
 	}
-	found := d < len(st)
 	t := uint64(tClean)
-	if found {
+	if d < len(st) {
+		found = true
 		g.hist[d]++
-		t = max(st[d]>>tShift, uint64(d+1))
-	} else {
-		// A miss everywhere: the bottom entry leaves the largest member.
-		d--
-		if st[d]>>tShift <= uint64(len(st)) {
-			g.writeback(len(st))
-		}
-	}
-	// Entries above depth d move down one, each leaving the member whose
-	// ways it now exceeds.
-	for j := d; j > 0; j-- {
-		e := st[j-1]
-		if e>>tShift <= uint64(j) {
-			g.writeback(j)
-		}
-		st[j] = e
+		t = max(e>>tShift, uint64(d+1))
+	} else if e>>tShift <= uint64(len(st)) {
+		// A miss: the bottom entry leaves the largest member.
+		g.writeback(len(st))
 	}
 	if dirtying {
 		t = 1
 	}
 	st[0] = key | t<<tShift
-	return found
+	return found, false
 }
 
 // writeback counts a dirty block leaving the member of the given ways,
@@ -285,7 +291,6 @@ func (g *stackGroup) writeback(ways int) {
 // flushAll invalidates every stack at a context switch.
 func (s *GridSim) flushAll() {
 	s.flushes++
-	s.prev = 0
 	for gi := range s.groups {
 		g := &s.groups[gi]
 		for base := 0; base < len(g.stack); base += g.depth {
@@ -320,8 +325,12 @@ func (s *GridSim) flushAll() {
 func (s *GridSim) Result() ([]Result, error) {
 	out := make([]Result, len(s.cfgs))
 	for i, c := range s.cfgs {
-		g, slot := &s.groups[s.at[i].group], s.at[i].slot
-		hits := s.repeats
+		gi, slot := s.at[i].group, s.at[i].slot
+		var hits uint64
+		for _, g := range s.groups[:gi+1] {
+			hits += g.stops
+		}
+		g := &s.groups[gi]
 		for _, h := range g.hist[:g.assoc[slot]] {
 			hits += h
 		}

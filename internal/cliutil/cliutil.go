@@ -133,8 +133,9 @@ func SegmentBytes(name string, v uint) (uint32, error) {
 }
 
 // Metrics wires the shared observability flags: -metrics-addr serves
-// the registry over HTTP for the lifetime of the command, -metrics-dump
-// prints the plain-text exposition when the command finishes.
+// the registry and the Go profiles over HTTP for the lifetime of the
+// command, -metrics-dump prints the plain-text exposition when the
+// command finishes.
 type Metrics struct {
 	Addr string
 	Dump bool
@@ -145,7 +146,7 @@ type Metrics struct {
 
 // AddFlags registers -metrics-addr and -metrics-dump on fs.
 func (m *Metrics) AddFlags(fs *flag.FlagSet) {
-	fs.StringVar(&m.Addr, "metrics-addr", "", "serve live metrics over HTTP on this address (e.g. :9090)")
+	fs.StringVar(&m.Addr, "metrics-addr", "", "serve live metrics and /debug/pprof over HTTP on this address (e.g. :9090)")
 	fs.BoolVar(&m.Dump, "metrics-dump", false, "print the metrics registry on exit")
 }
 

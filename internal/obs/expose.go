@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"strings"
 )
 
@@ -116,9 +117,9 @@ func (r *Registry) Handler() http.Handler {
 
 // Serve starts an HTTP server exposing the registry at /metrics (text
 // or JSON by negotiation) and /debug/vars (always JSON, the expvar
-// path). It returns the bound address — addr may use port 0 — and a
-// stop function. The server runs until stopped; it never blocks the
-// caller.
+// path), and the process's Go runtime profiles at /debug/pprof/. It
+// returns the bound address — addr may use port 0 — and a stop
+// function. The server runs until stopped; it never blocks the caller.
 func (r *Registry) Serve(addr string) (bound string, stop func() error, err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -130,6 +131,13 @@ func (r *Registry) Serve(addr string) (bound string, stop func() error, err erro
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		r.WriteJSON(w)
 	})
+	// Registered on this mux, not http.DefaultServeMux, so only the
+	// metrics address serves profiles.
+	mux.HandleFunc("/debug/pprof/", pprof.Index) // heap, goroutine, allocs, ... by name
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	srv := &http.Server{Handler: mux}
 	go srv.Serve(ln)
 	return ln.Addr().String(), srv.Close, nil

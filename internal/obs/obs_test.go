@@ -192,4 +192,14 @@ func TestServe(t *testing.T) {
 	if body, ct := get("/debug/vars", ""); !strings.Contains(body, `"served_total": 9`) || !strings.HasPrefix(ct, "application/json") {
 		t.Errorf("/debug/vars: ct=%q body=%q", ct, body)
 	}
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/heap?debug=1"} {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d, want 200", path, resp.StatusCode)
+		}
+	}
 }

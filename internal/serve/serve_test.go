@@ -523,6 +523,24 @@ func TestArenaCacheMetricsOverHTTP(t *testing.T) {
 	}
 }
 
+// TestNoProfilesOnAPI: the API handler answers 404 for the Go
+// profiles. They are served only on -metrics-addr, whose mux
+// obs.Registry.Serve builds; importing net/http/pprof also puts them on
+// http.DefaultServeMux, which the API never uses.
+func TestNoProfilesOnAPI(t *testing.T) {
+	ts, _ := testServer(t, Options{})
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/heap?debug=1"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404", path, resp.StatusCode)
+		}
+	}
+}
+
 // TestServeLoad is the concurrency pin: 4 tenants x 25 clients querying
 // and analysing concurrently (run under -race), plus one real capture
 // session per tenant with a live streamer attached. Every session's

@@ -208,12 +208,9 @@ func FuzzCacheGrid(f *testing.F) {
 	})
 }
 
-// TestCacheGridCapturedMix is the oracle check on real references: the
-// benchmark's 24-config grid (six sizes by four ways, 16-byte
-// PID-tagged write-back blocks) and its flush-on-switch twin over a
-// capture of the 13-process mix.
-func TestCacheGridCapturedMix(t *testing.T) {
-	recs := captureMix13(t)
+// benchGrid is the benchmark's 24-config grid: six sizes by four ways,
+// 16-byte PID-tagged write-back blocks, one class of 9 set counts.
+func benchGrid() []cache.Config {
 	base := cache.Config{
 		SizeBytes: 8 << 10, BlockBytes: 16, Assoc: 1,
 		Replacement: cache.LRU, WritePolicy: cache.WriteBack,
@@ -223,6 +220,15 @@ func TestCacheGridCapturedMix(t *testing.T) {
 	for _, sized := range cache.SizeConfigs(base, []uint32{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10}) {
 		cfgs = append(cfgs, cache.AssocConfigs(sized, []uint32{1, 2, 4, 8})...)
 	}
+	return cfgs
+}
+
+// TestCacheGridCapturedMix is the oracle check on real references: the
+// benchmark's 24-config grid and its flush-on-switch twin over a
+// capture of the 13-process mix.
+func TestCacheGridCapturedMix(t *testing.T) {
+	recs := captureMix13(t)
+	cfgs := benchGrid()
 	for _, c := range cfgs[:8] {
 		c.PIDTags, c.FlushOnSwitch = false, true
 		cfgs = append(cfgs, c)
@@ -237,9 +243,52 @@ func TestCacheGridCapturedMix(t *testing.T) {
 	})
 }
 
+// BenchmarkGridSim times sweep.Caches over the benchmark's 24-config
+// grid on one worker. Over the captured 13-process mix most references
+// end their walk in the first group. The cyclic lanes loop over 4,096
+// and 65,536 blocks, every third reference a write: no reference is
+// ever on top of its set in any group, so every reference walks all 9
+// groups and misses in each, the walk's worst case.
+//
+//	go test -run '^$' -bench GridSim -cpu 1 ./internal/sweep/
+func BenchmarkGridSim(b *testing.B) {
+	cyclic := func(blocks int) []trace.Record {
+		recs := make([]trace.Record, 1<<20)
+		for i := range recs {
+			kind := trace.KindDRead
+			if i%3 == 2 {
+				kind = trace.KindDWrite
+			}
+			recs[i] = trace.Record{Kind: kind, Addr: uint32(i%blocks) * 16, Width: 4, User: true, PID: 1}
+		}
+		return recs
+	}
+	lanes := []struct {
+		name string
+		recs func(testing.TB) []trace.Record
+	}{
+		{"mix13", captureMix13},
+		{"cyclic4096", func(testing.TB) []trace.Record { return cyclic(4096) }},
+		{"cyclic65536", func(testing.TB) []trace.Record { return cyclic(65536) }},
+	}
+	cfgs := benchGrid()
+	for _, l := range lanes {
+		b.Run(l.name, func(b *testing.B) {
+			arena := trace.NewArena(l.recs(b))
+			b.ResetTimer()
+			for range b.N {
+				if _, err := Caches(arena, cfgs, cache.RunOptions{IncludePTE: true}, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(arena.NumRecords())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrec/s")
+		})
+	}
+}
+
 // captureMix13 captures the 13-process mix on one CPU through the spill
 // service, at the benchmark's 100k-cycle timer, and decodes it.
-func captureMix13(t *testing.T) []trace.Record {
+func captureMix13(t testing.TB) []trace.Record {
 	t.Helper()
 	cfg := kernel.DefaultConfig()
 	cfg.Machine.MemSize = 8 << 20
