@@ -38,12 +38,12 @@ func benchConfig() kernel.Config {
 
 var (
 	mixOnce  sync.Once
-	mixTrace []trace.Record
+	mixTrace []trace.Word
 	mixErr   error
 )
 
 // benchTrace captures the standard mix once and reuses it (deterministic).
-func benchTrace(b *testing.B) []trace.Record {
+func benchTrace(b *testing.B) []trace.Word {
 	b.Helper()
 	mixOnce.Do(func() {
 		sys, err := workload.BootMix(benchConfig(), workload.StandardMix...)
@@ -138,11 +138,11 @@ func BenchmarkF1OSImpact(b *testing.B) {
 	b.ResetTimer()
 	var full, userMR float64
 	for i := 0; i < b.N; i++ {
-		fres, err := sweep.Caches(trace.Records(recs), []cache.Config{cfg}, opts, 1)
+		fres, err := sweep.Caches(trace.NewArena(recs), []cache.Config{cfg}, opts, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ures, err := sweep.Caches(trace.Records(user), []cache.Config{cfg}, opts, 1)
+		ures, err := sweep.Caches(trace.NewArena(user), []cache.Config{cfg}, opts, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func BenchmarkF2Multiprogramming(b *testing.B) {
 	b.ResetTimer()
 	var tagMR, flushMR float64
 	for i := 0; i < b.N; i++ {
-		res, err := sweep.Caches(trace.Records(recs), []cache.Config{benchCacheCfg(), flush}, opts, 1)
+		res, err := sweep.Caches(trace.NewArena(recs), []cache.Config{benchCacheCfg(), flush}, opts, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func BenchmarkF3BlockSize(b *testing.B) {
 	var res []cache.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = sweep.Caches(trace.Records(recs), cache.BlockConfigs(benchCacheCfg(), blocks), cache.RunOptions{IncludePTE: true}, 1)
+		res, err = sweep.Caches(trace.NewArena(recs), cache.BlockConfigs(benchCacheCfg(), blocks), cache.RunOptions{IncludePTE: true}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func BenchmarkF4Associativity(b *testing.B) {
 	var res []cache.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = sweep.Caches(trace.Records(recs), cache.AssocConfigs(benchCacheCfg(), ways), cache.RunOptions{IncludePTE: true}, 1)
+		res, err = sweep.Caches(trace.NewArena(recs), cache.AssocConfigs(benchCacheCfg(), ways), cache.RunOptions{IncludePTE: true}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func BenchmarkF5TLB(b *testing.B) {
 	b.ResetTimer()
 	var fullMR, userMR float64
 	for i := 0; i < b.N; i++ {
-		st, err := sweep.TBs(trace.Records(recs), []tlbsim.Config{full, user}, 1)
+		st, err := sweep.TBs(trace.NewArena(recs), []tlbsim.Config{full, user}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func BenchmarkT3Sampling(b *testing.B) {
 	b.ResetTimer()
 	var sampled, cont float64
 	for i := 0; i < b.N; i++ {
-		cres, err := sweep.Caches(trace.Records(recs), []cache.Config{benchCacheCfg()}, opts, 1)
+		cres, err := sweep.Caches(trace.NewArena(recs), []cache.Config{benchCacheCfg()}, opts, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func BenchmarkT3Sampling(b *testing.B) {
 			if end > len(recs) {
 				end = len(recs)
 			}
-			res, err := sweep.Caches(trace.Records(recs[off:end]), []cache.Config{benchCacheCfg()}, opts, 1)
+			res, err := sweep.Caches(trace.NewArena(recs[off:end]), []cache.Config{benchCacheCfg()}, opts, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

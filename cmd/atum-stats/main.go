@@ -119,7 +119,7 @@ func main() {
 			fatal(fmt.Errorf("-pid %d out of range (trace PIDs are 8-bit)", *pid))
 		}
 		want := uint8(*pid)
-		arena = arena.Filter(func(r trace.Record) bool { return r.PID == want })
+		arena = arena.Filter(func(r trace.Word) bool { return r.PID() == want })
 	}
 	if *user {
 		arena = arena.FilterUser()

@@ -57,7 +57,7 @@ func cachesim(t *testing.T, stdin string, args ...string) ([]byte, int) {
 // cpus == 1 is a serial capture.
 func testTrace(t *testing.T, cpus int) string {
 	t.Helper()
-	var recs []trace.Record
+	var recs []trace.Word
 	seed := uint32(12345)
 	pid := uint8(1)
 	for len(recs) < 20_000 {
@@ -66,15 +66,15 @@ func testTrace(t *testing.T, cpus int) string {
 		switch {
 		case r%300 == 0:
 			pid = uint8(1 + r%3)
-			recs = append(recs, trace.Record{Kind: trace.KindCtxSwitch, PID: pid, Extra: uint16(pid)})
+			recs = append(recs, trace.Pack(trace.KindCtxSwitch, 0, 0, pid, false, false, uint16(pid)))
 		case r%7 == 0:
-			recs = append(recs, trace.Record{Kind: trace.KindDRead, Addr: 0x8000_0000 | (r % 4096 * 4), Width: 4, PID: pid})
+			recs = append(recs, trace.Pack(trace.KindDRead, 0x8000_0000|(r%4096*4), 4, pid, false, false, 0))
 		case r%11 == 0:
-			recs = append(recs, trace.Record{Kind: trace.KindPTERead, Addr: 0x8001_0000 | (r % 512 * 4), Width: 4, PID: pid})
+			recs = append(recs, trace.Pack(trace.KindPTERead, 0x8001_0000|(r%512*4), 4, pid, false, false, 0))
 		case r%5 == 0:
-			recs = append(recs, trace.Record{Kind: trace.KindDWrite, Addr: uint32(pid)<<16 | (r % 8192 * 4), Width: 4, User: true, PID: pid})
+			recs = append(recs, trace.Pack(trace.KindDWrite, uint32(pid)<<16|(r%8192*4), 4, pid, true, false, 0))
 		default:
-			recs = append(recs, trace.Record{Kind: trace.KindIFetch, Addr: 0x1000 | (r % 2048 * 4), Width: 4, User: true, PID: pid})
+			recs = append(recs, trace.Pack(trace.KindIFetch, 0x1000|(r%2048*4), 4, pid, true, false, 0))
 		}
 	}
 	path := filepath.Join(t.TempDir(), "mix.trc")

@@ -18,7 +18,7 @@ import (
 	"atum/internal/workload"
 )
 
-func capture(icr uint32) ([]trace.Record, error) {
+func capture(icr uint32) ([]trace.Word, error) {
 	cfg := kernel.DefaultConfig()
 	cfg.ICRCycles = icr
 	cfg.QuantumTicks = 1
@@ -58,7 +58,7 @@ func main() {
 		}
 		s := trace.Summarize(recs)
 		runs := analysis.RunLengths(recs)
-		res, err := sweep.Caches(trace.Records(recs), []cache.Config{ccfg, tagged}, cache.RunOptions{IncludePTE: true}, 0)
+		res, err := sweep.Caches(trace.NewArena(recs), []cache.Config{ccfg, tagged}, cache.RunOptions{IncludePTE: true}, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -46,11 +46,11 @@ func main() {
 	sizes := []uint32{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10}
 	opts := cache.RunOptions{IncludePTE: true}
 
-	fullRes, err := sweep.Caches(trace.Records(full), cache.SizeConfigs(base, sizes), opts, 0)
+	fullRes, err := sweep.Caches(trace.NewArena(full), cache.SizeConfigs(base, sizes), opts, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	userRes, err := sweep.Caches(trace.Records(userOnly), cache.SizeConfigs(base, sizes), opts, 0)
+	userRes, err := sweep.Caches(trace.NewArena(userOnly), cache.SizeConfigs(base, sizes), opts, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func main() {
 	fmt.Println("\nWhat the pager looks like in the trace (a fault's worth of records):")
 	shown := 0
 	for i, r := range recs {
-		if r.Kind == trace.KindException && r.Extra == 0x24 { // TNV
+		if r.Kind() == trace.KindException && r.Extra() == 0x24 { // TNV
 			for _, rr := range recs[i : i+12] {
 				fmt.Println("  ", rr)
 			}

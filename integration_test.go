@@ -66,7 +66,7 @@ func TestFullPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var scanned []trace.Record
+		var scanned []trace.Word
 		for {
 			seg, err := sc.Next()
 			if err == io.EOF {
@@ -112,7 +112,7 @@ func TestFullPipeline(t *testing.T) {
 		Label: "it", SizeBytes: 2 << 10, BlockBytes: 16, Assoc: 1,
 		Replacement: cache.LRU, WriteAllocate: true, PIDTags: true,
 	}
-	src := trace.Records(recs)
+	src := trace.NewArena(recs)
 	run := cache.RunOptions{IncludePTE: true}
 	fa := cfg
 	fa.SizeBytes = 256 * 16
@@ -122,7 +122,7 @@ func TestFullPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	fullRes, faRes := res[0], res[1]
-	userRes, err := sweep.Caches(trace.Records(trace.FilterUser(recs)), []cache.Config{cfg}, run, 0)
+	userRes, err := sweep.Caches(trace.NewArena(trace.FilterUser(recs)), []cache.Config{cfg}, run, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestTechniquesEndToEnd(t *testing.T) {
 
 // TestDeterministicEndToEnd: two full captures are byte-identical.
 func TestDeterministicEndToEnd(t *testing.T) {
-	capture := func() []trace.Record {
+	capture := func() []trace.Word {
 		sys, err := workload.BootMix(benchConfigT(), "queue", "grep")
 		if err != nil {
 			t.Fatal(err)

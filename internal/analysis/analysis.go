@@ -20,14 +20,14 @@ import (
 // iff its most recent reference lies within (t-tau, t], so each
 // reference r at time t contributes min(gap_to_next_ref, tau) reference
 // slots of residency.
-func WorkingSet(recs []trace.Record, taus []uint32) []float64 {
+func WorkingSet(recs []trace.Word, taus []uint32) []float64 {
 	// Memory references only; pages tagged by PID to separate address
 	// spaces (system space shared).
 	last := map[uint64]uint64{}
 	var gaps []uint64 // gap histogram would need bounded domain; collect per-ref gap contributions lazily instead
 	t := uint64(0)
 	for _, r := range recs {
-		if !r.Kind.IsMemRef() || r.Phys {
+		if !r.Kind().IsMemRef() || r.Phys() {
 			continue
 		}
 		t++
@@ -66,17 +66,17 @@ func WorkingSet(recs []trace.Record, taus []uint32) []float64 {
 	return out
 }
 
-func pageKey(r trace.Record) uint64 {
-	key := uint64(r.Addr >> mem.PageShift)
-	if r.Addr>>30 != 2 { // process-private spaces
-		key |= uint64(r.PID) << 32
+func pageKey(r trace.Word) uint64 {
+	key := uint64(r.Addr() >> mem.PageShift)
+	if r.Addr()>>30 != 2 { // process-private spaces
+		key |= uint64(r.PID()) << 32
 	}
 	return key
 }
 
 // PerPID breaks a trace down by process: reference counts, mode split
 // and distinct pages per PID (PID 0 is the kernel's boot/idle context).
-func PerPID(recs []trace.Record) *Table {
+func PerPID(recs []trace.Word) *Table {
 	type row struct {
 		refs, user, system uint64
 		pages              map[uint32]bool
@@ -84,22 +84,23 @@ func PerPID(recs []trace.Record) *Table {
 	byPID := map[uint8]*row{}
 	var order []uint8
 	for _, r := range recs {
-		if !r.Kind.IsMemRef() {
+		if !r.Kind().IsMemRef() {
 			continue
 		}
-		e := byPID[r.PID]
+		pid := r.PID()
+		e := byPID[pid]
 		if e == nil {
 			e = &row{pages: map[uint32]bool{}}
-			byPID[r.PID] = e
-			order = append(order, r.PID)
+			byPID[pid] = e
+			order = append(order, pid)
 		}
 		e.refs++
-		if r.User {
+		if r.User() {
 			e.user++
 		} else {
 			e.system++
 		}
-		e.pages[r.Addr>>mem.PageShift] = true
+		e.pages[r.Addr()>>mem.PageShift] = true
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 	t := &Table{
@@ -117,17 +118,17 @@ func PerPID(recs []trace.Record) *Table {
 // RunLengths returns the distribution of memory references between
 // successive context switches — the "how much cache-warming time does a
 // process get" measure that drives multiprogramming cache behaviour.
-func RunLengths(recs []trace.Record) []uint64 {
+func RunLengths(recs []trace.Word) []uint64 {
 	var runs []uint64
 	cur := uint64(0)
 	for _, r := range recs {
 		switch {
-		case r.Kind == trace.KindCtxSwitch:
+		case r.Kind() == trace.KindCtxSwitch:
 			if cur > 0 {
 				runs = append(runs, cur)
 			}
 			cur = 0
-		case r.Kind.IsMemRef():
+		case r.Kind().IsMemRef():
 			cur++
 		}
 	}

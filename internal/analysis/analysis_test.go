@@ -7,13 +7,13 @@ import (
 	"atum/internal/trace"
 )
 
-func ref(addr uint32, pid uint8) trace.Record {
-	return trace.Record{Kind: trace.KindDRead, Addr: addr, Width: 4, User: true, PID: pid}
+func ref(addr uint32, pid uint8) trace.Word {
+	return trace.Pack(trace.KindDRead, addr, 4, pid, true, false, 0)
 }
 
 func TestWorkingSetSinglePage(t *testing.T) {
 	// One page referenced throughout: W(tau) == 1 for all tau >= 1.
-	var recs []trace.Record
+	var recs []trace.Word
 	for i := 0; i < 100; i++ {
 		recs = append(recs, ref(0x1000+uint32(i%10)*4, 1))
 	}
@@ -27,7 +27,7 @@ func TestWorkingSetSinglePage(t *testing.T) {
 
 func TestWorkingSetMonotoneInTau(t *testing.T) {
 	// Round-robin over 8 pages: W grows with tau up to 8.
-	var recs []trace.Record
+	var recs []trace.Word
 	for i := 0; i < 800; i++ {
 		recs = append(recs, ref(uint32(i%8)<<9, 1))
 	}
@@ -49,7 +49,7 @@ func TestWorkingSetMonotoneInTau(t *testing.T) {
 
 func TestWorkingSetSeparatesAddressSpaces(t *testing.T) {
 	// Two processes touching the same VA are distinct pages.
-	var recs []trace.Record
+	var recs []trace.Word
 	for i := 0; i < 100; i++ {
 		recs = append(recs, ref(0x1000, uint8(1+i%2)))
 	}
@@ -67,11 +67,11 @@ func TestWorkingSetEmpty(t *testing.T) {
 }
 
 func TestRunLengths(t *testing.T) {
-	recs := []trace.Record{
+	recs := []trace.Word{
 		ref(0x1000, 1), ref(0x1004, 1),
-		{Kind: trace.KindCtxSwitch, Extra: 2, Width: 1},
+		trace.Pack(trace.KindCtxSwitch, 0, 0, 0, false, false, 2),
 		ref(0x1000, 2), ref(0x1004, 2), ref(0x1008, 2),
-		{Kind: trace.KindCtxSwitch, Extra: 1, Width: 1},
+		trace.Pack(trace.KindCtxSwitch, 0, 0, 0, false, false, 1),
 		ref(0x100C, 1),
 	}
 	runs := RunLengths(recs)
@@ -93,12 +93,12 @@ func TestRunLengths(t *testing.T) {
 }
 
 func TestPerPID(t *testing.T) {
-	recs := []trace.Record{
+	recs := []trace.Word{
 		ref(0x1000, 1),
 		ref(0x1000, 1),
-		{Kind: trace.KindDRead, Addr: 0x80000000, Width: 4, User: false, PID: 1},
+		trace.Pack(trace.KindDRead, 0x80000000, 4, 1, false, false, 0),
 		ref(0x2000, 2),
-		{Kind: trace.KindCtxSwitch, Width: 1, PID: 2},
+		trace.Pack(trace.KindCtxSwitch, 0, 0, 2, false, false, 0),
 	}
 	tb := PerPID(recs)
 	if len(tb.Rows) != 2 {

@@ -1,8 +1,7 @@
 // Package analyzers contains static vet passes for this codebase itself,
-// enforcing repo-specific invariants the Go compiler cannot: trace.Record
-// literals set the fields the packed encoding requires, only the tracing
-// layers touch the reserved-region accessor, PIDs are never silently
-// truncated to uint8, and the concurrency invariants of the capture
+// enforcing repo-specific invariants the Go compiler cannot: only the
+// tracing layers touch the reserved-region accessor, PIDs are never
+// silently truncated to uint8, and the concurrency invariants of the capture
 // pipeline hold by construction: fields touched through sync/atomic are
 // never accessed plainly, mutex-guarded fields are only reached under
 // their lock, and no code reachable from the telemetry layer can charge
@@ -100,8 +99,8 @@ func (f Finding) String() string {
 // their usage text from this list, so it cannot go stale.
 func All() []*Analyzer {
 	return []*Analyzer{
-		TraceRecord, ReservedAccessor, PIDTrunc,
-		AtomicField, GuardedBy, CyclePurity,
+		ReservedAccessor, PIDTrunc, AtomicField,
+		GuardedBy, CyclePurity,
 	}
 }
 

@@ -19,8 +19,8 @@ var wantRe = regexp.MustCompile(`// want "([^"]+)"`)
 var dirRe = regexp.MustCompile(`// vet:dir (\S+)`)
 
 // loadTestModule loads the real module once per test binary: fixtures
-// type-check against it, so an import of atum/internal/trace in a
-// fixture resolves to the genuine Record type.
+// type-check against it, so an import of atum/internal/micro in a
+// fixture resolves to the genuine Machine type.
 var loadTestModule = sync.OnceValues(func() (*Module, error) {
 	return LoadModule(filepath.Join("..", ".."))
 })

@@ -277,7 +277,7 @@ func (c *Collector) record(a micro.Access) {
 	rec := trace.Pack(k, a.VA, a.Width, a.PID, a.Mode == vax.ModeUser, a.Phys, a.Extra)
 	// Direct physical store, bypassing translation — the microcode
 	// writes through the memory controller like the 8200 patches.
-	if err := c.phys.Store64(c.base+c.ptr, rec); err != nil {
+	if err := c.phys.Store64(c.base+c.ptr, uint64(rec)); err != nil {
 		// The reserved region is inside RAM by construction.
 		panic(fmt.Sprintf("atum: trace store failed: %v", err))
 	}
@@ -331,7 +331,7 @@ type SegmentStats struct {
 // Extract parses the records accumulated so far, resets the buffer
 // pointer, and resumes recording. It models the paper's procedure of
 // freezing the machine, dumping the reserved region, and continuing.
-func (c *Collector) Extract() ([]trace.Record, error) {
+func (c *Collector) Extract() ([]trace.Word, error) {
 	packed, _, err := c.ExtractSegment()
 	if err != nil {
 		return nil, err

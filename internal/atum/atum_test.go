@@ -263,8 +263,8 @@ func TestKindMaskFiltering(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range cap.All() {
-		if r.Kind != trace.KindDWrite {
-			t.Fatalf("unexpected record kind %v under write-only mask", r.Kind)
+		if r.Kind() != trace.KindDWrite {
+			t.Fatalf("unexpected record kind %v under write-only mask", r.Kind())
 		}
 	}
 	if len(cap.All()) == 0 {
@@ -305,7 +305,7 @@ ok:	.ascii	"OK"
 		t.Fatalf("console = %q", sys.Console())
 	}
 	for _, r := range cap.All() {
-		if r.Phys && r.Addr >= reserved && r.Kind.IsMemRef() {
+		if r.Phys() && r.Addr() >= reserved && r.Kind().IsMemRef() {
 			t.Fatalf("OS/microcode touched the reserved region: %v", r)
 		}
 	}
@@ -436,7 +436,7 @@ func TestCapturedTracesAreWellFormed(t *testing.T) {
 }
 
 func TestDeterministicCapture(t *testing.T) {
-	run := func() []trace.Record {
+	run := func() []trace.Word {
 		sys := buildSystem(t, helloSrc)
 		cap, err := atum.Run(sys.M, atum.DefaultOptions(), func() error {
 			_, err := sys.Run(50_000_000)
@@ -487,15 +487,10 @@ func TestEventKindMapping(t *testing.T) {
 	}
 
 	sys := buildSystem(t, helloSrc, helloSrc)
-	var want []trace.Record
+	var want []trace.Word
 	for ev := micro.Event(0); ev < micro.NumEvents; ev++ {
 		sys.M.AddHook(ev, func(_ *micro.Machine, a micro.Access) {
-			r := trace.Record{Kind: names[a.Ev], Addr: a.VA, PID: a.PID,
-				User: a.Mode == vax.ModeUser, Phys: a.Phys, Extra: a.Extra}
-			if r.Kind.IsMemRef() {
-				r.Width = a.Width
-			}
-			want = append(want, r)
+			want = append(want, trace.Pack(names[a.Ev], a.VA, a.Width, a.PID, a.Mode == vax.ModeUser, a.Phys, a.Extra))
 		})
 	}
 	cap, err := atum.Run(sys.M, atum.DefaultOptions(), func() error {
@@ -514,7 +509,7 @@ func TestEventKindMapping(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("record %d: captured %v, event was %v", i, got[i], want[i])
 		}
-		seen[got[i].Kind] = true
+		seen[got[i].Kind()] = true
 	}
 	if len(seen) != int(trace.NumKinds) {
 		t.Errorf("capture exercised %d of %d kinds", len(seen), trace.NumKinds)

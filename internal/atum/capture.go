@@ -8,7 +8,7 @@ import (
 // Capture is the result of a tracing run: the samples extracted each time
 // the reserved buffer filled, in order, plus the final partial sample.
 type Capture struct {
-	Samples   [][]trace.Record
+	Samples   [][]trace.Word
 	Collector *Collector
 }
 
@@ -16,12 +16,12 @@ type Capture struct {
 // here is instantaneous (the "dump" does not execute on the machine), the
 // stitched trace has no gaps; T3 studies gap effects by *discarding*
 // inter-sample records instead.
-func (c *Capture) All() []trace.Record {
+func (c *Capture) All() []trace.Word {
 	n := 0
 	for _, s := range c.Samples {
 		n += len(s)
 	}
-	out := make([]trace.Record, 0, n)
+	out := make([]trace.Word, 0, n)
 	for _, s := range c.Samples {
 		out = append(out, s...)
 	}

@@ -12,7 +12,7 @@ import (
 
 // extractSegment drains the collector and parses the packed dump at
 // once, while the view of reserved RAM is still valid.
-func extractSegment(t *testing.T, c *atum.Collector) ([]trace.Record, atum.SegmentStats) {
+func extractSegment(t *testing.T, c *atum.Collector) ([]trace.Word, atum.SegmentStats) {
 	t.Helper()
 	packed, st, err := c.ExtractSegment()
 	if err != nil {
@@ -34,7 +34,7 @@ func TestWatermarkFires(t *testing.T) {
 	opts.BufBytes = 4096 // 512 records
 	opts.Watermark = 0.5
 	fires, fulls := 0, 0
-	var segs [][]trace.Record
+	var segs [][]trace.Word
 	opts.OnWatermark = func(c *atum.Collector) {
 		fires++
 		if !c.Recording() {
@@ -78,9 +78,9 @@ func TestWatermarkFires(t *testing.T) {
 // captured into one big buffer — the collector-level half of the
 // stitching guarantee (the kernel spill service tests the full path).
 func TestWatermarkSpillMatchesMonolithic(t *testing.T) {
-	runCapture := func(opts atum.Options) ([]trace.Record, *atum.Collector) {
+	runCapture := func(opts atum.Options) ([]trace.Word, *atum.Collector) {
 		sys := buildSystem(t, helloSrc)
-		var out []trace.Record
+		var out []trace.Word
 		opts.OnWatermark = func(c *atum.Collector) {
 			recs, _ := extractSegment(t, c)
 			out = append(out, recs...)

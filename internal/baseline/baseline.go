@@ -34,7 +34,7 @@ type Technique interface {
 // Session is an installed technique.
 type Session interface {
 	// Records returns everything captured so far.
-	Records() []trace.Record
+	Records() []trace.Word
 	// Uninstall removes the technique's patches.
 	Uninstall()
 }
@@ -52,11 +52,11 @@ type Inline struct {
 func (Inline) Name() string { return "instrumentation" }
 
 type inlineSession struct {
-	recs    []trace.Record
+	recs    []trace.Word
 	removes []func()
 }
 
-func (s *inlineSession) Records() []trace.Record { return s.recs }
+func (s *inlineSession) Records() []trace.Word { return s.recs }
 func (s *inlineSession) Uninstall() {
 	for _, rm := range s.removes {
 		rm()
@@ -77,13 +77,9 @@ func (t Inline) Install(m *micro.Machine) (Session, error) {
 			return
 		}
 		mm.ChargeCycles(cost)
-		s.recs = append(s.recs, trace.Record{
-			Kind:  eventKind(a.Ev),
-			Addr:  a.VA,
-			Width: a.Width,
-			PID:   a.PID,
-			User:  true,
-		})
+		// Micro-event classes and record kinds share their numbering
+		// (pinned by TestEventKindMapping), as in the collector.
+		s.recs = append(s.recs, trace.Pack(trace.Kind(a.Ev), a.VA, a.Width, a.PID, true, false, 0))
 	}
 	for _, ev := range []micro.Event{micro.EvIFetch, micro.EvDRead, micro.EvDWrite} {
 		s.removes = append(s.removes, m.AddHook(ev, hook))
@@ -107,12 +103,12 @@ type TrapDriven struct {
 func (TrapDriven) Name() string { return "trap-driven" }
 
 type trapSession struct {
-	recs     []trace.Record
+	recs     []trace.Word
 	removes  []func()
 	restores []func()
 }
 
-func (s *trapSession) Records() []trace.Record { return s.recs }
+func (s *trapSession) Records() []trace.Word { return s.recs }
 func (s *trapSession) Uninstall() {
 	for _, rm := range s.removes {
 		rm()
@@ -159,13 +155,7 @@ func (t TrapDriven) Install(m *micro.Machine) (Session, error) {
 		if a.Mode != vax.ModeUser {
 			return
 		}
-		s.recs = append(s.recs, trace.Record{
-			Kind:  eventKind(a.Ev),
-			Addr:  a.VA,
-			Width: a.Width,
-			PID:   a.PID,
-			User:  true,
-		})
+		s.recs = append(s.recs, trace.Pack(trace.Kind(a.Ev), a.VA, a.Width, a.PID, true, false, 0))
 	}
 	for _, ev := range []micro.Event{micro.EvIFetch, micro.EvDRead, micro.EvDWrite} {
 		s.removes = append(s.removes, m.AddHook(ev, hook))
@@ -184,10 +174,10 @@ func (Atum) Name() string { return "ATUM" }
 
 type atumSession struct {
 	col  *atum.Collector
-	recs []trace.Record
+	recs []trace.Word
 }
 
-func (s *atumSession) Records() []trace.Record {
+func (s *atumSession) Records() []trace.Word {
 	more, err := s.col.Extract()
 	if err == nil {
 		s.recs = append(s.recs, more...)
@@ -218,25 +208,6 @@ func (t Atum) Install(m *micro.Machine) (Session, error) {
 	}
 	s.col = col
 	return s, nil
-}
-
-func eventKind(ev micro.Event) trace.Kind {
-	switch ev {
-	case micro.EvIFetch:
-		return trace.KindIFetch
-	case micro.EvDRead:
-		return trace.KindDRead
-	case micro.EvDWrite:
-		return trace.KindDWrite
-	case micro.EvPTERead:
-		return trace.KindPTERead
-	case micro.EvPTEWrite:
-		return trace.KindPTEWrite
-	case micro.EvCtxSwitch:
-		return trace.KindCtxSwitch
-	default:
-		return trace.KindException
-	}
 }
 
 // ---- comparison harness ----
@@ -300,16 +271,16 @@ func Compare(factory Factory, techs ...Technique) ([]Outcome, error) {
 		}
 		pids := map[uint8]bool{}
 		for _, r := range recs {
-			if r.Kind.IsMemRef() && !r.User {
+			if r.Kind().IsMemRef() && !r.User() {
 				o.SawKernel = true
 			}
-			if r.Kind == trace.KindPTERead || r.Kind == trace.KindPTEWrite {
+			if r.Kind() == trace.KindPTERead || r.Kind() == trace.KindPTEWrite {
 				o.SawPTE = true
 			}
-			if r.Kind == trace.KindCtxSwitch {
+			if r.Kind() == trace.KindCtxSwitch {
 				o.SawMultiprog = true
 			}
-			pids[r.PID] = true
+			pids[r.PID()] = true
 		}
 		if len(pids) > 1 {
 			o.SawMultiprog = true

@@ -112,10 +112,10 @@ func TestInlineSessionRecordsAreUserOnly(t *testing.T) {
 		t.Fatal("no records")
 	}
 	for _, r := range recs {
-		if !r.User {
+		if !r.User() {
 			t.Fatalf("non-user record captured: %v", r)
 		}
-		if r.Kind != trace.KindIFetch && r.Kind != trace.KindDRead && r.Kind != trace.KindDWrite {
+		if r.Kind() != trace.KindIFetch && r.Kind() != trace.KindDRead && r.Kind() != trace.KindDWrite {
 			t.Fatalf("unexpected kind: %v", r)
 		}
 	}

@@ -7,9 +7,9 @@ import (
 	"atum/internal/trace"
 )
 
-func benchTrace(n int) []trace.Record {
+func benchTrace(n int) []trace.Word {
 	r := rand.New(rand.NewSource(1))
-	recs := make([]trace.Record, n)
+	recs := make([]trace.Word, n)
 	for i := range recs {
 		var addr uint32
 		if r.Intn(4) > 0 {
@@ -21,7 +21,7 @@ func benchTrace(n int) []trace.Record {
 		if r.Intn(3) == 0 {
 			kind = trace.KindDWrite
 		}
-		recs[i] = trace.Record{Kind: kind, Addr: addr, Width: 4, User: true, PID: 1}
+		recs[i] = trace.Pack(kind, addr, 4, 1, true, false, 0)
 	}
 	return recs
 }

@@ -22,7 +22,7 @@ func base() Config {
 }
 
 // simulate feeds recs through one UnifiedSim and reports its result.
-func simulate(recs []trace.Record, cfg Config, opts RunOptions) (Result, error) {
+func simulate(recs []trace.Word, cfg Config, opts RunOptions) (Result, error) {
 	s, err := NewUnifiedSim(cfg, opts)
 	if err != nil {
 		return Result{}, err
@@ -34,7 +34,7 @@ func simulate(recs []trace.Record, cfg Config, opts RunOptions) (Result, error) 
 }
 
 // simulateHierarchy is simulate for a two-level hierarchy.
-func simulateHierarchy(recs []trace.Record, cfg HierarchyConfig, opts RunOptions) (HierarchyResult, error) {
+func simulateHierarchy(recs []trace.Word, cfg HierarchyConfig, opts RunOptions) (HierarchyResult, error) {
 	s, err := NewHierarchySim(cfg, opts)
 	if err != nil {
 		return HierarchyResult{}, err
@@ -195,7 +195,7 @@ func TestFlush(t *testing.T) {
 // cannot miss more on the same LRU-managed trace (inclusion property).
 func TestMissRateMonotonicInSize(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	recs := make([]trace.Record, 60000)
+	recs := make([]trace.Word, 60000)
 	for i := range recs {
 		// Mix of looping and random references.
 		var addr uint32
@@ -204,7 +204,7 @@ func TestMissRateMonotonicInSize(t *testing.T) {
 		} else {
 			addr = uint32(r.Intn(1<<20)) &^ 3
 		}
-		recs[i] = trace.Record{Kind: trace.KindDRead, Addr: addr, Width: 4, User: true, PID: 1}
+		recs[i] = trace.Pack(trace.KindDRead, addr, 4, 1, true, false, 0)
 	}
 	prev := 1.1
 	for _, size := range []uint32{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10} {
@@ -227,10 +227,10 @@ func TestMissRateMonotonicInSize(t *testing.T) {
 // switches flush only a flush-on-switch cache, and PTE references reach
 // the cache only with IncludePTE.
 func TestUnifiedSimRouting(t *testing.T) {
-	recs := []trace.Record{
-		{Kind: trace.KindDRead, Addr: 0x1000, Width: 4, PID: 1, User: true},
-		{Kind: trace.KindCtxSwitch, Extra: 2, PID: 2, Width: 1},
-		{Kind: trace.KindDRead, Addr: 0x1000, Width: 4, PID: 2, User: true},
+	recs := []trace.Word{
+		trace.Pack(trace.KindDRead, 0x1000, 4, 1, true, false, 0),
+		trace.Pack(trace.KindCtxSwitch, 0, 0, 2, false, false, 2),
+		trace.Pack(trace.KindDRead, 0x1000, 4, 2, true, false, 0),
 	}
 	cfg := base()
 	cfg.FlushOnSwitch = true
@@ -247,10 +247,10 @@ func TestUnifiedSimRouting(t *testing.T) {
 		t.Errorf("no-flush misses = %d, want 1 (aliasing)", res2.Stats.Misses)
 	}
 
-	walk := []trace.Record{
-		{Kind: trace.KindIFetch, Addr: 0x200, Width: 4, PID: 1, User: true},
-		{Kind: trace.KindDRead, Addr: 0x1000, Width: 4, PID: 1, User: true},
-		{Kind: trace.KindPTERead, Addr: 0x80010000, Width: 4, PID: 1},
+	walk := []trace.Word{
+		trace.Pack(trace.KindIFetch, 0x200, 4, 1, true, false, 0),
+		trace.Pack(trace.KindDRead, 0x1000, 4, 1, true, false, 0),
+		trace.Pack(trace.KindPTERead, 0x80010000, 4, 1, false, false, 0),
 	}
 	for _, include := range []bool{false, true} {
 		want := uint64(2)
@@ -264,10 +264,10 @@ func TestUnifiedSimRouting(t *testing.T) {
 }
 
 func TestSweeps(t *testing.T) {
-	recs := make([]trace.Record, 2000)
+	recs := make([]trace.Word, 2000)
 	r := rand.New(rand.NewSource(3))
 	for i := range recs {
-		recs[i] = trace.Record{Kind: trace.KindDRead, Addr: uint32(r.Intn(1<<16)) &^ 3, Width: 4, User: true, PID: 1}
+		recs[i] = trace.Pack(trace.KindDRead, uint32(r.Intn(1<<16))&^3, 4, 1, true, false, 0)
 	}
 	for _, cfgs := range [][]Config{
 		SizeConfigs(base(), []uint32{1 << 10, 8 << 10}),

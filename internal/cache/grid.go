@@ -204,7 +204,7 @@ func NewGridSim(cfgs []Config, opts RunOptions) (*GridSim, error) {
 
 // Feed routes one chunk of records through the groups, each reference
 // from the fewest sets up to the first group where it changes nothing.
-func (s *GridSim) Feed(chunk []trace.Record) error {
+func (s *GridSim) Feed(chunk []trace.Word) error {
 	for _, r := range chunk {
 		op, pid := s.rt.route(r)
 		if op < opIFetch {
@@ -213,7 +213,7 @@ func (s *GridSim) Feed(chunk []trace.Record) error {
 			}
 			continue
 		}
-		block := r.Addr >> s.blkShift
+		block := r.Addr() >> s.blkShift
 		key := uint64(block) | entryValid
 		if s.pidTags {
 			key |= uint64(pid) << 32

@@ -11,16 +11,16 @@ func lru(sets, ways uint32) Config {
 	return Config{SizeBytes: sets * ways * 16, BlockBytes: 16, Assoc: ways, Replacement: LRU, WriteAllocate: true}
 }
 
-func rd(block uint32) trace.Record {
-	return trace.Record{Kind: trace.KindDRead, Addr: block * 16, Width: 4, User: true, PID: 1}
+func rd(block uint32) trace.Word {
+	return trace.Pack(trace.KindDRead, block*16, 4, 1, true, false, 0)
 }
 
-func wr(block uint32) trace.Record {
-	return trace.Record{Kind: trace.KindDWrite, Addr: block * 16, Width: 4, User: true, PID: 1}
+func wr(block uint32) trace.Word {
+	return trace.Pack(trace.KindDWrite, block*16, 4, 1, true, false, 0)
 }
 
-func ctxSwitch() trace.Record {
-	return trace.Record{Kind: trace.KindCtxSwitch, PID: 1, Extra: 1}
+func ctxSwitch() trace.Word {
+	return trace.Pack(trace.KindCtxSwitch, 0, 0, 1, false, false, 1)
 }
 
 // TestGridStopRules feeds a GridSim hand-built streams that exercise
@@ -37,7 +37,7 @@ func TestGridStopRules(t *testing.T) {
 	cases := []struct {
 		name string
 		cfgs []Config
-		recs []trace.Record
+		recs []trace.Word
 	}{{
 		// Groups of 4, 16 and 64 sets whose capacities (8, 128 and 64
 		// blocks) and configuration order both disagree with their set
@@ -48,7 +48,7 @@ func TestGridStopRules(t *testing.T) {
 		// sets stops before a group where block 0 is not on top.
 		name: "read_on_top",
 		cfgs: []Config{lru(64, 1), lru(16, 1), lru(4, 1), lru(4, 2), lru(16, 8)},
-		recs: []trace.Record{
+		recs: []trace.Word{
 			rd(0), rd(0), rd(1), rd(0), rd(1), rd(0),
 			rd(4), rd(0), rd(4), rd(0),
 			rd(16), rd(0), rd(16), rd(0), rd(4), rd(16), rd(0), rd(0),
@@ -62,7 +62,7 @@ func TestGridStopRules(t *testing.T) {
 		// 4 pushing it out of the 1-way member writes it back.
 		name: "write_on_top_above_threshold",
 		cfgs: []Config{lru(4, 1), lru(4, 2), lru(16, 1), lru(16, 2)},
-		recs: []trace.Record{
+		recs: []trace.Word{
 			wr(0), rd(4), rd(0), wr(0), rd(4), rd(0),
 			wr(0), wr(0), rd(4), rd(0), rd(0), wr(0), rd(4),
 			wr(1), rd(5), rd(1), rd(1), wr(1), wr(1), rd(5), rd(1),
@@ -74,7 +74,7 @@ func TestGridStopRules(t *testing.T) {
 		// members' lines.
 		name: "flush_between_tops",
 		cfgs: flushing(lru(4, 1), lru(4, 2), lru(16, 1), lru(8, 4)),
-		recs: []trace.Record{
+		recs: []trace.Word{
 			wr(0), rd(0), ctxSwitch(), rd(0), rd(0), wr(0), ctxSwitch(),
 			wr(0), wr(0), rd(4), rd(0), ctxSwitch(), ctxSwitch(), rd(0),
 			wr(8), rd(8), wr(0), ctxSwitch(), wr(8), rd(0), rd(8),
@@ -88,7 +88,7 @@ func TestGridStopRules(t *testing.T) {
 		// cold candidates.
 		name: "cold_found_nowhere",
 		cfgs: []Config{lru(8, 16), lru(64, 1), lru(16, 2), lru(8, 1)},
-		recs: []trace.Record{
+		recs: []trace.Word{
 			rd(0), rd(64), rd(128), rd(0), rd(64), wr(128), rd(0),
 			rd(8), rd(9), rd(16), rd(24), rd(32), rd(40), rd(48), rd(56), rd(72), rd(8),
 			rd(9), rd(192), rd(256), rd(0), wr(320), rd(384), rd(448), rd(512),

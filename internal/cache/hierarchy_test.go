@@ -16,12 +16,12 @@ func hierCfg() HierarchyConfig {
 }
 
 func TestHierarchyRouting(t *testing.T) {
-	recs := []trace.Record{
-		{Kind: trace.KindIFetch, Addr: 0x200, Width: 4, User: true, PID: 1},
-		{Kind: trace.KindIFetch, Addr: 0x204, Width: 4, User: true, PID: 1},
-		{Kind: trace.KindDRead, Addr: 0x1000, Width: 4, User: true, PID: 1},
-		{Kind: trace.KindDWrite, Addr: 0x1004, Width: 4, User: true, PID: 1},
-		{Kind: trace.KindPTERead, Addr: 0x1008, Width: 4, PID: 1},
+	recs := []trace.Word{
+		trace.Pack(trace.KindIFetch, 0x200, 4, 1, true, false, 0),
+		trace.Pack(trace.KindIFetch, 0x204, 4, 1, true, false, 0),
+		trace.Pack(trace.KindDRead, 0x1000, 4, 1, true, false, 0),
+		trace.Pack(trace.KindDWrite, 0x1004, 4, 1, true, false, 0),
+		trace.Pack(trace.KindPTERead, 0x1008, 4, 1, false, false, 0),
 	}
 	res, err := simulateHierarchy(recs, hierCfg(), RunOptions{})
 	if err != nil {
@@ -46,11 +46,11 @@ func TestHierarchyRouting(t *testing.T) {
 func TestHierarchyL2CatchesL1Conflicts(t *testing.T) {
 	// Two data blocks conflicting in the 1KB direct-mapped L1 but
 	// coexisting in the 4-way L2: after warmup, every L1 miss hits L2.
-	var recs []trace.Record
+	var recs []trace.Word
 	for i := 0; i < 200; i++ {
 		recs = append(recs,
-			trace.Record{Kind: trace.KindDRead, Addr: 0x0000, Width: 4, User: true, PID: 1},
-			trace.Record{Kind: trace.KindDRead, Addr: 0x0400, Width: 4, User: true, PID: 1}, // same L1 set
+			trace.Pack(trace.KindDRead, 0x0000, 4, 1, true, false, 0),
+			trace.Pack(trace.KindDRead, 0x0400, 4, 1, true, false, 0), // same L1 set
 		)
 	}
 	res, err := simulateHierarchy(recs, hierCfg(), RunOptions{})
@@ -71,10 +71,10 @@ func TestHierarchyL2CatchesL1Conflicts(t *testing.T) {
 func TestHierarchyWritebackTraffic(t *testing.T) {
 	// Dirty a line, evict it via a conflicting block: the write-back
 	// must appear as an L2 write, not as memory traffic (L2 absorbs it).
-	recs := []trace.Record{
-		{Kind: trace.KindDWrite, Addr: 0x0000, Width: 4, User: true, PID: 1},
-		{Kind: trace.KindDRead, Addr: 0x0400, Width: 4, User: true, PID: 1}, // evicts dirty
-		{Kind: trace.KindDRead, Addr: 0x0000, Width: 4, User: true, PID: 1}, // L1 miss, L2 hit
+	recs := []trace.Word{
+		trace.Pack(trace.KindDWrite, 0x0000, 4, 1, true, false, 0),
+		trace.Pack(trace.KindDRead, 0x0400, 4, 1, true, false, 0), // evicts dirty
+		trace.Pack(trace.KindDRead, 0x0000, 4, 1, true, false, 0), // L1 miss, L2 hit
 	}
 	res, err := simulateHierarchy(recs, hierCfg(), RunOptions{})
 	if err != nil {
@@ -97,10 +97,10 @@ func TestHierarchyFlushOnSwitch(t *testing.T) {
 	cfg.L1.FlushOnSwitch = true
 	cfg.L1.PIDTags = false
 	cfg.L2.PIDTags = false
-	recs := []trace.Record{
-		{Kind: trace.KindDRead, Addr: 0x100, Width: 4, User: true, PID: 1},
-		{Kind: trace.KindCtxSwitch, Width: 1, PID: 2, Extra: 2},
-		{Kind: trace.KindDRead, Addr: 0x100, Width: 4, User: true, PID: 2},
+	recs := []trace.Word{
+		trace.Pack(trace.KindDRead, 0x100, 4, 1, true, false, 0),
+		trace.Pack(trace.KindCtxSwitch, 0, 0, 2, false, false, 2),
+		trace.Pack(trace.KindDRead, 0x100, 4, 2, true, false, 0),
 	}
 	res, err := simulateHierarchy(recs, cfg, RunOptions{})
 	if err != nil {
@@ -132,11 +132,11 @@ func TestHierarchyConfigErrors(t *testing.T) {
 // a PID-tagged L2 behind flushing L1s keeps its lines, and PID-tagged
 // L1s in front of a flushing L2 keep theirs.
 func TestHierarchyFlushesOnlyFlushingLevels(t *testing.T) {
-	recs := []trace.Record{
-		{Kind: trace.KindDRead, Addr: 0x1000, Width: 4, User: true, PID: 1},
-		{Kind: trace.KindCtxSwitch, PID: 2, Extra: 2},
-		{Kind: trace.KindCtxSwitch, PID: 1, Extra: 1},
-		{Kind: trace.KindDRead, Addr: 0x1000, Width: 4, User: true, PID: 1},
+	recs := []trace.Word{
+		trace.Pack(trace.KindDRead, 0x1000, 4, 1, true, false, 0),
+		trace.Pack(trace.KindCtxSwitch, 0, 0, 2, false, false, 2),
+		trace.Pack(trace.KindCtxSwitch, 0, 0, 1, false, false, 1),
+		trace.Pack(trace.KindDRead, 0x1000, 4, 1, true, false, 0),
 	}
 
 	l1Flush := hierCfg()

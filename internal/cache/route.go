@@ -49,18 +49,19 @@ func newRouter(opts RunOptions, blockBytes uint32) (router, error) {
 // they carry tag 0 — the "global" treatment PID/ASN-tagged memory
 // hardware gives kernel addresses (and what the machine's own TB does
 // for its system half).
-func (rt *router) route(r trace.Record) (refOp, uint8) {
-	op := rt.ops[r.Kind]
+func (rt *router) route(r trace.Word) (refOp, uint8) {
+	op := rt.ops[r.Kind()]
 	if op < opIFetch {
 		return op, 0
 	}
-	if rt.samp.skip(r.Addr) {
+	addr := r.Addr()
+	if rt.samp.skip(addr) {
 		return opNone, 0
 	}
-	if r.Phys || r.Addr>>30 == 2 {
+	if r.Phys() || addr>>30 == 2 {
 		return op, 0
 	}
-	return op, r.PID
+	return op, r.PID()
 }
 
 // sampler implements 1-in-K block sampling: a reference is simulated

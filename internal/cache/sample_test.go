@@ -11,8 +11,8 @@ import (
 // context switches, kernel/S0 references and PTE walks — wide enough
 // address coverage that every residue class sees traffic for every K
 // under test.
-func sampleTrace(n int) []trace.Record {
-	recs := make([]trace.Record, 0, n)
+func sampleTrace(n int) []trace.Word {
+	recs := make([]trace.Word, 0, n)
 	seed := uint32(0x9E3779B9)
 	rng := func() uint32 {
 		seed = seed*1664525 + 1013904223
@@ -22,35 +22,35 @@ func sampleTrace(n int) []trace.Record {
 	for len(recs) < n {
 		if rng()%256 == 0 {
 			pid = uint8(1 + rng()%4)
-			recs = append(recs, trace.Record{Kind: trace.KindCtxSwitch, PID: pid, Extra: uint16(pid)})
+			recs = append(recs, trace.Pack(trace.KindCtxSwitch, 0, 0, pid, false, false, uint16(pid)))
 			continue
 		}
 		r := rng()
-		rec := trace.Record{PID: pid, Width: 4, User: true}
+		kind, addr, user := trace.KindIFetch, uint32(0), true
 		switch r % 16 {
 		case 0, 1:
-			rec.Kind = trace.KindDRead
-			rec.Addr = 0x8000_0000 | (r % 16384 * 4)
-			rec.User = false
+			kind = trace.KindDRead
+			addr = 0x8000_0000 | (r % 16384 * 4)
+			user = false
 		case 2:
-			rec.Kind = trace.KindPTERead
-			rec.Addr = 0x8000_8000 | (r % 2048 * 4)
-			rec.User = false
+			kind = trace.KindPTERead
+			addr = 0x8000_8000 | (r % 2048 * 4)
+			user = false
 		case 3:
-			rec.Kind = trace.KindPTEWrite
-			rec.Addr = 0x8000_8000 | (r % 2048 * 4)
-			rec.User = false
+			kind = trace.KindPTEWrite
+			addr = 0x8000_8000 | (r % 2048 * 4)
+			user = false
 		case 4, 5, 6, 7:
-			rec.Kind = trace.KindDRead
-			rec.Addr = uint32(pid)<<16 | (r % 8192 * 4)
+			kind = trace.KindDRead
+			addr = uint32(pid)<<16 | (r % 8192 * 4)
 		case 8, 9:
-			rec.Kind = trace.KindDWrite
-			rec.Addr = uint32(pid)<<16 | (r % 8192 * 4)
+			kind = trace.KindDWrite
+			addr = uint32(pid)<<16 | (r % 8192 * 4)
 		default:
-			rec.Kind = trace.KindIFetch
-			rec.Addr = 0x0001_0000 | uint32(pid)<<12 | (r % 4096 * 4)
+			kind = trace.KindIFetch
+			addr = 0x0001_0000 | uint32(pid)<<12 | (r % 4096 * 4)
 		}
-		recs = append(recs, rec)
+		recs = append(recs, trace.Pack(kind, addr, 4, pid, user, false, 0))
 	}
 	return recs
 }
@@ -58,14 +58,14 @@ func sampleTrace(n int) []trace.Record {
 // blockFilter keeps marker records plus the memory references whose
 // block address falls in the (k, off) residue class — the reference
 // definition the sampler must match.
-func blockFilter(recs []trace.Record, k, off, blockBytes uint32) []trace.Record {
+func blockFilter(recs []trace.Word, k, off, blockBytes uint32) []trace.Word {
 	var shift uint32
 	for blockBytes>>shift != 1 {
 		shift++
 	}
-	out := make([]trace.Record, 0, len(recs))
+	out := make([]trace.Word, 0, len(recs))
 	for _, r := range recs {
-		if r.Kind.IsMemRef() && (r.Addr>>shift)%k != off {
+		if r.Kind().IsMemRef() && (r.Addr()>>shift)%k != off {
 			continue
 		}
 		out = append(out, r)

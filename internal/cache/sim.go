@@ -36,7 +36,7 @@ func NewUnifiedSim(cfg Config, opts RunOptions) (*UnifiedSim, error) {
 // Feed routes one chunk of records into the cache, honouring
 // context-switch flushes. The chunk is only read; it may be reused by
 // the caller after Feed returns.
-func (s *UnifiedSim) Feed(chunk []trace.Record) error {
+func (s *UnifiedSim) Feed(chunk []trace.Word) error {
 	for _, r := range chunk {
 		switch op, pid := s.rt.route(r); op {
 		case opNone:
@@ -45,7 +45,7 @@ func (s *UnifiedSim) Feed(chunk []trace.Record) error {
 				s.c.Flush()
 			}
 		default:
-			s.c.Access(r.Addr, op == opWrite, pid)
+			s.c.Access(r.Addr(), op == opWrite, pid)
 		}
 	}
 	return nil
@@ -81,7 +81,7 @@ func NewHierarchySim(cfg HierarchyConfig, opts RunOptions) (*HierarchySim, error
 }
 
 // Feed routes one chunk of records through the hierarchy.
-func (s *HierarchySim) Feed(chunk []trace.Record) error {
+func (s *HierarchySim) Feed(chunk []trace.Word) error {
 	for _, r := range chunk {
 		switch op, pid := s.rt.route(r); op {
 		case opNone:
@@ -94,9 +94,9 @@ func (s *HierarchySim) Feed(chunk []trace.Record) error {
 				s.h.L2.Flush()
 			}
 		case opIFetch:
-			s.h.access(s.h.L1I, r.Addr, false, pid)
+			s.h.access(s.h.L1I, r.Addr(), false, pid)
 		default:
-			s.h.access(s.h.L1D, r.Addr, op == opWrite, pid)
+			s.h.access(s.h.L1D, r.Addr(), op == opWrite, pid)
 		}
 	}
 	return nil

@@ -155,8 +155,8 @@ func (o Options) remoteAnalyze(src trace.Source, req api.AnalysisRequest) (api.A
 	}
 	if name == "" {
 		var buf bytes.Buffer
-		var recs []trace.Record
-		_ = src.EachChunk(func(chunk []trace.Record) error {
+		var recs []trace.Word
+		_ = src.EachChunk(func(chunk []trace.Word) error {
 			recs = append(recs, chunk...)
 			return nil
 		})
@@ -226,7 +226,7 @@ func sysConfig() kernel.Config {
 
 // captureMix boots the named workloads and captures the complete ATUM
 // trace of the whole run (kernel included).
-func captureMix(cfg kernel.Config, names ...string) ([]trace.Record, error) {
+func captureMix(cfg kernel.Config, names ...string) ([]trace.Word, error) {
 	sys, err := workload.BootMix(cfg, names...)
 	if err != nil {
 		return nil, err
@@ -285,13 +285,13 @@ func captureMixSegmented(cfg kernel.Config, segBytes uint32, codec uint16, names
 // derived once.
 var (
 	mixOnce      sync.Once
-	mixRecsOnce  []trace.Record
+	mixRecsOnce  []trace.Word
 	mixArenaOnce *trace.Arena
 	mixUserOnce  *trace.Arena
 	mixErrOnce   error
 )
 
-func standardMix() ([]trace.Record, *trace.Arena, *trace.Arena, error) {
+func standardMix() ([]trace.Word, *trace.Arena, *trace.Arena, error) {
 	mixOnce.Do(func() {
 		recs, err := captureMix(sysConfig(), workload.StandardMix...)
 		if err != nil {
@@ -305,7 +305,7 @@ func standardMix() ([]trace.Record, *trace.Arena, *trace.Arena, error) {
 	return mixRecsOnce, mixArenaOnce, mixUserOnce, mixErrOnce
 }
 
-func standardMixTrace() ([]trace.Record, error) {
+func standardMixTrace() ([]trace.Word, error) {
 	recs, _, _, err := standardMix()
 	return recs, err
 }
@@ -393,7 +393,7 @@ func T2TraceCharacteristics(Options) (*Report, error) {
 		Headers: []string{"workload", "memrefs", "%ifetch", "%read", "%write",
 			"%system", "switches", "pages", "pids"},
 	}
-	row := func(name string, recs []trace.Record) {
+	row := func(name string, recs []trace.Word) {
 		s := trace.Summarize(recs)
 		tb.AddRow(name,
 			analysis.N(s.MemRefs),
@@ -569,7 +569,7 @@ func F2Multiprogramming(opt Options) (*Report, error) {
 		ccfg := baseCacheCfg()
 		ccfg.PIDTags = false
 		ccfg.FlushOnSwitch = true
-		res, err := sweep.Caches(trace.Records(recs), []cache.Config{ccfg}, opts, 1)
+		res, err := sweep.Caches(trace.NewArena(recs), []cache.Config{ccfg}, opts, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -907,7 +907,7 @@ func A5TraceDrivenFidelity(opt Options) (*Report, error) {
 		}
 		awareCfg := replayCfg
 		awareCfg.WalkRefs = true
-		replays, err := sweep.TBs(trace.Records(cap.All()), []tlbsim.Config{replayCfg, awareCfg}, opt.Workers)
+		replays, err := sweep.TBs(trace.NewArena(cap.All()), []tlbsim.Config{replayCfg, awareCfg}, opt.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -1005,9 +1005,9 @@ func A4WritePolicy(opt Options) (*Report, error) {
 	}
 	opts := cache.RunOptions{IncludePTE: true}
 	var writes uint64
-	_ = mixSrc.EachChunk(func(chunk []trace.Record) error {
+	_ = mixSrc.EachChunk(func(chunk []trace.Word) error {
 		for _, r := range chunk {
-			if r.Kind == trace.KindDWrite || r.Kind == trace.KindPTEWrite {
+			if r.Kind() == trace.KindDWrite || r.Kind() == trace.KindPTEWrite {
 				writes++
 			}
 		}
@@ -1061,7 +1061,7 @@ func T3Sampling(opt Options) (*Report, error) {
 	}
 	ccfg := baseCacheCfg()
 	opts := cache.RunOptions{IncludePTE: true}
-	contRes, err := sweep.Caches(trace.Records(full), []cache.Config{ccfg}, opts, 1)
+	contRes, err := sweep.Caches(trace.NewArena(full), []cache.Config{ccfg}, opts, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -1083,7 +1083,7 @@ func T3Sampling(opt Options) (*Report, error) {
 			if end > len(full) {
 				end = len(full)
 			}
-			res, err := sweep.Caches(trace.Records(full[off:end]), []cache.Config{ccfg}, opts, 1)
+			res, err := sweep.Caches(trace.NewArena(full[off:end]), []cache.Config{ccfg}, opts, 1)
 			if err != nil {
 				return cache.Stats{}, err
 			}

@@ -234,13 +234,13 @@ func M2MigrationTB(o Options) (*Report, error) {
 			}
 			total.Accesses += st[0].Accesses
 			total.Misses += st[0].Misses
-			if err := a.EachChunk(func(recs []trace.Record) error {
+			if err := a.EachChunk(func(recs []trace.Word) error {
 				for _, r := range recs {
-					if r.User {
-						if pidCPUs[r.PID] == nil {
-							pidCPUs[r.PID] = map[int]bool{}
+					if pid := r.PID(); r.User() {
+						if pidCPUs[pid] == nil {
+							pidCPUs[pid] = map[int]bool{}
 						}
-						pidCPUs[r.PID][c] = true
+						pidCPUs[pid][c] = true
 					}
 				}
 				return nil

@@ -18,21 +18,21 @@ func TestRemoteOptionIdenticalReports(t *testing.T) {
 	ts := httptest.NewServer(serve.NewServer(serve.Options{}))
 	defer ts.Close()
 
-	recs := make([]trace.Record, 0, 20_000)
+	recs := make([]trace.Word, 0, 20_000)
 	pid := uint8(1)
 	for i := 0; len(recs) < cap(recs); i++ {
 		if i%311 == 0 {
 			pid = 1 + pid%2
-			recs = append(recs, trace.Record{Kind: trace.KindCtxSwitch, PID: pid, Extra: uint16(pid)})
+			recs = append(recs, trace.Pack(trace.KindCtxSwitch, 0, 0, pid, false, false, uint16(pid)))
 			continue
 		}
-		r := trace.Record{Kind: trace.KindIFetch, Addr: uint32(0x2000 + (i%777)*4), Width: 4, User: true, PID: pid}
+		r := trace.Pack(trace.KindIFetch, uint32(0x2000+(i%777)*4), 4, pid, true, false, 0)
 		if i%3 == 0 {
-			r.Kind, r.Addr = trace.KindDRead, uint32(0x60000+(i%211)*8)
+			r = trace.Pack(trace.KindDRead, uint32(0x60000+(i%211)*8), 4, pid, true, false, 0)
 		}
 		recs = append(recs, r)
 	}
-	src := trace.Records(recs)
+	src := trace.NewArena(recs)
 
 	ccfgs := []cache.Config{
 		{SizeBytes: 1 << 10, BlockBytes: 16, Assoc: 1, Replacement: cache.LRU, WriteAllocate: true, PIDTags: true},

@@ -198,13 +198,13 @@ func TestSMPMigrationVisibleInTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range recs {
-			if !r.User {
+			if !r.User() {
 				continue
 			}
-			if cpus[r.PID] == nil {
-				cpus[r.PID] = make(map[int]bool)
+			if cpus[r.PID()] == nil {
+				cpus[r.PID()] = make(map[int]bool)
 			}
-			cpus[r.PID][c] = true
+			cpus[r.PID()][c] = true
 		}
 	}
 	migrated := 0

@@ -2,6 +2,7 @@ package kernel_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
@@ -67,7 +68,7 @@ func spillSystem(t *testing.T) *kernel.System {
 }
 
 // captureMonolithic traces the workload into one big buffer.
-func captureMonolithic(t *testing.T) []trace.Record {
+func captureMonolithic(t *testing.T) []trace.Word {
 	t.Helper()
 	sys := spillSystem(t)
 	cap, err := atum.Run(sys.M, atum.DefaultOptions(), func() error {
@@ -165,15 +166,13 @@ func TestSpillStitchingDeterminism(t *testing.T) {
 	}
 }
 
-// encodeAll packs records to their raw 8-byte form for byte-level
+// encodeAll lays records out in their raw 8-byte form for byte-level
 // comparison.
-func encodeAll(t *testing.T, recs []trace.Record) []byte {
+func encodeAll(t *testing.T, recs []trace.Word) []byte {
 	t.Helper()
 	out := make([]byte, 0, len(recs)*trace.RecordBytes)
-	var b [trace.RecordBytes]byte
 	for _, r := range recs {
-		r.Encode(b[:])
-		out = append(out, b[:]...)
+		out = binary.LittleEndian.AppendUint64(out, uint64(r))
 	}
 	return out
 }

@@ -16,13 +16,13 @@ import (
 
 // collectSim accumulates the records a pipeline feeds it (copying
 // element values, so the pipeline's buffer reuse is safe).
-type collectSim struct{ recs []trace.Record }
+type collectSim struct{ recs []trace.Word }
 
-func (c *collectSim) Feed(chunk []trace.Record) error {
+func (c *collectSim) Feed(chunk []trace.Word) error {
 	c.recs = append(c.recs, chunk...)
 	return nil
 }
-func (c *collectSim) Result() ([]trace.Record, error) { return c.recs, nil }
+func (c *collectSim) Result() ([]trace.Word, error) { return c.recs, nil }
 
 // TestSpillStreamPipelineLive is the end-to-end tentpole test: a live
 // capture whose spill service tees every segment straight into the
@@ -42,7 +42,7 @@ func TestSpillStreamPipelineLive(t *testing.T) {
 		WriteAllocate: true, PIDTags: true,
 	}
 	opts := cache.RunOptions{IncludePTE: true}
-	wantRes, err := sweep.Caches(trace.Records(want), []cache.Config{cfg}, opts, 1)
+	wantRes, err := sweep.Caches(trace.NewArena(want), []cache.Config{cfg}, opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestSpillStreamPipelineLive(t *testing.T) {
 	for _, codec := range []uint16{trace.CodecRaw, trace.CodecDelta} {
 		p := sweep.NewPipeline(2)
 		col := &collectSim{}
-		collectRecs := sweep.AddSim[[]trace.Record](p, "collect", col)
+		collectRecs := sweep.AddSim[[]trace.Word](p, "collect", col)
 		sim, err := cache.NewUnifiedSim(cfg, opts)
 		if err != nil {
 			t.Fatal(err)

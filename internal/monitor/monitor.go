@@ -29,7 +29,7 @@ type Monitor struct {
 	breaks map[uint32]bool
 
 	collector *atum.Collector
-	captured  []trace.Record
+	captured  []trace.Word
 	// spills counts watermark extractions since tracing started: the
 	// number of times the live buffer filled and was drained in place.
 	spills int
@@ -520,7 +520,7 @@ func (m *Monitor) trace(args []string) {
 }
 
 // Captured returns everything collected so far (draining the buffer).
-func (m *Monitor) Captured() []trace.Record {
+func (m *Monitor) Captured() []trace.Word {
 	if m.collector != nil {
 		recs, err := m.collector.Extract()
 		if err == nil {

@@ -147,7 +147,7 @@ func TestTracingLifecycle(t *testing.T) {
 // spill into the monitor's capture log and resume, and the stitched
 // result must match a capture with a buffer big enough to never spill.
 func TestTracingSegmentedSpill(t *testing.T) {
-	capture := func(on string) (*Monitor, []trace.Record, string) {
+	capture := func(on string) (*Monitor, []trace.Word, string) {
 		m, out := newMon(t, "sieve")
 		m.Exec(on)
 		if !strings.Contains(out.String(), "ATUM installed") {

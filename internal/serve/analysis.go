@@ -43,7 +43,7 @@ func (s *Server) runAnalysis(t *tenant, req api.AnalysisRequest) (*api.AnalysisR
 		if err != nil {
 			return nil, fmt.Errorf("trace %q: %w", req.Trace, err)
 		}
-		sel := make([][]trace.Record, len(idx))
+		sel := make([][]trace.Word, len(idx))
 		for i, si := range idx {
 			sel[i] = chunks[si]
 		}

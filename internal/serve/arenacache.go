@@ -50,7 +50,7 @@ type arenaCache struct {
 
 type arenaEntry struct {
 	key   arenaKey
-	recs  []trace.Record
+	recs  []trace.Word
 	bytes int64
 }
 
@@ -60,7 +60,7 @@ func newArenaCache(budgetBytes int64) *arenaCache {
 
 // get returns the cached slice (callers must treat it as immutable) or
 // nil on miss.
-func (c *arenaCache) get(k arenaKey) []trace.Record {
+func (c *arenaCache) get(k arenaKey) []trace.Word {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el := c.byKey[k]; el != nil {
@@ -75,8 +75,8 @@ func (c *arenaCache) get(k arenaKey) []trace.Record {
 // put inserts a decoded slice and evicts from the cold end until the
 // budget holds again. A slice larger than the whole budget is not
 // cached at all (it would only evict everything to be evicted next).
-func (c *arenaCache) put(k arenaKey, recs []trace.Record) {
-	sz := int64(len(recs)) * trace.RecordBytes
+func (c *arenaCache) put(k arenaKey, recs []trace.Word) {
+	sz := int64(cap(recs)) * trace.RecordBytes // a Word is RecordBytes
 	if sz > c.budget {
 		return
 	}
@@ -105,10 +105,10 @@ func (c *arenaCache) put(k arenaKey, recs []trace.Record) {
 // segments assembles the decoded chunks of every segment of f — cache
 // hits as-is, misses decoded via f.Segment (in parallel across workers)
 // and inserted — in segment order.
-func (c *arenaCache) segments(k arenaKey, f *trace.File, workers int) ([][]trace.Record, error) {
+func (c *arenaCache) segments(k arenaKey, f *trace.File, workers int) ([][]trace.Word, error) {
 	segs := f.Segments()
 	n := len(segs)
-	chunks := make([][]trace.Record, n)
+	chunks := make([][]trace.Word, n)
 	var miss []int
 	for i := 0; i < n; i++ {
 		sk := k
@@ -123,7 +123,7 @@ func (c *arenaCache) segments(k arenaKey, f *trace.File, workers int) ([][]trace
 	if len(miss) == 0 {
 		return chunks, nil
 	}
-	decoded, err := par.Map(workers, len(miss), func(j int) ([]trace.Record, error) {
+	decoded, err := par.Map(workers, len(miss), func(j int) ([]trace.Word, error) {
 		return f.Segment(miss[j])
 	})
 	if err != nil {

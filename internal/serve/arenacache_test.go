@@ -2,11 +2,23 @@ package serve
 
 import (
 	"testing"
+	"unsafe"
 
 	"atum/internal/trace"
 )
 
-func slice(n int) []trace.Record { return make([]trace.Record, n) }
+func slice(n int) []trace.Word { return make([]trace.Word, n) }
+
+// residentBytes sums what the resident slices really occupy — their
+// capacity times the element size — which the budget is meant to bound.
+func residentBytes(c *arenaCache) int64 {
+	var n int64
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		recs := el.Value.(*arenaEntry).recs
+		n += int64(cap(recs)) * int64(unsafe.Sizeof(recs[0]))
+	}
+	return n
+}
 
 // TestArenaCacheLRU exercises the cache against its internal state:
 // budget adherence, cold-end eviction order, recency promotion on hit,
@@ -17,13 +29,24 @@ func TestArenaCacheLRU(t *testing.T) {
 	}
 	// Budget for exactly three 100-record slices.
 	c := newArenaCache(3 * 100 * trace.RecordBytes)
-
+	// The accounting must charge what the slices occupy: used and the
+	// gauge equal the resident bytes, within the budget.
+	checkBytes := func(when string) {
+		t.Helper()
+		if real := residentBytes(c); c.used != real || real > c.budget {
+			t.Fatalf("%s: used %d, resident %d bytes, budget %d", when, c.used, real, c.budget)
+		}
+		if g := mArenaBytes.Value(); g != float64(c.used) {
+			t.Fatalf("%s: gauge reads %v, used %d", when, g, c.used)
+		}
+	}
 	for i := 0; i < 3; i++ {
 		c.put(key("a", 1, i), slice(100))
 	}
-	if c.used != 3*100*trace.RecordBytes {
-		t.Fatalf("used = %d after three inserts", c.used)
+	if c.lru.Len() != 3 {
+		t.Fatalf("%d entries resident after three inserts", c.lru.Len())
 	}
+	checkBytes("three inserts")
 
 	// Touch segment 0 so segment 1 becomes the cold end, then insert a
 	// fourth slice: 1 must be evicted, 0 and 2 must survive.
@@ -39,9 +62,7 @@ func TestArenaCacheLRU(t *testing.T) {
 			t.Fatalf("warm entry %d was evicted", seg)
 		}
 	}
-	if c.used > c.budget {
-		t.Fatalf("used %d exceeds budget %d", c.used, c.budget)
-	}
+	checkBytes("eviction")
 
 	// A slice larger than the whole budget is rejected without touching
 	// residents.
@@ -62,12 +83,13 @@ func TestArenaCacheLRU(t *testing.T) {
 	// Racing decoders: a second put under a live key is a no-op and the
 	// original slice keeps being served.
 	first := slice(50)
-	first[0].Addr = 0xdead
+	first[0] = trace.Pack(trace.KindDRead, 0xdead, 4, 0, false, false, 0)
 	c.put(key("b", 1, 0), first)
 	c.put(key("b", 1, 0), slice(50))
-	if got := c.get(key("b", 1, 0)); got[0].Addr != 0xdead {
+	if got := c.get(key("b", 1, 0)); got[0].Addr() != 0xdead {
 		t.Fatal("second racing put replaced the first decode")
 	}
+	checkBytes("racing put")
 }
 
 // TestArenaCacheEncodingKey: the payload encoding is part of the cache

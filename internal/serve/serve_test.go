@@ -24,39 +24,39 @@ import (
 // makeRecords builds a plausible synthetic trace: mostly user ifetches
 // and data refs over a few pages, with context switches between two
 // PIDs so summaries and PID-tagged sims have something to chew on.
-func makeRecords(n int) []trace.Record {
-	recs := make([]trace.Record, 0, n)
+func makeRecords(n int) []trace.Word {
+	recs := make([]trace.Word, 0, n)
 	pid := uint8(1)
 	for i := 0; len(recs) < n; i++ {
 		if i%257 == 0 {
 			pid = 1 + pid%2
-			recs = append(recs, trace.Record{Kind: trace.KindCtxSwitch, PID: pid, Extra: uint16(pid)})
+			recs = append(recs, trace.Pack(trace.KindCtxSwitch, 0, 0, pid, false, false, uint16(pid)))
 			continue
 		}
-		r := trace.Record{Kind: trace.KindIFetch, Addr: uint32(0x1000 + (i%512)*4), Width: 4, User: true, PID: pid}
+		kind, addr, user := trace.KindIFetch, uint32(0x1000+(i%512)*4), true
 		switch i % 5 {
 		case 1:
-			r.Kind, r.Addr = trace.KindDRead, uint32(0x40000+(i%128)*4)
+			kind, addr = trace.KindDRead, uint32(0x40000+(i%128)*4)
 		case 3:
-			r.Kind, r.Addr = trace.KindDWrite, uint32(0x48000+(i%64)*4)
+			kind, addr = trace.KindDWrite, uint32(0x48000+(i%64)*4)
 		case 4:
-			r.Kind, r.User = trace.KindPTERead, false
+			kind, user = trace.KindPTERead, false
 		}
-		recs = append(recs, r)
+		recs = append(recs, trace.Pack(kind, addr, 4, pid, user, false, 0))
 	}
 	return recs
 }
 
 // makeSegmentedTrace encodes recs as a segmented stream image with
 // segsize records per segment.
-func makeSegmentedTrace(t *testing.T, recs []trace.Record, segsize int) []byte {
+func makeSegmentedTrace(t *testing.T, recs []trace.Word, segsize int) []byte {
 	t.Helper()
 	return makeSegmentedTraceEnc(t, recs, segsize, trace.SegEncRaw)
 }
 
 // makeSegmentedTraceEnc is makeSegmentedTrace with a chosen per-segment
 // payload encoding.
-func makeSegmentedTraceEnc(t *testing.T, recs []trace.Record, segsize int, enc uint8) []byte {
+func makeSegmentedTraceEnc(t *testing.T, recs []trace.Word, segsize int, enc uint8) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sw, err := trace.NewSegmentWriter(&buf, trace.CodecDelta, "synthetic test trace")

@@ -40,12 +40,12 @@ func BenchmarkStackdist(b *testing.B) {
 		return out
 	})
 	b.Run("mix13", func(b *testing.B) {
-		recs := trace.Records(captureMix13(b))
+		recs := trace.NewArena(captureMix13(b))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			benchSink += FromSource(recs, mixOpts).Cold
 		}
-		b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrec/s")
+		b.ReportMetric(float64(recs.NumRecords())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrec/s")
 	})
 	lane("uniform-1M", func() []uint64 {
 		r := rand.New(rand.NewSource(3))

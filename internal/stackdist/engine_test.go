@@ -49,7 +49,7 @@ func run(blocks []uint64, tableSlots, treeCap int) *engine {
 }
 
 // mapBlocks is the block stream Stream derives from recs.
-func mapBlocks(recs []trace.Record, opts Options) []uint64 {
+func mapBlocks(recs []trace.Word, opts Options) []uint64 {
 	m := newBlockMapper(opts)
 	var out []uint64
 	for _, r := range recs {
@@ -119,8 +119,8 @@ func TestEngineMatchesOracle(t *testing.T) {
 // testRecords builds a record stream over a few processes: user and
 // kernel fetches, reads and writes, PTE reads, physical references and
 // context switches.
-func testRecords(n int) []trace.Record {
-	recs := make([]trace.Record, 0, n)
+func testRecords(n int) []trace.Word {
+	recs := make([]trace.Word, 0, n)
 	seed := uint32(0xB5297A4D)
 	pid := uint8(1)
 	for len(recs) < n {
@@ -128,27 +128,27 @@ func testRecords(n int) []trace.Record {
 		r := seed
 		if r%128 == 0 {
 			pid = uint8(1 + r%3)
-			recs = append(recs, trace.Record{Kind: trace.KindCtxSwitch, PID: pid, Extra: uint16(pid)})
+			recs = append(recs, trace.Pack(trace.KindCtxSwitch, 0, 0, pid, false, false, uint16(pid)))
 			continue
 		}
-		rec := trace.Record{PID: pid, Width: 4, User: r%4 != 0}
+		kind, addr, user, phys := trace.KindIFetch, uint32(0), r%4 != 0, false
 		switch r % 8 {
 		case 0:
-			rec.Kind = trace.KindPTERead
-			rec.Addr = 0x8000_8000 | (r % 512 * 4)
-			rec.User = false
+			kind = trace.KindPTERead
+			addr = 0x8000_8000 | (r % 512 * 4)
+			user = false
 		case 1, 2:
-			rec.Kind = trace.KindIFetch
-			rec.Addr = 0x0001_0000 | uint32(pid)<<12 | (r % 2048 * 4)
+			kind = trace.KindIFetch
+			addr = 0x0001_0000 | uint32(pid)<<12 | (r % 2048 * 4)
 		case 3:
-			rec.Kind = trace.KindDWrite
-			rec.Addr = uint32(pid)<<16 | (r % 4096 * 4)
-			rec.Phys = r%32 == 3
+			kind = trace.KindDWrite
+			addr = uint32(pid)<<16 | (r % 4096 * 4)
+			phys = r%32 == 3
 		default:
-			rec.Kind = trace.KindDRead
-			rec.Addr = uint32(pid)<<16 | (r % 4096 * 4)
+			kind = trace.KindDRead
+			addr = uint32(pid)<<16 | (r % 4096 * 4)
 		}
-		recs = append(recs, rec)
+		recs = append(recs, trace.Pack(kind, addr, 4, pid, user, phys, 0))
 	}
 	return recs
 }
@@ -161,7 +161,7 @@ var streamOpts = []Options{
 }
 
 // feedChunks feeds recs to s in chunks of the given size.
-func feedChunks(t *testing.T, s *Stream, recs []trace.Record, chunk int) {
+func feedChunks(t *testing.T, s *Stream, recs []trace.Word, chunk int) {
 	t.Helper()
 	for off := 0; off < len(recs); off += chunk {
 		if err := s.Feed(recs[off:min(off+chunk, len(recs))]); err != nil {
@@ -261,13 +261,13 @@ func FuzzStackdist(f *testing.F) {
 
 var mix13 struct {
 	once sync.Once
-	recs []trace.Record
+	recs []trace.Word
 	err  error
 }
 
 // captureMix13 captures the 13-process mix perfbench sweeps, at its
 // 100k-cycle timer, once per test binary.
-func captureMix13(tb testing.TB) []trace.Record {
+func captureMix13(tb testing.TB) []trace.Word {
 	tb.Helper()
 	mix13.once.Do(func() {
 		cfg := kernel.DefaultConfig()
@@ -304,18 +304,18 @@ var mixOpts = Options{BlockBytes: 16, PIDTag: true, IncludePTE: true}
 // TestStackdistCapturedMix is the oracle check on real references.
 func TestStackdistCapturedMix(t *testing.T) {
 	recs := captureMix13(t)
-	checkOracle(t, "captured mix", FromSource(trace.Records(recs), mixOpts), oracle(mapBlocks(recs, mixOpts)))
+	checkOracle(t, "captured mix", FromSource(trace.NewArena(recs), mixOpts), oracle(mapBlocks(recs, mixOpts)))
 }
 
 // repeated is a Source that replays recs n times.
 type repeated struct {
-	recs []trace.Record
+	recs []trace.Word
 	n    int
 }
 
 func (r repeated) NumRecords() int { return r.n * len(r.recs) }
 
-func (r repeated) EachChunk(fn func([]trace.Record) error) error {
+func (r repeated) EachChunk(fn func([]trace.Word) error) error {
 	for i := 0; i < r.n; i++ {
 		if err := fn(r.recs); err != nil {
 			return err

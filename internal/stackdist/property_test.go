@@ -25,25 +25,25 @@ func TestProfileMatchesSimulator(t *testing.T) {
 
 	type gen struct {
 		name  string
-		build func(seed int64) []trace.Record
+		build func(seed int64) []trace.Word
 	}
 	gens := []gen{
-		{"sequential", func(seed int64) []trace.Record {
+		{"sequential", func(seed int64) []trace.Word {
 			return workload.Sequential(workload.SynthConfig{Seed: seed, Records: 4000, PID: 1, Base: 0x1000, WriteFrac: 30}, 4)
 		}},
-		{"loop", func(seed int64) []trace.Record {
+		{"loop", func(seed int64) []trace.Word {
 			return workload.Loop(workload.SynthConfig{Seed: seed, Records: 4000, PID: 1, Base: 0x1000, WriteFrac: 10}, 2048, 8)
 		}},
-		{"working-set", func(seed int64) []trace.Record {
+		{"working-set", func(seed int64) []trace.Word {
 			return workload.WorkingSet(workload.SynthConfig{Seed: seed, Records: 4000, PID: 1, Base: 0x1000, WriteFrac: 50}, 4096)
 		}},
-		{"zipf", func(seed int64) []trace.Record {
+		{"zipf", func(seed int64) []trace.Word {
 			return workload.Zipf(workload.SynthConfig{Seed: seed, Records: 4000, PID: 1, Base: 0x1000}, 64, 1.3)
 		}},
-		{"pointer-chase", func(seed int64) []trace.Record {
+		{"pointer-chase", func(seed int64) []trace.Word {
 			return workload.PointerChase(workload.SynthConfig{Seed: seed, Records: 4000, PID: 1, Base: 0x1000}, 300)
 		}},
-		{"interleave", func(seed int64) []trace.Record {
+		{"interleave", func(seed int64) []trace.Word {
 			a := workload.WorkingSet(workload.SynthConfig{Seed: seed, Records: 2000, PID: 1, Base: 0x1000, WriteFrac: 20}, 2048)
 			b := workload.Loop(workload.SynthConfig{Seed: seed + 100, Records: 2000, PID: 2, Base: 0x1000, WriteFrac: 20}, 1024, 4)
 			c := workload.Zipf(workload.SynthConfig{Seed: seed + 200, Records: 2000, PID: 3, Base: 0x9000}, 32, 1.5)
@@ -54,7 +54,7 @@ func TestProfileMatchesSimulator(t *testing.T) {
 	for _, g := range gens {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", g.name, seed), func(t *testing.T) {
-				recs := trace.Records(g.build(seed))
+				recs := trace.NewArena(g.build(seed))
 				prof := stackdist.FromSource(recs, stackdist.Options{
 					BlockBytes: blockBytes, PIDTag: true, IncludePTE: true,
 				})

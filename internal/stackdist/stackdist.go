@@ -103,8 +103,8 @@ func newBlockMapper(opts Options) blockMapper {
 
 // block converts one record, reporting whether it contributes a
 // reference at all.
-func (m blockMapper) block(r trace.Record) (uint64, bool) {
-	switch r.Kind {
+func (m blockMapper) block(r trace.Word) (uint64, bool) {
+	switch r.Kind() {
 	case trace.KindIFetch, trace.KindDRead, trace.KindDWrite:
 	case trace.KindPTERead, trace.KindPTEWrite:
 		if !m.opts.IncludePTE {
@@ -113,12 +113,13 @@ func (m blockMapper) block(r trace.Record) (uint64, bool) {
 	default:
 		return 0, false
 	}
-	if m.opts.UserOnly && !r.User {
+	if m.opts.UserOnly && !r.User() {
 		return 0, false
 	}
-	b := uint64(r.Addr) >> m.shift
-	if m.opts.PIDTag && !r.Phys && r.Addr>>30 != 2 {
-		b |= uint64(r.PID) << 40
+	addr := r.Addr()
+	b := uint64(addr) >> m.shift
+	if m.opts.PIDTag && !r.Phys() && addr>>30 != 2 {
+		b |= uint64(r.PID()) << 40
 	}
 	return b, true
 }
@@ -140,7 +141,7 @@ func NewStream(opts Options) *Stream {
 
 // Feed converts one chunk of records to block references and observes
 // them. The chunk is only read; it may be reused after Feed returns.
-func (s *Stream) Feed(chunk []trace.Record) error {
+func (s *Stream) Feed(chunk []trace.Word) error {
 	for _, r := range chunk {
 		if b, ok := s.bm.block(r); ok {
 			s.e.add(b)

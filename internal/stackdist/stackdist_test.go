@@ -99,7 +99,7 @@ func TestMonotonicity(t *testing.T) {
 // fully-associative LRU cache simulator produces, at every size.
 func TestAgreesWithCacheSimulator(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
-	recs := make([]trace.Record, 30000)
+	recs := make([]trace.Word, 30000)
 	for i := range recs {
 		var addr uint32
 		switch r.Intn(3) {
@@ -110,10 +110,10 @@ func TestAgreesWithCacheSimulator(t *testing.T) {
 		default:
 			addr = uint32(r.Intn(1<<20)) &^ 15
 		}
-		recs[i] = trace.Record{Kind: trace.KindDRead, Addr: addr, Width: 4, User: true, PID: 1}
+		recs[i] = trace.Pack(trace.KindDRead, addr, 4, 1, true, false, 0)
 	}
 	const blockBytes = 16
-	prof := FromSource(trace.Records(recs), Options{BlockBytes: blockBytes, PIDTag: true})
+	prof := FromSource(trace.NewArena(recs), Options{BlockBytes: blockBytes, PIDTag: true})
 
 	for _, capacity := range []int{4, 16, 64, 256, 1024} {
 		cfg := cache.Config{
@@ -144,12 +144,12 @@ func TestAgreesWithCacheSimulator(t *testing.T) {
 
 func TestBlocksFiltering(t *testing.T) {
 	blocks := mapBlocks
-	recs := []trace.Record{
-		{Kind: trace.KindIFetch, Addr: 0x200, Width: 4, User: true, PID: 1},
-		{Kind: trace.KindDRead, Addr: 0x80000200, Width: 4, User: false, PID: 1},
-		{Kind: trace.KindPTERead, Addr: 0x80010000, Width: 4, PID: 1},
-		{Kind: trace.KindCtxSwitch, Extra: 2, Width: 1},
-		{Kind: trace.KindDRead, Addr: 0x200, Width: 4, User: true, PID: 2},
+	recs := []trace.Word{
+		trace.Pack(trace.KindIFetch, 0x200, 4, 1, true, false, 0),
+		trace.Pack(trace.KindDRead, 0x80000200, 4, 1, false, false, 0),
+		trace.Pack(trace.KindPTERead, 0x80010000, 4, 1, false, false, 0),
+		trace.Pack(trace.KindCtxSwitch, 0, 0, 0, false, false, 2),
+		trace.Pack(trace.KindDRead, 0x200, 4, 2, true, false, 0),
 	}
 	all := blocks(recs, Options{BlockBytes: 16, PIDTag: true, IncludePTE: true})
 	if len(all) != 4 {
@@ -166,9 +166,9 @@ func TestBlocksFiltering(t *testing.T) {
 		t.Error("PID tag did not separate address spaces")
 	}
 	// System addresses are shared regardless of PID.
-	sysA := blocks([]trace.Record{{Kind: trace.KindDRead, Addr: 0x80000200, Width: 4, PID: 1}},
+	sysA := blocks([]trace.Word{trace.Pack(trace.KindDRead, 0x80000200, 4, 1, false, false, 0)},
 		Options{BlockBytes: 16, PIDTag: true})
-	sysB := blocks([]trace.Record{{Kind: trace.KindDRead, Addr: 0x80000200, Width: 4, PID: 2}},
+	sysB := blocks([]trace.Word{trace.Pack(trace.KindDRead, 0x80000200, 4, 2, false, false, 0)},
 		Options{BlockBytes: 16, PIDTag: true})
 	if sysA[0] != sysB[0] {
 		t.Error("system space wrongly PID-tagged")
@@ -192,7 +192,7 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 func TestEmpty(t *testing.T) {
-	for _, p := range []*Profile{analyze(nil), FromSource(trace.Records(nil), Options{})} {
+	for _, p := range []*Profile{analyze(nil), FromSource(trace.NewArena(nil), Options{})} {
 		if p.MissRate(16) != 0 || p.Total != 0 || p.MaxDepth() != 0 {
 			t.Error("empty stream not handled")
 		}

@@ -18,7 +18,7 @@ type countSim struct {
 	gate  chan struct{} // if non-nil, Feed blocks until it closes
 }
 
-func (s *countSim) Feed(chunk []trace.Record) error {
+func (s *countSim) Feed(chunk []trace.Word) error {
 	if s.gate != nil {
 		<-s.gate
 	}
@@ -34,10 +34,10 @@ func (s *countSim) Feed(chunk []trace.Record) error {
 
 func (s *countSim) Result() (uint64, error) { return s.n.Load(), nil }
 
-func bpChunk(n int, base uint32) []trace.Record {
-	recs := make([]trace.Record, n)
+func bpChunk(n int, base uint32) []trace.Word {
+	recs := make([]trace.Word, n)
 	for i := range recs {
-		recs[i] = trace.Record{Kind: trace.KindIFetch, Addr: base + uint32(i)*4, Width: 4, User: true, PID: 1}
+		recs[i] = trace.Pack(trace.KindIFetch, base+uint32(i)*4, 4, 1, true, false, 0)
 	}
 	return recs
 }
@@ -127,7 +127,7 @@ func TestBackpressureDropDeliversAllWhenConsumerKeepsUp(t *testing.T) {
 	p.SetBackpressure(BackpressureDrop, 8)
 
 	// Reuse one buffer across feeds, as HandleSegment does.
-	buf := make([]trace.Record, 64)
+	buf := make([]trace.Word, 64)
 	var offered uint64
 	for i := 0; i < 200; i++ {
 		chunk := bpChunk(len(buf), uint32(i*4096))

@@ -17,10 +17,10 @@ import (
 // every kind, P0, P1, S0 and physical addresses, several PIDs, context
 // switches that change the PID later references carry, and runs of
 // references to the previous reference's address.
-func gridRecords(data []byte) []trace.Record {
-	var recs []trace.Record
+func gridRecords(data []byte) []trace.Word {
+	var recs []trace.Word
 	pid := uint8(1)
-	var prev trace.Record
+	var prev trace.Word
 	for ; len(data) >= 4; data = data[4:] {
 		b := data[:4]
 		var kind trace.Kind
@@ -34,30 +34,31 @@ func gridRecords(data []byte) []trace.Record {
 		}
 		if kind == trace.KindCtxSwitch {
 			pid = b[1] % 5
-			recs = append(recs, trace.Record{Kind: kind, PID: pid, Extra: uint16(pid)})
+			recs = append(recs, trace.Pack(kind, 0, 0, pid, false, false, uint16(pid)))
 			continue
 		}
 		if !kind.IsMemRef() {
-			recs = append(recs, trace.Record{Kind: kind, PID: pid, Extra: uint16(b[1])})
+			recs = append(recs, trace.Pack(kind, 0, 0, pid, false, false, uint16(b[1])))
 			continue
 		}
-		r := trace.Record{Kind: kind, PID: pid, Width: 4}
-		if b[1]&0x80 != 0 && prev.Kind.IsMemRef() {
-			r.Addr, r.User, r.Phys = prev.Addr, prev.User, prev.Phys
-			recs = append(recs, r)
+		if b[1]&0x80 != 0 && prev.Kind().IsMemRef() {
+			recs = append(recs, trace.Pack(kind, prev.Addr(), 4, pid, prev.User(), prev.Phys(), 0))
 			continue
 		}
 		off := (uint32(b[2]&0x0f)<<8 | uint32(b[3])) << 2
+		var addr uint32
+		var user, phys bool
 		switch b[2] >> 6 {
 		case 0:
-			r.Addr, r.User = off, true // P0
+			addr, user = off, true // P0
 		case 1:
-			r.Addr, r.User = 0x7fff_0000|off, true // P1
+			addr, user = 0x7fff_0000|off, true // P1
 		case 2:
-			r.Addr = 0x8000_0000 | off // S0
+			addr = 0x8000_0000 | off // S0
 		case 3:
-			r.Addr, r.Phys = off, true
+			addr, phys = off, true
 		}
+		r := trace.Pack(kind, addr, 4, pid, user, phys, 0)
 		recs = append(recs, r)
 		prev = r
 	}
@@ -103,13 +104,13 @@ func gridConfigs(data []byte) []cache.Config {
 // and 4 (over an arena cut into chunks of the given sizes) and through a
 // pipeline fed the same chunks, and requires every result to equal a
 // per-record loop over a bare cache.Cache.
-func checkCacheGrid(t *testing.T, recs []trace.Record, cfgs []cache.Config, opts cache.RunOptions, chunkSizes func() int) {
+func checkCacheGrid(t *testing.T, recs []trace.Word, cfgs []cache.Config, opts cache.RunOptions, chunkSizes func() int) {
 	t.Helper()
 	want := make([]cache.Result, len(cfgs))
 	for i, c := range cfgs {
 		want[i] = refCache(t, recs, c, opts)
 	}
-	var chunks [][]trace.Record
+	var chunks [][]trace.Word
 	for off := 0; off < len(recs); {
 		end := min(off+chunkSizes(), len(recs))
 		chunks = append(chunks, recs[off:end])
@@ -252,24 +253,24 @@ func TestCacheGridCapturedMix(t *testing.T) {
 //
 //	go test -run '^$' -bench GridSim -cpu 1 ./internal/sweep/
 func BenchmarkGridSim(b *testing.B) {
-	cyclic := func(blocks int) []trace.Record {
-		recs := make([]trace.Record, 1<<20)
+	cyclic := func(blocks int) []trace.Word {
+		recs := make([]trace.Word, 1<<20)
 		for i := range recs {
 			kind := trace.KindDRead
 			if i%3 == 2 {
 				kind = trace.KindDWrite
 			}
-			recs[i] = trace.Record{Kind: kind, Addr: uint32(i%blocks) * 16, Width: 4, User: true, PID: 1}
+			recs[i] = trace.Pack(kind, uint32(i%blocks)*16, 4, 1, true, false, 0)
 		}
 		return recs
 	}
 	lanes := []struct {
 		name string
-		recs func(testing.TB) []trace.Record
+		recs func(testing.TB) []trace.Word
 	}{
 		{"mix13", captureMix13},
-		{"cyclic4096", func(testing.TB) []trace.Record { return cyclic(4096) }},
-		{"cyclic65536", func(testing.TB) []trace.Record { return cyclic(65536) }},
+		{"cyclic4096", func(testing.TB) []trace.Word { return cyclic(4096) }},
+		{"cyclic65536", func(testing.TB) []trace.Word { return cyclic(65536) }},
 	}
 	cfgs := benchGrid()
 	for _, l := range lanes {
@@ -288,7 +289,7 @@ func BenchmarkGridSim(b *testing.B) {
 
 // captureMix13 captures the 13-process mix on one CPU through the spill
 // service, at the benchmark's 100k-cycle timer, and decodes it.
-func captureMix13(t testing.TB) []trace.Record {
+func captureMix13(t testing.TB) []trace.Word {
 	t.Helper()
 	cfg := kernel.DefaultConfig()
 	cfg.Machine.MemSize = 8 << 20

@@ -79,7 +79,7 @@ func ParseBackpressure(s string) (Backpressure, error) {
 // Feed returns — implementations must not retain it), Result reports
 // the simulation so far.
 type Sim[R any] interface {
-	Feed([]trace.Record) error
+	Feed([]trace.Word) error
 	Result() (R, error)
 }
 
@@ -104,7 +104,7 @@ var (
 // workers == 1 is the serial reference path.
 type Pipeline struct {
 	workers int
-	feeders []func([]trace.Record) error
+	feeders []func([]trace.Word) error
 	names   []string
 
 	// err is the sticky first failure (lowest simulator index within the
@@ -117,22 +117,22 @@ type Pipeline struct {
 	// buf is the reused segment-decode buffer: its capacity tracks the
 	// largest single segment, never the stream, which is the pipeline's
 	// bounded-memory guarantee (pinned by TestStreamBoundedMemory).
-	buf []trace.Record
+	buf []trace.Word
 
 	// decoded counts records decoded from segments so far; it is the
 	// base for record-indexed decode errors, matching what a whole-file
 	// read of the same stream would report.
 	decoded uint64
 
-	filter func(trace.Record) bool
-	fbuf   []trace.Record // reused filter scratch
-	fed    atomic.Uint64  // records the simulators consumed (post-filter)
+	filter func(trace.Word) bool
+	fbuf   []trace.Word  // reused filter scratch
+	fed    atomic.Uint64 // records the simulators consumed (post-filter)
 
 	// Backpressure state. explicit marks that SetBackpressure was
 	// called, which turns on the wait telemetry in Block mode; queue and
 	// drained exist only in Drop mode.
 	explicit bool
-	queue    chan []trace.Record
+	queue    chan []trace.Word
 	drained  chan struct{}
 	dropped  atomic.Uint64
 	pool     sync.Pool // recycled chunk copies for the drop queue
@@ -165,7 +165,7 @@ func AddSim[R any](p *Pipeline, name string, sim Sim[R]) func() (R, error) {
 // SetFilter installs a record predicate applied to every fed chunk
 // before the simulators see it (e.g. the user-only subset). Must be set
 // before the first Feed.
-func (p *Pipeline) SetFilter(keep func(trace.Record) bool) { p.filter = keep }
+func (p *Pipeline) SetFilter(keep func(trace.Word) bool) { p.filter = keep }
 
 // SetBackpressure selects the policy for a producer that outruns the
 // simulators; call it after registration and before the first Feed. In
@@ -182,7 +182,7 @@ func (p *Pipeline) SetBackpressure(policy Backpressure, queueChunks int) {
 	if queueChunks <= 0 {
 		queueChunks = 4
 	}
-	p.queue = make(chan []trace.Record, queueChunks)
+	p.queue = make(chan []trace.Word, queueChunks)
 	p.drained = make(chan struct{})
 	go func() {
 		defer close(p.drained)
@@ -238,7 +238,7 @@ func (p *Pipeline) DroppedRecords() uint64 { return p.dropped.Load() }
 // them; a simulator error is sticky and every collector reports it.
 // Under Drop it copies the chunk into the bounded queue — or sheds it,
 // counted, when the queue is full — and returns immediately.
-func (p *Pipeline) Feed(chunk []trace.Record) error {
+func (p *Pipeline) Feed(chunk []trace.Word) error {
 	if err := p.Err(); err != nil {
 		return err
 	}
@@ -255,9 +255,9 @@ func (p *Pipeline) Feed(chunk []trace.Record) error {
 		return nil
 	}
 	if p.queue != nil {
-		var cp []trace.Record
+		var cp []trace.Word
 		if bp := p.pool.Get(); bp != nil {
-			cp = (*bp.(*[]trace.Record))[:0]
+			cp = (*bp.(*[]trace.Word))[:0]
 		}
 		cp = append(cp, chunk...)
 		select {
@@ -282,7 +282,7 @@ func (p *Pipeline) Feed(chunk []trace.Record) error {
 // fanOut feeds one chunk to every simulator over the worker pool and
 // does the shared accounting; it is the single consumer-side path for
 // both policies.
-func (p *Pipeline) fanOut(chunk []trace.Record) {
+func (p *Pipeline) fanOut(chunk []trace.Word) {
 	start := time.Now()
 	_, err := par.Map(p.workers, len(p.feeders), func(i int) (struct{}, error) {
 		return struct{}{}, p.feeders[i](chunk)

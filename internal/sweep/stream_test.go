@@ -45,7 +45,7 @@ func streamConfigs() ([]cache.Config, cache.HierarchyConfig, []tlbsim.Config) {
 
 // streamSegments writes recs as nseg segments through a SegmentWriter
 // whose tee is the pipeline, exactly as the kernel spill service does.
-func streamSegments(t *testing.T, p *Pipeline, recs []trace.Record, nseg int, codec uint16) {
+func streamSegments(t *testing.T, p *Pipeline, recs []trace.Word, nseg int, codec uint16) {
 	t.Helper()
 	var sink bytes.Buffer
 	sw, err := trace.NewSegmentWriter(&sink, codec, "stream-test")
@@ -122,7 +122,7 @@ func addStreamSims(t *testing.T, p *Pipeline, opts cache.RunOptions, sdOpts stac
 // refCache replays recs through a bare cache.Cache one record at a time:
 // the simulators' routing, set sampling included, written out
 // independently of them.
-func refCache(t *testing.T, recs []trace.Record, cfg cache.Config, opts cache.RunOptions) cache.Result {
+func refCache(t *testing.T, recs []trace.Word, cfg cache.Config, opts cache.RunOptions) cache.Result {
 	t.Helper()
 	c, err := cache.New(cfg)
 	if err != nil {
@@ -130,25 +130,25 @@ func refCache(t *testing.T, recs []trace.Record, cfg cache.Config, opts cache.Ru
 	}
 	shift := bits.TrailingZeros32(cfg.BlockBytes)
 	for _, r := range recs {
-		if opts.SampleSets > 1 && r.Kind.IsMemRef() && (r.Addr>>shift)%opts.SampleSets != opts.SampleOffset {
+		if opts.SampleSets > 1 && r.Kind().IsMemRef() && (r.Addr()>>shift)%opts.SampleSets != opts.SampleOffset {
 			continue
 		}
-		pid := r.PID
-		if r.Phys || r.Addr>>30 == 2 {
+		pid := r.PID()
+		if r.Phys() || r.Addr()>>30 == 2 {
 			pid = 0 // system and physical space are shared
 		}
-		switch r.Kind {
+		switch r.Kind() {
 		case trace.KindCtxSwitch:
 			if cfg.FlushOnSwitch {
 				c.Flush()
 			}
 		case trace.KindIFetch:
-			c.Access(r.Addr, false, pid)
+			c.Access(r.Addr(), false, pid)
 		case trace.KindDRead, trace.KindDWrite:
-			c.Access(r.Addr, r.Kind == trace.KindDWrite, pid)
+			c.Access(r.Addr(), r.Kind() == trace.KindDWrite, pid)
 		case trace.KindPTERead, trace.KindPTEWrite:
 			if opts.IncludePTE {
-				c.Access(r.Addr, r.Kind == trace.KindPTEWrite, pid)
+				c.Access(r.Addr(), r.Kind() == trace.KindPTEWrite, pid)
 			}
 		}
 	}
@@ -156,25 +156,25 @@ func refCache(t *testing.T, recs []trace.Record, cfg cache.Config, opts cache.Ru
 }
 
 // refTB replays recs through a bare tlbsim.TB one record at a time.
-func refTB(t *testing.T, recs []trace.Record, cfg tlbsim.Config) tlbsim.Stats {
+func refTB(t *testing.T, recs []trace.Word, cfg tlbsim.Config) tlbsim.Stats {
 	t.Helper()
 	tb, err := tlbsim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		switch r.Kind {
+		switch r.Kind() {
 		case trace.KindCtxSwitch:
 			if cfg.FlushOnSwitch {
 				tb.FlushProcess()
 			}
 		case trace.KindIFetch, trace.KindDRead, trace.KindDWrite:
-			if !r.Phys && (cfg.IncludeSystem || r.User) {
-				tb.Access(r.Addr, r.PID)
+			if !r.Phys() && (cfg.IncludeSystem || r.User()) {
+				tb.Access(r.Addr(), r.PID())
 			}
 		case trace.KindPTERead, trace.KindPTEWrite:
-			if cfg.WalkRefs && !r.Phys {
-				tb.Touch(r.Addr, r.PID)
+			if cfg.WalkRefs && !r.Phys() {
+				tb.Touch(r.Addr(), r.PID())
 			}
 		}
 	}
@@ -193,7 +193,7 @@ func refTB(t *testing.T, recs []trace.Record, cfg tlbsim.Config) tlbsim.Stats {
 // stress-tests both fan-outs.
 func TestStreamDeterminism(t *testing.T) {
 	recs := stressTrace(60_000)
-	var chunks [][]trace.Record
+	var chunks [][]trace.Word
 	for off := 0; off < len(recs); off += 7_000 {
 		chunks = append(chunks, recs[off:min(off+7_000, len(recs))])
 	}
@@ -224,7 +224,7 @@ func TestStreamDeterminism(t *testing.T) {
 		for _, cfg := range tcfgs {
 			want.tbs = append(want.tbs, refTB(t, in, cfg))
 		}
-		want.prof = *stackdist.FromSource(trace.Records(in), sdOpts)
+		want.prof = *stackdist.FromSource(trace.NewArena(in), sdOpts)
 
 		for _, workers := range []int{1, 4} {
 			run := func(mode string, feed func(*Pipeline)) {
@@ -338,7 +338,7 @@ func TestStreamStickyError(t *testing.T) {
 
 	p := NewPipeline(1)
 	col := &collectSim{}
-	collect := AddSim[[]trace.Record](p, "collect", col)
+	collect := AddSim[[]trace.Word](p, "collect", col)
 
 	if err := p.HandleSegment(segs[0]); err != nil {
 		t.Fatal(err)
@@ -370,7 +370,7 @@ func TestStreamStickyError(t *testing.T) {
 		p := NewPipeline(workers)
 		healthy := AddSim[uint64](p, "healthy", &countSim{})
 		AddSim[uint64](p, "boom", &countSim{fail: boom})
-		if err := p.FeedSource(trace.Records(recs)); !errors.Is(err, boom) {
+		if err := p.FeedSource(trace.NewArena(recs)); !errors.Is(err, boom) {
 			t.Errorf("workers=%d: FeedSource returned %v, want %v", workers, err, boom)
 		}
 		if _, err := healthy(); !errors.Is(err, boom) {
@@ -381,36 +381,32 @@ func TestStreamStickyError(t *testing.T) {
 
 // collectSim is a pipeline simulator that simply accumulates the records
 // it is fed (copying element values, so buffer reuse is safe).
-type collectSim struct{ recs []trace.Record }
+type collectSim struct{ recs []trace.Word }
 
-func (c *collectSim) Feed(chunk []trace.Record) error {
+func (c *collectSim) Feed(chunk []trace.Word) error {
 	c.recs = append(c.recs, chunk...)
 	return nil
 }
-func (c *collectSim) Result() ([]trace.Record, error) { return c.recs, nil }
+func (c *collectSim) Result() ([]trace.Word, error) { return c.recs, nil }
 
 // fuzzRecords converts arbitrary fuzz bytes into canonical records —
 // ones both codecs round-trip exactly: memory references carry Width in
 // {1,2,4} and Extra 0 (the delta codec does not encode memref Extra),
 // markers carry Width 0.
-func fuzzRecords(data []byte) []trace.Record {
-	var recs []trace.Record
+func fuzzRecords(data []byte) []trace.Word {
+	var recs []trace.Word
 	for len(data) >= 8 {
 		b := data[:8]
 		data = data[8:]
-		r := trace.Record{
-			Kind: trace.Kind(b[0] % uint8(trace.NumKinds)),
-			Addr: binary.LittleEndian.Uint32(b[4:8]),
-			PID:  b[1],
-			User: b[2]&1 != 0,
-			Phys: b[2]&2 != 0,
-		}
-		if r.Kind.IsMemRef() {
-			r.Width = 1 << (b[3] % 3)
+		kind := trace.Kind(b[0] % uint8(trace.NumKinds))
+		var width uint8
+		var extra uint16
+		if kind.IsMemRef() {
+			width = 1 << (b[3] % 3)
 		} else {
-			r.Extra = uint16(b[3])
+			extra = uint16(b[3])
 		}
-		recs = append(recs, r)
+		recs = append(recs, trace.Pack(kind, binary.LittleEndian.Uint32(b[4:8]), width, b[1], b[2]&1 != 0, b[2]&2 != 0, extra))
 	}
 	return recs
 }
@@ -497,7 +493,7 @@ func FuzzStreamSegmentFeed(f *testing.F) {
 		// Streamed side: every segment through the pipeline.
 		p := NewPipeline(1)
 		col := &collectSim{}
-		AddSim[[]trace.Record](p, "collect", col)
+		AddSim[[]trace.Word](p, "collect", col)
 		for _, s := range segs {
 			p.HandleSegment(s)
 		}
@@ -508,7 +504,7 @@ func FuzzStreamSegmentFeed(f *testing.F) {
 		// did — a re-read from the bytes on disk, not the teed payloads.
 		ps := NewPipeline(1)
 		scol := &collectSim{}
-		AddSim[[]trace.Record](ps, "collect", scol)
+		AddSim[[]trace.Word](ps, "collect", scol)
 		ps.FeedStream(bytes.NewReader(fileBytes))
 		wantRecs, wantErr := scol.recs, ps.Err()
 
@@ -524,7 +520,7 @@ func FuzzStreamSegmentFeed(f *testing.F) {
 
 		// Random access over the same bytes: same verdict, same message.
 		var fileErr error
-		var fileRecs []trace.Record
+		var fileRecs []trace.Word
 		if fl, err := trace.OpenReaderAt(bytes.NewReader(fileBytes), int64(len(fileBytes))); err != nil {
 			fileErr = err
 		} else {

@@ -13,8 +13,8 @@ import (
 // with distinct working sets, context switches, kernel references and
 // PTE walks — without booting the simulated machine, so the race stress
 // test stays fast under -race.
-func stressTrace(n int) []trace.Record {
-	recs := make([]trace.Record, 0, n)
+func stressTrace(n int) []trace.Word {
+	recs := make([]trace.Word, 0, n)
 	seed := uint32(0x2545F491)
 	rng := func() uint32 {
 		seed = seed*1664525 + 1013904223
@@ -24,33 +24,33 @@ func stressTrace(n int) []trace.Record {
 	for len(recs) < n {
 		if rng()%512 == 0 {
 			pid = uint8(1 + rng()%4)
-			recs = append(recs, trace.Record{Kind: trace.KindCtxSwitch, PID: pid, Extra: uint16(pid)})
+			recs = append(recs, trace.Pack(trace.KindCtxSwitch, 0, 0, pid, false, false, uint16(pid)))
 			continue
 		}
 		r := rng()
-		rec := trace.Record{PID: pid, Width: 4, User: true}
+		kind, addr, user := trace.KindIFetch, uint32(0), true
 		// Per-process working set with a shared system-space tail and an
 		// occasional PTE walk reference.
 		switch r % 16 {
 		case 0, 1, 2:
-			rec.Kind = trace.KindDRead
-			rec.Addr = 0x8000_0000 | (r % 8192 * 4) // S0 space
-			rec.User = false
+			kind = trace.KindDRead
+			addr = 0x8000_0000 | (r % 8192 * 4) // S0 space
+			user = false
 		case 3:
-			rec.Kind = trace.KindPTERead
-			rec.Addr = 0x8000_8000 | (r % 1024 * 4)
-			rec.User = false
+			kind = trace.KindPTERead
+			addr = 0x8000_8000 | (r % 1024 * 4)
+			user = false
 		case 4, 5, 6, 7:
-			rec.Kind = trace.KindDRead
-			rec.Addr = uint32(pid)<<16 | (r % 4096 * 4)
+			kind = trace.KindDRead
+			addr = uint32(pid)<<16 | (r % 4096 * 4)
 		case 8:
-			rec.Kind = trace.KindDWrite
-			rec.Addr = uint32(pid)<<16 | (r % 4096 * 4)
+			kind = trace.KindDWrite
+			addr = uint32(pid)<<16 | (r % 4096 * 4)
 		default:
-			rec.Kind = trace.KindIFetch
-			rec.Addr = 0x0001_0000 | uint32(pid)<<12 | (r % 2048 * 4)
+			kind = trace.KindIFetch
+			addr = 0x0001_0000 | uint32(pid)<<12 | (r % 2048 * 4)
 		}
-		recs = append(recs, rec)
+		recs = append(recs, trace.Pack(kind, addr, 4, pid, user, false, 0))
 	}
 	return recs
 }

@@ -38,7 +38,7 @@ func TestRunGeneric(t *testing.T) {
 	// run is the generic loop the per-simulator helpers wrap: any
 	// configuration type with a Name, any Sim, results in configuration
 	// order for any worker count, every simulator fed every record once.
-	src := trace.Records(stressTrace(5_000))
+	src := trace.NewArena(stressTrace(5_000))
 	cfgs := []cache.Config{
 		{SizeBytes: 1 << 10, BlockBytes: 16, Assoc: 1},
 		{SizeBytes: 2 << 10, BlockBytes: 16, Assoc: 1},
@@ -74,5 +74,5 @@ type nameSim struct {
 	n    int
 }
 
-func (s *nameSim) Feed(chunk []trace.Record) error { s.n += len(chunk); return nil }
-func (s *nameSim) Result() (string, error)         { return fmt.Sprintf("%s:%d", s.name, s.n), nil }
+func (s *nameSim) Feed(chunk []trace.Word) error { s.n += len(chunk); return nil }
+func (s *nameSim) Result() (string, error)       { return fmt.Sprintf("%s:%d", s.name, s.n), nil }

@@ -213,27 +213,27 @@ func NewSim(cfg Config) (*Sim, error) {
 
 // Feed routes one chunk of records into the TB. The chunk is only read;
 // it may be reused by the caller after Feed returns.
-func (s *Sim) Feed(chunk []trace.Record) error {
+func (s *Sim) Feed(chunk []trace.Word) error {
 	for _, r := range chunk {
-		switch r.Kind {
+		switch r.Kind() {
 		case trace.KindCtxSwitch:
 			if s.cfg.FlushOnSwitch {
 				s.t.FlushProcess()
 			}
 			continue
 		case trace.KindIFetch, trace.KindDRead, trace.KindDWrite:
-			if r.Phys {
+			if r.Phys() {
 				continue
 			}
-			if !s.cfg.IncludeSystem && !r.User {
+			if !s.cfg.IncludeSystem && !r.User() {
 				continue
 			}
-			s.t.Access(r.Addr, r.PID)
+			s.t.Access(r.Addr(), r.PID())
 		case trace.KindPTERead, trace.KindPTEWrite:
-			if !s.cfg.WalkRefs || r.Phys {
+			if !s.cfg.WalkRefs || r.Phys() {
 				continue
 			}
-			s.t.Touch(r.Addr, r.PID)
+			s.t.Touch(r.Addr(), r.PID())
 		}
 	}
 	return nil

@@ -12,7 +12,7 @@ func base() Config {
 }
 
 // simulate feeds recs through one Sim and reports its statistics.
-func simulate(recs []trace.Record, cfg Config) (Stats, error) {
+func simulate(recs []trace.Word, cfg Config) (Stats, error) {
 	s, err := NewSim(cfg)
 	if err != nil {
 		return Stats{}, err
@@ -104,13 +104,13 @@ func TestFlushProcessKeepsSystem(t *testing.T) {
 }
 
 func TestRunTrace(t *testing.T) {
-	recs := []trace.Record{
-		{Kind: trace.KindIFetch, Addr: 0x200, Width: 4, User: true, PID: 1},
-		{Kind: trace.KindIFetch, Addr: 0x204, Width: 4, User: true, PID: 1},
-		{Kind: trace.KindDRead, Addr: 0x80000200, Width: 4, User: false, PID: 1},
-		{Kind: trace.KindPTERead, Addr: 0x80010000, Width: 4, PID: 1}, // skipped
-		{Kind: trace.KindCtxSwitch, Extra: 2, PID: 2, Width: 1},
-		{Kind: trace.KindIFetch, Addr: 0x200, Width: 4, User: true, PID: 2},
+	recs := []trace.Word{
+		trace.Pack(trace.KindIFetch, 0x200, 4, 1, true, false, 0),
+		trace.Pack(trace.KindIFetch, 0x204, 4, 1, true, false, 0),
+		trace.Pack(trace.KindDRead, 0x80000200, 4, 1, false, false, 0),
+		trace.Pack(trace.KindPTERead, 0x80010000, 4, 1, false, false, 0), // skipped
+		trace.Pack(trace.KindCtxSwitch, 0, 0, 2, false, false, 2),
+		trace.Pack(trace.KindIFetch, 0x200, 4, 2, true, false, 0),
 	}
 	cfg := base()
 	st, err := simulate(recs, cfg)
@@ -158,9 +158,9 @@ func TestTouchUpdatesStateWithoutCounting(t *testing.T) {
 }
 
 func TestWalkRefsFedThroughRun(t *testing.T) {
-	recs := []trace.Record{
-		{Kind: trace.KindPTERead, Addr: 0x80010000, Width: 4, PID: 1},
-		{Kind: trace.KindDRead, Addr: 0x80010004, Width: 4, User: false, PID: 1},
+	recs := []trace.Word{
+		trace.Pack(trace.KindPTERead, 0x80010000, 4, 1, false, false, 0),
+		trace.Pack(trace.KindDRead, 0x80010004, 4, 1, false, false, 0),
 	}
 	cfg := base()
 	cfg.WalkRefs = true
@@ -176,7 +176,7 @@ func TestWalkRefsFedThroughRun(t *testing.T) {
 
 func TestSweepSizesMonotone(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
-	recs := make([]trace.Record, 40000)
+	recs := make([]trace.Word, 40000)
 	for i := range recs {
 		var addr uint32
 		if r.Intn(4) > 0 {
@@ -184,7 +184,7 @@ func TestSweepSizesMonotone(t *testing.T) {
 		} else {
 			addr = uint32(r.Intn(1<<13)) << 9
 		}
-		recs[i] = trace.Record{Kind: trace.KindDRead, Addr: addr, Width: 4, User: true, PID: 1}
+		recs[i] = trace.Pack(trace.KindDRead, addr, 4, 1, true, false, 0)
 	}
 	base := Config{Entries: 8, Assoc: 8, IncludeSystem: true} // fully assoc at every size
 	var prev float64 = 1.1

@@ -12,25 +12,11 @@ type Source interface {
 	NumRecords() int
 	// EachChunk calls fn with successive non-empty sub-slices of the
 	// trace, in record order, until the trace is exhausted or fn errors.
-	EachChunk(fn func([]Record) error) error
-}
-
-// Records adapts a plain record slice to Source (one chunk, no copy).
-type Records []Record
-
-// NumRecords implements Source.
-func (r Records) NumRecords() int { return len(r) }
-
-// EachChunk implements Source.
-func (r Records) EachChunk(fn func([]Record) error) error {
-	if len(r) == 0 {
-		return nil
-	}
-	return fn(r)
+	EachChunk(fn func([]Word) error) error
 }
 
 // arenaChunkRecords sizes the chunks Arena.Filter copies into: 64K
-// records (768 KB) keeps allocation spikes bounded — the append-doubling
+// records (512 KiB) keeps allocation spikes bounded — the append-doubling
 // of a contiguous copy transiently holds a trace twice — while staying
 // far above per-chunk overhead.
 const arenaChunkRecords = 1 << 16
@@ -42,19 +28,19 @@ const arenaChunkRecords = 1 << 16
 // for concurrent readers; it has no mutating methods after
 // construction.
 type Arena struct {
-	chunks [][]Record
+	chunks [][]Word
 	n      int
 
 	flattenOnce sync.Once
-	flat        []Record
+	flat        []Word
 }
 
 // NewArena wraps an existing record slice as a single-chunk arena
 // without copying. The caller must not mutate recs afterwards.
-func NewArena(recs []Record) *Arena {
+func NewArena(recs []Word) *Arena {
 	a := &Arena{}
 	if len(recs) > 0 {
-		a.chunks = [][]Record{recs}
+		a.chunks = [][]Word{recs}
 		a.n = len(recs)
 	}
 	return a
@@ -65,7 +51,7 @@ func NewArena(recs []Record) *Arena {
 // layer's segment cache) that hold per-segment slices and want the
 // one-pass-many-configs replay contract over them. Empty chunks are
 // skipped; the caller must not mutate any chunk afterwards.
-func NewArenaFromChunks(chunks [][]Record) *Arena {
+func NewArenaFromChunks(chunks [][]Word) *Arena {
 	a := &Arena{}
 	for _, c := range chunks {
 		if len(c) == 0 {
@@ -81,7 +67,7 @@ func NewArenaFromChunks(chunks [][]Record) *Arena {
 func (a *Arena) NumRecords() int { return a.n }
 
 // EachChunk implements Source.
-func (a *Arena) EachChunk(fn func([]Record) error) error {
+func (a *Arena) EachChunk(fn func([]Word) error) error {
 	for _, c := range a.chunks {
 		if err := fn(c); err != nil {
 			return err
@@ -92,9 +78,9 @@ func (a *Arena) EachChunk(fn func([]Record) error) error {
 
 // Filter returns a new arena holding only the records keep accepts,
 // built chunk by chunk. The receiver is not modified.
-func (a *Arena) Filter(keep func(Record) bool) *Arena {
+func (a *Arena) Filter(keep func(Word) bool) *Arena {
 	out := &Arena{}
-	cur := make([]Record, 0, arenaChunkRecords)
+	cur := make([]Word, 0, arenaChunkRecords)
 	for _, c := range a.chunks {
 		for _, r := range c {
 			if !keep(r) {
@@ -104,7 +90,7 @@ func (a *Arena) Filter(keep func(Record) bool) *Arena {
 			if len(cur) == cap(cur) {
 				out.chunks = append(out.chunks, cur)
 				out.n += len(cur)
-				cur = make([]Record, 0, arenaChunkRecords)
+				cur = make([]Word, 0, arenaChunkRecords)
 			}
 		}
 	}
@@ -124,12 +110,12 @@ func (a *Arena) FilterUser() *Arena { return a.Filter(UserRecord) }
 // once and cached (so analyses that need a slice pay the copy at most
 // once). The result is read-only like the arena itself. Safe for
 // concurrent callers.
-func (a *Arena) Flatten() []Record {
+func (a *Arena) Flatten() []Word {
 	if len(a.chunks) == 1 {
 		return a.chunks[0]
 	}
 	a.flattenOnce.Do(func() {
-		flat := make([]Record, 0, a.n)
+		flat := make([]Word, 0, a.n)
 		for _, c := range a.chunks {
 			flat = append(flat, c...)
 		}

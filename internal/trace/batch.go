@@ -39,22 +39,22 @@ func recordError(e *batchError, index uint64) error {
 	return fmt.Errorf("trace: record %d%s: %s", index, e.field, e.msg)
 }
 
-// decodeRawBatch decodes as many whole raw records as dst and payload
+// decodeRawBatch copies as many whole raw records as dst and payload
 // allow and returns how many records it wrote. A raw record is
 // malformed only when it carries the reserved kind 7, which no
 // collector writes and no Summary can count; decoding stops there with
 // the delta codec's error for it.
-func decodeRawBatch(dst []Record, payload []byte) (nrec int, err *batchError) {
+func decodeRawBatch(dst []Word, payload []byte) (nrec int, err *batchError) {
 	n := len(payload) / RecordBytes
 	if n > len(dst) {
 		n = len(dst)
 	}
 	for i := 0; i < n; i++ {
-		b := payload[i*RecordBytes:]
-		if k := b[0] & 7; k >= byte(NumKinds) {
+		w := wordAt(payload[i*RecordBytes:])
+		if k := w.Kind(); k >= NumKinds {
 			return i, &batchError{msg: fmt.Sprintf("invalid kind %d", k)}
 		}
-		dst[i] = DecodeRecord(b)
+		dst[i] = w
 	}
 	return n, nil
 }
@@ -65,7 +65,7 @@ func decodeRawBatch(dst []Record, payload []byte) (nrec int, err *batchError) {
 // batch error describing the record after them. The inter-record state
 // (last address per kind, last PID) starts from zero: each payload is
 // one segment, and segments are independently encoded.
-func decodeDeltaBatch(dst []Record, payload []byte) (nrec int, err *batchError) {
+func decodeDeltaBatch(dst []Word, payload []byte) (nrec int, err *batchError) {
 	var lastAddr [NumKinds]uint32
 	var lastPID uint8
 	pos := 0
@@ -75,18 +75,13 @@ func decodeDeltaBatch(dst []Record, payload []byte) (nrec int, err *batchError) 
 		}
 		h := payload[pos]
 		pos++
-		k := Kind(h & 7)
+		// The header is the packed byte 0 with its reserved bit reused
+		// as the PID flag; clearing that leaves kind, width, user and
+		// phys where Pack puts them.
+		w := Word(h &^ deltaPIDChanged)
+		k := w.Kind()
 		if k >= NumKinds {
-			return nrec, &batchError{msg: fmt.Sprintf("invalid kind %d", h&7)}
-		}
-		rec := Record{
-			Kind: k,
-			User: h&flagUser != 0,
-			Phys: h&flagPhys != 0,
-		}
-		// Markers carry no reference width (see DecodeRecord).
-		if k.IsMemRef() {
-			rec.Width = 1 << (h >> 3 & 3)
+			return nrec, &batchError{msg: fmt.Sprintf("invalid kind %d", k)}
 		}
 		pid := lastPID
 		if h&deltaPIDChanged != 0 {
@@ -96,7 +91,6 @@ func decodeDeltaBatch(dst []Record, payload []byte) (nrec int, err *batchError) 
 			pid = payload[pos]
 			pos++
 		}
-		rec.PID = pid
 		// Address delta: zigzag varint. Within-kind deltas are small in
 		// real traces (sequential fetches, strided data), so one- and
 		// two-byte encodings are the hot cases; decode them inline and
@@ -125,7 +119,8 @@ func decodeDeltaBatch(dst []Record, payload []byte) (nrec int, err *batchError) 
 		} else {
 			return nrec, &batchError{field: " addr", truncated: true}
 		}
-		rec.Addr = uint32(int64(lastAddr[k]) + delta)
+		addr := uint32(int64(lastAddr[k]) + delta)
+		w |= Word(pid)<<pidShift | Word(addr)<<addrShift
 		if k == KindCtxSwitch || k == KindException {
 			var x uint64
 			if pos < len(payload) && payload[pos] < 0x80 {
@@ -142,11 +137,12 @@ func decodeDeltaBatch(dst []Record, payload []byte) (nrec int, err *batchError) 
 				}
 				pos += un
 			}
-			rec.Extra = uint16(x)
+			// Markers carry no reference width: drop the header's.
+			w = w&^widthMask | Word(uint16(x))<<extraShift
 		}
 		lastPID = pid
-		lastAddr[k] = rec.Addr
-		dst[nrec] = rec
+		lastAddr[k] = addr
+		dst[nrec] = w
 		nrec++
 	}
 	return nrec, nil

@@ -22,7 +22,7 @@ import (
 // data streams — which is exactly the structure the delta codec and the
 // flate segment encoding exploit, so compression ratios measured here
 // transfer to real captures (a sieve capture compresses harder still).
-func makeBenchTrace(n, seed int) []Record {
+func makeBenchTrace(n, seed int) []Word {
 	r := rand.New(rand.NewSource(int64(seed)))
 	type proc struct{ pc, data, sp uint32 }
 	procs := []proc{
@@ -31,14 +31,14 @@ func makeBenchTrace(n, seed int) []Record {
 		{0x4400, 0x00090000, 0x7FFFD000},
 		{0x6400, 0x000D0000, 0x7FFFC000},
 	}
-	recs := make([]Record, 0, n)
+	recs := make([]Word, 0, n)
 	cur := 0
 	quantum := 0
 	for len(recs) < n {
 		if quantum <= 0 {
 			cur = (cur + 1) % len(procs)
 			quantum = 1500 + r.Intn(1000)
-			recs = append(recs, Record{Kind: KindCtxSwitch, PID: uint8(cur), Extra: uint16(cur)})
+			recs = append(recs, Pack(KindCtxSwitch, 0, 0, uint8(cur), false, false, uint16(cur)))
 			continue
 		}
 		p := &procs[cur]
@@ -48,10 +48,10 @@ func makeBenchTrace(n, seed int) []Record {
 			// reads from a large working set.
 			for k := 0; k < 200 && len(recs) < n; k++ {
 				p.pc += uint32(r.Intn(3)) * 4
-				recs = append(recs, Record{Kind: KindIFetch, Addr: p.pc, Width: 4, User: true, PID: pid})
+				recs = append(recs, Pack(KindIFetch, p.pc, 4, pid, true, false, 0))
 				if k%3 == 1 {
 					addr := 0x00100000 + uint32(r.Intn(1<<18))&^uint32(3)
-					recs = append(recs, Record{Kind: KindDRead, Addr: addr, Width: 4, User: true, PID: pid})
+					recs = append(recs, Pack(KindDRead, addr, 4, pid, true, false, 0))
 				}
 				quantum--
 			}
@@ -64,14 +64,14 @@ func makeBenchTrace(n, seed int) []Record {
 			for it := 0; it < iters && len(recs) < n; it++ {
 				p.pc = start
 				for bi := 0; bi < body && len(recs) < n; bi++ {
-					recs = append(recs, Record{Kind: KindIFetch, Addr: p.pc, Width: 4, User: true, PID: pid})
+					recs = append(recs, Pack(KindIFetch, p.pc, 4, pid, true, false, 0))
 					p.pc += 4
 					switch bi % 5 {
 					case 1:
-						recs = append(recs, Record{Kind: KindDRead, Addr: p.data, Width: 4, User: true, PID: pid})
+						recs = append(recs, Pack(KindDRead, p.data, 4, pid, true, false, 0))
 						p.data += 4
 					case 3:
-						recs = append(recs, Record{Kind: KindDWrite, Addr: p.sp - uint32(bi), Width: 4, User: true, PID: pid})
+						recs = append(recs, Pack(KindDWrite, p.sp-uint32(bi), 4, pid, true, false, 0))
 					}
 					quantum--
 				}
@@ -79,7 +79,7 @@ func makeBenchTrace(n, seed int) []Record {
 			p.pc = start + uint32(body)*4
 		}
 		if r.Intn(20) == 0 {
-			recs = append(recs, Record{Kind: KindPTERead, Addr: 0x80010000 + (p.data>>9)&^uint32(3), Width: 4, PID: pid})
+			recs = append(recs, Pack(KindPTERead, 0x80010000+(p.data>>9)&^uint32(3), 4, pid, false, false, 0))
 		}
 	}
 	return recs[:n]
@@ -109,7 +109,7 @@ func BenchmarkEncodeDelta(b *testing.B) {
 
 // benchStream encodes recs as a segmented stream of nseg segments with
 // the given payload encoding (the shape the spill service writes).
-func benchStream(b *testing.B, recs []Record, nseg int, codec uint16, enc uint8) []byte {
+func benchStream(b *testing.B, recs []Word, nseg int, codec uint16, enc uint8) []byte {
 	b.Helper()
 	var buf bytes.Buffer
 	sw, err := NewSegmentWriter(&buf, codec, "bench")
@@ -197,7 +197,7 @@ func BenchmarkDecodeSegmented(b *testing.B) {
 	// check against the reference runs outside the clock, and the lane's
 	// results are dropped before the next lane so no lane pays GC for a
 	// predecessor's live set.
-	batchLane := func(workers int, stream []byte, ref []Record) (float64, uint64) {
+	batchLane := func(workers int, stream []byte, ref []Word) (float64, uint64) {
 		var a *Arena
 		sec, allocs, n := decodeLane(b, func() int {
 			f, err := OpenReaderAt(bytes.NewReader(stream), int64(len(stream)))
@@ -224,7 +224,7 @@ func BenchmarkDecodeSegmented(b *testing.B) {
 	// mmapSweep decodes the whole mapped file segment by segment through
 	// the zero-copy path, reusing dst across segments and iterations.
 	segs := mf.Segments()
-	var mmapDst []Record
+	var mmapDst []Word
 	mmapSweep := func() int {
 		var base uint64
 		total := 0
@@ -243,7 +243,7 @@ func BenchmarkDecodeSegmented(b *testing.B) {
 		return total
 	}
 	for i := 0; i < b.N; i++ {
-		var ref []Record
+		var ref []Word
 		sec, allocs, n := decodeLane(b, func() int {
 			var err error
 			ref, err = referenceReadAll(bytes.NewReader(data))

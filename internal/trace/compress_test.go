@@ -104,7 +104,7 @@ func buildFlateSegment(t *testing.T, codec uint16, records uint64, stored []byte
 // the container lint must flag the lie — no decode error ever will.
 func TestLintSegRawLen(t *testing.T) {
 	recs := makeTrace(100, 41)
-	payload := appendDelta(nil, appendPacked(nil, recs)) // one segment's codec bytes
+	payload := appendDelta(nil, wordBytes(recs)) // one segment's codec bytes
 
 	// A clean compressed stream lints clean.
 	clean := writeSegmentedEnc(t, recs, 2, CodecDelta, SegEncFlate, "")
@@ -249,7 +249,7 @@ func TestMappedDecodeAllocs(t *testing.T) {
 		t.Skip("memory mapping unavailable on this platform")
 	}
 	segs := f.Segments()
-	var dst []Record
+	var dst []Word
 	sweep := func() {
 		var base uint64
 		for i, info := range segs {

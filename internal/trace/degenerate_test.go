@@ -68,8 +68,7 @@ func TestOpenDegenerateInputs(t *testing.T) {
 
 	// A segmented stream whose only segment declares 8 payload bytes
 	// but the file ends after 4.
-	rec := make([]byte, RecordBytes)
-	Record{Kind: KindIFetch, Addr: 0x200, Width: 4}.Encode(rec)
+	rec := wordBytes([]Word{Pack(KindIFetch, 0x200, 4, 0, false, false, 0)})
 	overrun := buildSegmented(CodecRaw, segmentBlob(0, 1, rec[:4], RecordBytes))
 
 	// A segmented stream with zero records whose declared payload
@@ -104,11 +103,11 @@ func TestOpenDegenerateInputs(t *testing.T) {
 
 	type path struct {
 		name string
-		read func([]byte) ([]Record, error)
+		read func([]byte) ([]Word, error)
 	}
 	paths := []path{
-		{"streaming", func(in []byte) ([]Record, error) { return readAll(bytes.NewReader(in)) }},
-		{"readerat", func(in []byte) ([]Record, error) {
+		{"streaming", func(in []byte) ([]Word, error) { return readAll(bytes.NewReader(in)) }},
+		{"readerat", func(in []byte) ([]Word, error) {
 			f, err := OpenReaderAt(bytes.NewReader(in), int64(len(in)))
 			if err != nil {
 				return nil, err
@@ -177,7 +176,7 @@ func TestErrEmptyDistinguishable(t *testing.T) {
 	// A bare header is a legal empty trace, and the reference decoder
 	// agrees with both paths on it.
 	bare := buildSegmented(CodecRaw, nil)
-	for _, got := range [][]Record{mustRead(t, readAll, bare), mustRead(t, referenceReadAll, bare)} {
+	for _, got := range [][]Word{mustRead(t, readAll, bare), mustRead(t, referenceReadAll, bare)} {
 		if len(got) != 0 {
 			t.Errorf("bare header decoded %d records", len(got))
 		}
@@ -186,7 +185,7 @@ func TestErrEmptyDistinguishable(t *testing.T) {
 
 // mustRead runs a whole-stream decoder over b and fails the test on
 // error.
-func mustRead(t *testing.T, read func(io.Reader) ([]Record, error), b []byte) []Record {
+func mustRead(t *testing.T, read func(io.Reader) ([]Word, error), b []byte) []Word {
 	t.Helper()
 	recs, err := read(bytes.NewReader(b))
 	if err != nil {

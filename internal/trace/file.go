@@ -57,7 +57,7 @@ const maxRecordCount = 1 << 34
 
 // WriteFile encodes recs to w as a one-segment stream with no metadata
 // and zero capture counters.
-func WriteFile(w io.Writer, recs []Record, codec uint16) error {
+func WriteFile(w io.Writer, recs []Word, codec uint16) error {
 	sw, err := NewSegmentWriter(w, codec, "")
 	if err != nil {
 		return err

@@ -84,7 +84,7 @@ func FuzzReadFile(f *testing.F) {
 		// every input: both succeed with identical records, or both fail
 		// with the same message.
 		fl, ferr := OpenReaderAt(bytes.NewReader(b), int64(len(b)))
-		var frecs []Record
+		var frecs []Word
 		if ferr == nil {
 			frecs, ferr = fl.Records(2)
 		}
@@ -141,20 +141,8 @@ func FuzzCompressedSegmentRoundTrip(f *testing.F) {
 		}
 		// Canonicalise to the domain the delta codec preserves (see
 		// FuzzDeltaRoundTrip).
-		for i := range recs {
-			r := &recs[i]
-			if r.Kind >= NumKinds {
-				r.Kind = KindIFetch
-				r.Width = 4
-			}
-			if r.Kind.IsMemRef() {
-				r.Extra = 0
-				switch r.Width {
-				case 1, 2, 4:
-				default:
-					r.Width = 4
-				}
-			}
+		for i, r := range recs {
+			recs[i] = deltaDomain(r)
 		}
 		n := int(nseg%8) + 1
 		var buf bytes.Buffer
@@ -223,12 +211,26 @@ func FuzzCompressedSegmentRoundTrip(f *testing.F) {
 	})
 }
 
+// deltaDomain maps a parsed record into the domain the delta codec
+// preserves: it does not store a memory reference's Extra, and kind 7
+// is reserved (it becomes a longword ifetch here).
+func deltaDomain(r Word) Word {
+	k, width, extra := r.Kind(), r.Width(), r.Extra()
+	if k >= NumKinds {
+		k, width = KindIFetch, 4
+	}
+	if k.IsMemRef() {
+		extra = 0
+	}
+	return Pack(k, r.Addr(), width, r.PID(), r.User(), r.Phys(), extra)
+}
+
 // FuzzDeltaRoundTrip: every canonical record sequence must survive the
 // delta codec encode→decode cycle exactly. Records are derived from the
 // fuzzed bytes via the packed format, then canonicalised to the values a
 // real capture can produce — the delta format is deliberately lossy
-// outside that domain (memref Extra is not stored, the 2-bit width field
-// cannot express 8, and kind 7 is reserved).
+// outside that domain (memref Extra is not stored, and kind 7 is
+// reserved).
 func FuzzDeltaRoundTrip(f *testing.F) {
 	f.Add(make([]byte, 64))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
@@ -239,20 +241,8 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("aligned buffer rejected: %v", err)
 		}
-		for i := range recs {
-			r := &recs[i]
-			if r.Kind >= NumKinds {
-				r.Kind = KindIFetch
-				r.Width = 4
-			}
-			if r.Kind.IsMemRef() {
-				r.Extra = 0
-				switch r.Width {
-				case 1, 2, 4:
-				default:
-					r.Width = 4
-				}
-			}
+		for i, r := range recs {
+			recs[i] = deltaDomain(r)
 		}
 		var buf bytes.Buffer
 		if err := WriteFile(&buf, recs, CodecDelta); err != nil {
@@ -273,9 +263,10 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzParseBuffer: raw trace-buffer images of any content decode without
-// panicking, and re-encode to the identical bytes (the packed format is
-// a bijection on its 8-byte records up to reserved bits).
+// FuzzParseBuffer: raw trace-buffer images of any content copy out as
+// words without panicking — the copy Collector.Extract makes of reserved
+// memory — and each word is exactly what the reference decoder reads
+// from its bytes field by field.
 func FuzzParseBuffer(f *testing.F) {
 	f.Add(make([]byte, 64))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
@@ -288,15 +279,20 @@ func FuzzParseBuffer(f *testing.F) {
 		if len(recs) != len(b)/RecordBytes {
 			t.Fatalf("record count %d for %d bytes", len(recs), len(b))
 		}
+		for i, r := range recs {
+			if want := refRawWord(b[i*RecordBytes:]); r != want {
+				t.Fatalf("record %d: parsed %#x, reference %#x", i, uint64(r), uint64(want))
+			}
+		}
 	})
 }
 
 // FuzzPackedEncoder: each codec's one encoder works from the packed
 // layout, and its payload must equal byte for byte what the reference
-// []Record encoders (reference_test.go) build field by field — for
-// every kind the codecs carry, any width (the packed field keeps 2 and
-// 4 and packs everything else as 1), markers with stray widths and
-// memory references with stray Extra values alike.
+// field-by-field encoders (reference_test.go) build — for every kind the
+// codecs carry, any width (the packed field keeps 2, 4 and 8 and packs
+// everything else as 1), markers with stray widths and memory
+// references with stray Extra values alike.
 func FuzzPackedEncoder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, 40))
@@ -307,19 +303,22 @@ func FuzzPackedEncoder(f *testing.F) {
 		2, 3, 2, 3, 7, 7, 0x04, 0x02, 0, 0, // dwrite, odd width, extra set
 	})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		var recs []Record
+		var recs []fields
+		var words []Word
 		for ; len(b) >= 10; b = b[10:] {
-			recs = append(recs, Record{
-				Kind:  Kind(b[0] % byte(NumKinds)),
-				Width: b[1],
-				PID:   b[2],
-				User:  b[3]&1 != 0,
-				Phys:  b[3]&2 != 0,
-				Extra: binary.LittleEndian.Uint16(b[4:]),
-				Addr:  binary.LittleEndian.Uint32(b[6:]),
-			})
+			r := fields{
+				kind:  Kind(b[0] % byte(NumKinds)),
+				width: b[1],
+				pid:   b[2],
+				user:  b[3]&1 != 0,
+				phys:  b[3]&2 != 0,
+				extra: binary.LittleEndian.Uint16(b[4:]),
+				addr:  binary.LittleEndian.Uint32(b[6:]),
+			}
+			recs = append(recs, r)
+			words = append(words, r.word())
 		}
-		packed := appendPacked(nil, recs)
+		packed := wordBytes(words)
 		var raw, delta bytes.Buffer
 		if err := writeRaw(&raw, recs); err != nil {
 			t.Fatal(err)

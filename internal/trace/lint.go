@@ -44,9 +44,8 @@ func LintClasses() []string {
 //
 // Checks:
 //   - record kinds are valid and memory references have width 1, 2 or 4;
-//   - marker records (exceptions in particular) carry width 0 — a
-//     nonzero width means a patch emitted a marker through the
-//     memory-reference path;
+//   - exception markers store no width — a stored width field means a
+//     patch emitted the marker through the memory-reference path;
 //   - instruction fetches are longword-aligned longwords;
 //   - the PID field follows the last context-switch marker;
 //   - kernel-mode instruction fetches come from system space (the
@@ -56,7 +55,7 @@ func LintClasses() []string {
 //     switch — a marker announcing the already-current PID means the
 //     patch fired on a context *load*, not a context *change*, double-
 //     counting switches and splitting one process's stream in two.
-func Lint(recs []Record) []string {
+func Lint(recs []Word) []string {
 	fs := LintFindings(recs)
 	out := make([]string, len(fs))
 	for i, f := range fs {
@@ -71,7 +70,7 @@ func Lint(recs []Record) []string {
 // the occurrence count. Lint renders exactly these findings, so the
 // string and structured forms cannot drift; atum-vet, atum-stats
 // -check and atum-serve's lint endpoint all emit this shape.
-func LintFindings(recs []Record) []findings.Finding {
+func LintFindings(recs []Word) []findings.Finding {
 	type violation struct {
 		class string
 		count int
@@ -90,57 +89,60 @@ func LintFindings(recs []Record) []findings.Finding {
 
 	curPID := -1 // unknown until the first switch
 	for i, r := range recs {
-		if r.Kind >= NumKinds {
-			report(i, LintKind, "invalid record kind %d", r.Kind)
+		k, addr, pid := r.Kind(), r.Addr(), r.PID()
+		if k >= NumKinds {
+			report(i, LintKind, "invalid record kind %d", k)
 			continue
 		}
-		if r.Kind.IsMemRef() {
-			switch r.Width {
+		if k.IsMemRef() {
+			switch r.Width() {
 			case 1, 2, 4:
 			default:
-				report(i, LintWidth, "invalid width %d", r.Width)
+				report(i, LintWidth, "invalid width %d", r.Width())
 			}
 		}
 
-		switch r.Kind {
+		switch k {
 		case KindCtxSwitch:
-			if r.PID != uint8(r.Extra) {
-				report(i, LintSwitchPID, "context switch announces pid %d but carries %d", r.Extra, r.PID)
+			if pid != uint8(r.Extra()) {
+				report(i, LintSwitchPID, "context switch announces pid %d but carries %d", r.Extra(), pid)
 			}
-			if curPID >= 0 && int(r.PID) == curPID {
-				report(i, LintSwitchRedundant, "context switch announces already-current pid %d", r.PID)
+			if curPID >= 0 && int(pid) == curPID {
+				report(i, LintSwitchRedundant, "context switch announces already-current pid %d", pid)
 			}
-			curPID = int(r.PID)
+			curPID = int(pid)
 			continue
 		case KindException:
-			if r.Width != 0 {
-				report(i, LintExceptionWidth, "exception marker carries width %d", r.Width)
+			// Width reads 0 for every marker; the stored field shows
+			// one that came through the memory-reference path.
+			if c := r.widthCode(); c != 0 {
+				report(i, LintExceptionWidth, "exception marker carries width %d", 1<<c)
 			}
 			continue
 		}
 
-		if curPID >= 0 && int(r.PID) != curPID {
-			report(i, LintPIDDrift, "record pid %d but last switch installed %d", r.PID, curPID)
+		if curPID >= 0 && int(pid) != curPID {
+			report(i, LintPIDDrift, "record pid %d but last switch installed %d", pid, curPID)
 		}
 
-		switch r.Kind {
+		switch k {
 		case KindIFetch:
-			if r.Addr%4 != 0 || r.Width != 4 {
-				report(i, LintIFetchAlign, "ifetch not an aligned longword: %08x w%d", r.Addr, r.Width)
+			if addr%4 != 0 || r.Width() != 4 {
+				report(i, LintIFetchAlign, "ifetch not an aligned longword: %08x w%d", addr, r.Width())
 			}
-			if r.Phys {
+			if r.Phys() {
 				report(i, LintIFetchPhys, "physical ifetch")
 			}
-			system := r.Addr>>30 == 2
-			if r.User && system {
-				report(i, LintIFetchUserS0, "user-mode ifetch from system space %08x", r.Addr)
+			system := addr>>30 == 2
+			if r.User() && system {
+				report(i, LintIFetchUserS0, "user-mode ifetch from system space %08x", addr)
 			}
-			if !r.User && !system {
-				report(i, LintIFetchKernP0, "kernel-mode ifetch from process space %08x", r.Addr)
+			if !r.User() && !system {
+				report(i, LintIFetchKernP0, "kernel-mode ifetch from process space %08x", addr)
 			}
 		case KindPTERead, KindPTEWrite:
-			if !r.Phys && r.Addr>>30 != 2 {
-				report(i, LintPTESpace, "virtual PTE reference outside system space: %08x", r.Addr)
+			if !r.Phys() && addr>>30 != 2 {
+				report(i, LintPTESpace, "virtual PTE reference outside system space: %08x", addr)
 			}
 		}
 	}

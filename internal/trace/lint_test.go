@@ -6,15 +6,15 @@ import (
 )
 
 func TestLintCleanTrace(t *testing.T) {
-	recs := []Record{
-		{Kind: KindIFetch, Addr: 0x80000000, Width: 4, User: false, PID: 0},
-		{Kind: KindCtxSwitch, Extra: 1, PID: 1},
-		{Kind: KindException, Extra: 0x40, PID: 1},
-		{Kind: KindIFetch, Addr: 0x200, Width: 4, User: true, PID: 1},
-		{Kind: KindDRead, Addr: 0x1000, Width: 4, User: true, PID: 1},
-		{Kind: KindPTERead, Addr: 0x80010000, Width: 4, PID: 1},
-		{Kind: KindPTERead, Addr: 0x8000, Width: 4, PID: 1, Phys: true},
-		{Kind: KindIFetch, Addr: 0x80000040, Width: 4, User: false, PID: 1},
+	recs := []Word{
+		Pack(KindIFetch, 0x80000000, 4, 0, false, false, 0),
+		Pack(KindCtxSwitch, 0, 0, 1, false, false, 1),
+		Pack(KindException, 0, 0, 1, false, false, 0x40),
+		Pack(KindIFetch, 0x200, 4, 1, true, false, 0),
+		Pack(KindDRead, 0x1000, 4, 1, true, false, 0),
+		Pack(KindPTERead, 0x80010000, 4, 1, false, false, 0),
+		Pack(KindPTERead, 0x8000, 4, 1, false, true, 0),
+		Pack(KindIFetch, 0x80000040, 4, 1, false, false, 0),
 	}
 	if v := Lint(recs); len(v) != 0 {
 		t.Errorf("clean trace flagged: %v", v)
@@ -24,20 +24,20 @@ func TestLintCleanTrace(t *testing.T) {
 func TestLintCatchesViolations(t *testing.T) {
 	cases := []struct {
 		name string
-		rec  Record
+		rec  Word
 		want string
 	}{
-		{"misaligned ifetch", Record{Kind: KindIFetch, Addr: 0x201, Width: 4, User: true, PID: 1}, "aligned"},
-		{"short ifetch", Record{Kind: KindIFetch, Addr: 0x200, Width: 1, User: true, PID: 1}, "aligned"},
-		{"user ifetch from S0", Record{Kind: KindIFetch, Addr: 0x80000200, Width: 4, User: true, PID: 1}, "system space"},
-		{"kernel ifetch from P0", Record{Kind: KindIFetch, Addr: 0x200, Width: 4, User: false, PID: 1}, "process space"},
-		{"virtual PTE outside S0", Record{Kind: KindPTERead, Addr: 0x1000, Width: 4, PID: 1}, "outside system space"},
-		{"pid drift", Record{Kind: KindDRead, Addr: 0x1000, Width: 4, User: true, PID: 9}, "last switch installed"},
-		{"bad width", Record{Kind: KindDRead, Addr: 0x1000, Width: 3, User: true, PID: 1}, "invalid width"},
+		{"misaligned ifetch", Pack(KindIFetch, 0x201, 4, 1, true, false, 0), "aligned"},
+		{"short ifetch", Pack(KindIFetch, 0x200, 1, 1, true, false, 0), "aligned"},
+		{"user ifetch from S0", Pack(KindIFetch, 0x80000200, 4, 1, true, false, 0), "system space"},
+		{"kernel ifetch from P0", Pack(KindIFetch, 0x200, 4, 1, false, false, 0), "process space"},
+		{"virtual PTE outside S0", Pack(KindPTERead, 0x1000, 4, 1, false, false, 0), "outside system space"},
+		{"pid drift", Pack(KindDRead, 0x1000, 4, 9, true, false, 0), "last switch installed"},
+		{"bad width", Pack(KindDRead, 0x1000, 8, 1, true, false, 0), "invalid width"},
 	}
 	for _, c := range cases {
-		recs := []Record{
-			{Kind: KindCtxSwitch, Extra: 1, PID: 1},
+		recs := []Word{
+			Pack(KindCtxSwitch, 0, 0, 1, false, false, 1),
 			c.rec,
 		}
 		v := Lint(recs)
@@ -52,7 +52,7 @@ func TestLintCatchesViolations(t *testing.T) {
 }
 
 func TestLintBadSwitchMarker(t *testing.T) {
-	recs := []Record{{Kind: KindCtxSwitch, Extra: 2, PID: 3}}
+	recs := []Word{Pack(KindCtxSwitch, 0, 0, 3, false, false, 2)}
 	v := Lint(recs)
 	if len(v) == 0 || !strings.Contains(v[0], "announces pid 2 but carries 3") {
 		t.Errorf("violations: %v", v)
@@ -64,35 +64,35 @@ func TestLintBadSwitchMarker(t *testing.T) {
 // width) and context-switch markers that announce the already-current
 // PID (a patch firing on context load rather than context change).
 func TestLintMarkerClasses(t *testing.T) {
-	sw := func(pid uint8) Record { return Record{Kind: KindCtxSwitch, Extra: uint16(pid), PID: pid} }
+	sw := func(pid uint8) Word { return Pack(KindCtxSwitch, 0, 0, pid, false, false, uint16(pid)) }
 	cases := []struct {
 		name string
-		recs []Record
+		recs []Word
 		want string // "" means clean
 	}{
 		{
 			"exception with width",
-			[]Record{sw(1), {Kind: KindException, Extra: 0x40, PID: 1, Width: 4}},
+			[]Word{sw(1), Pack(KindException, 0, 4, 1, false, false, 0x40)},
 			"exception marker carries width 4",
 		},
 		{
 			"exception clean",
-			[]Record{sw(1), {Kind: KindException, Extra: 0x40, PID: 1}},
+			[]Word{sw(1), Pack(KindException, 0, 0, 1, false, false, 0x40)},
 			"",
 		},
 		{
 			"redundant switch",
-			[]Record{sw(1), sw(1)},
+			[]Word{sw(1), sw(1)},
 			"announces already-current pid 1",
 		},
 		{
 			"alternating switches clean",
-			[]Record{sw(1), sw(2), sw(1)},
+			[]Word{sw(1), sw(2), sw(1)},
 			"",
 		},
 		{
 			"first switch never redundant",
-			[]Record{sw(0)}, // PID 0 matches the zero value; curPID starts unknown
+			[]Word{sw(0)}, // PID 0 matches the zero value; curPID starts unknown
 			"",
 		},
 	}
@@ -113,13 +113,13 @@ func TestLintMarkerClasses(t *testing.T) {
 // record index as a number, not as a string (which would put record 10
 // before record 9).
 func TestLintOrderNumeric(t *testing.T) {
-	recs := make([]Record, 12)
+	recs := make([]Word, 12)
 	for i := range recs {
-		recs[i] = Record{Kind: KindIFetch, Addr: 0x200, Width: 4, User: true, PID: 0}
+		recs[i] = Pack(KindIFetch, 0x200, 4, 0, true, false, 0)
 	}
 	// First violation class appears at record 9, second at record 10.
-	recs[9] = Record{Kind: KindIFetch, Addr: 0x201, Width: 4, User: true, PID: 0}
-	recs[10] = Record{Kind: KindDRead, Addr: 0x1000, Width: 3, User: true, PID: 0}
+	recs[9] = Pack(KindIFetch, 0x201, 4, 0, true, false, 0)
+	recs[10] = Pack(KindDRead, 0x1000, 8, 0, true, false, 0)
 	v := Lint(recs)
 	if len(v) != 2 {
 		t.Fatalf("want 2 violations, got %v", v)
@@ -133,12 +133,12 @@ func TestLintOrderNumeric(t *testing.T) {
 // many times still yields exactly one line per class, each tagged with
 // its stable ID.
 func TestLintFloodCapPerClass(t *testing.T) {
-	var recs []Record
+	var recs []Word
 	for i := 0; i < 40; i++ {
 		recs = append(recs,
-			Record{Kind: KindIFetch, Addr: 0x201, Width: 4, User: true, PID: 0}, // ifetch-align
-			Record{Kind: KindDRead, Addr: 0x1000, Width: 3, User: true, PID: 0}, // width
-			Record{Kind: KindPTERead, Addr: 0x1000, Width: 4, PID: 0},           // pte-space
+			Pack(KindIFetch, 0x201, 4, 0, true, false, 0),    // ifetch-align
+			Pack(KindDRead, 0x1000, 8, 0, true, false, 0),    // width
+			Pack(KindPTERead, 0x1000, 4, 0, false, false, 0), // pte-space
 		)
 	}
 	v := Lint(recs)
@@ -162,16 +162,16 @@ func TestLintFloodCapPerClass(t *testing.T) {
 // TestLintClassIDsStable: every emitted tag is a registered class ID,
 // and the exported list stays in sync with what Lint can produce.
 func TestLintClassIDsStable(t *testing.T) {
-	recs := []Record{
-		{Kind: NumKinds, PID: 0},                                           // kind
-		{Kind: KindCtxSwitch, Extra: 2, PID: 3},                            // switch-pid
-		{Kind: KindCtxSwitch, Extra: 3, PID: 3},                            // switch-redundant
-		{Kind: KindException, Width: 4, PID: 3},                            // exception-width
-		{Kind: KindDRead, Addr: 0x1000, Width: 3, User: true, PID: 9},      // width, pid-drift
-		{Kind: KindIFetch, Addr: 0x201, Width: 4, User: true, PID: 3},      // ifetch-align
-		{Kind: KindIFetch, Addr: 0x200, Width: 4, Phys: true, PID: 3},      // ifetch-phys, ifetch-kern-p0
-		{Kind: KindIFetch, Addr: 0x80000200, Width: 4, User: true, PID: 3}, // ifetch-user-s0
-		{Kind: KindPTERead, Addr: 0x1000, Width: 4, PID: 3},                // pte-space
+	recs := []Word{
+		Pack(NumKinds, 0, 0, 0, false, false, 0),           // kind
+		Pack(KindCtxSwitch, 0, 0, 3, false, false, 2),      // switch-pid
+		Pack(KindCtxSwitch, 0, 0, 3, false, false, 3),      // switch-redundant
+		Pack(KindException, 0, 4, 3, false, false, 0),      // exception-width
+		Pack(KindDRead, 0x1000, 8, 9, true, false, 0),      // width (code 3), pid-drift
+		Pack(KindIFetch, 0x201, 4, 3, true, false, 0),      // ifetch-align
+		Pack(KindIFetch, 0x200, 4, 3, false, true, 0),      // ifetch-phys, ifetch-kern-p0
+		Pack(KindIFetch, 0x80000200, 4, 3, true, false, 0), // ifetch-user-s0
+		Pack(KindPTERead, 0x1000, 4, 3, false, false, 0),   // pte-space
 	}
 	joined := strings.Join(Lint(recs), "\n")
 	// seg-raw-len is a container-framing class (LintContainer, which
@@ -187,9 +187,9 @@ func TestLintClassIDsStable(t *testing.T) {
 }
 
 func TestLintAggregatesCounts(t *testing.T) {
-	var recs []Record
+	var recs []Word
 	for i := 0; i < 50; i++ {
-		recs = append(recs, Record{Kind: KindIFetch, Addr: 0x201, Width: 4, User: true, PID: 0})
+		recs = append(recs, Pack(KindIFetch, 0x201, 4, 0, true, false, 0))
 	}
 	v := Lint(recs)
 	if len(v) != 1 {

@@ -11,7 +11,7 @@ import (
 
 // cpuSeg is one spilled segment of a synthetic SMP capture.
 type cpuSeg struct {
-	recs []Record
+	recs []Word
 	cpu  uint16
 	seq  uint64
 }
@@ -19,7 +19,7 @@ type cpuSeg struct {
 // splitSMP deals recs into nseg segments round-robin over ncpu CPUs,
 // drawing sequence marks from one shared counter — the same shape the
 // kernel's per-CPU spill services produce.
-func splitSMP(recs []Record, ncpu, nseg int) [][]cpuSeg {
+func splitSMP(recs []Word, ncpu, nseg int) [][]cpuSeg {
 	var ctr SeqCounter
 	per := (len(recs) + nseg - 1) / nseg
 	out := make([][]cpuSeg, ncpu)
@@ -134,7 +134,7 @@ func TestMergeCPUsDeterminism(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: ArenaCPU(%d): %v", name, c, err)
 					}
-					var want []Record
+					var want []Word
 					for _, s := range segs {
 						want = append(want, s.recs...)
 					}
@@ -224,9 +224,9 @@ func FuzzMergeCPUs(f *testing.F) {
 			nrec := min(int(ctl>>2)%16, len(b)/RecordBytes)
 			recs, _ := ParseBuffer(b[:nrec*RecordBytes])
 			b = b[nrec*RecordBytes:]
-			for i := range recs {
-				if recs[i].Kind >= NumKinds {
-					recs[i].Kind = KindIFetch
+			for i, r := range recs {
+				if r.Kind() >= NumKinds {
+					recs[i] = Pack(KindIFetch, r.Addr(), r.Width(), r.PID(), r.User(), r.Phys(), r.Extra())
 				}
 			}
 			seq := ctr.Next()
@@ -265,7 +265,7 @@ func FuzzMergeCPUs(f *testing.F) {
 		merged := openStream(t, out.Bytes())
 		type inSeg struct {
 			info SegmentInfo
-			recs []Record
+			recs []Word
 		}
 		var want []inSeg
 		for c, fl := range files {
@@ -282,7 +282,7 @@ func FuzzMergeCPUs(f *testing.F) {
 		if len(segs) != len(want) {
 			t.Fatalf("merged %d segments from %d", len(segs), len(want))
 		}
-		var wantRecs []Record
+		var wantRecs []Word
 		for i, s := range segs {
 			if i > 0 && s.Seq <= segs[i-1].Seq {
 				t.Fatalf("merged segment %d: mark %d not above %d", i, s.Seq, segs[i-1].Seq)

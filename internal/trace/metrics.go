@@ -13,7 +13,7 @@ import (
 // allocation hot path (batch.go) stays untouched.
 var (
 	mDecodeSegments    = obs.Default().Counter("atum_decode_segments_total")
-	mDecodeRecords     = obs.Default().Counter("atum_decode_records_total")
+	mDecodedRecords    = obs.Default().Counter("atum_decode_records_total")
 	mDecodeBytes       = obs.Default().Counter("atum_decode_payload_bytes_total")
 	mDecodeSegSecs     = obs.Default().Histogram("atum_decode_segment_seconds", obs.DefSecondsBuckets)
 	mDecodeInflateSecs = obs.Default().Histogram("atum_decode_inflate_seconds", obs.DefSecondsBuckets)

@@ -246,7 +246,7 @@ func (f *File) ArenaCPU(workers, cpu int) (*Arena, error) {
 	if err != nil {
 		return nil, err
 	}
-	chunks, err := par.Map(workers, len(idx), func(i int) ([]Record, error) {
+	chunks, err := par.Map(workers, len(idx), func(i int) ([]Word, error) {
 		return f.Segment(idx[i])
 	})
 	if err != nil {
@@ -257,7 +257,7 @@ func (f *File) ArenaCPU(workers, cpu int) (*Arena, error) {
 
 // Records decodes the whole stream into one contiguous slice; Arena
 // does the work, Flatten stitches.
-func (f *File) Records(workers int) ([]Record, error) {
+func (f *File) Records(workers int) ([]Word, error) {
 	a, err := f.Arena(workers)
 	if err != nil {
 		return nil, err
@@ -273,7 +273,7 @@ func (f *File) Records(workers int) ([]Record, error) {
 // independent decode job (the delta codec resets at segment
 // boundaries), which is what makes per-segment caching sound: a cached
 // slice is identical to a fresh decode. Safe for concurrent callers.
-func (f *File) Segment(i int) ([]Record, error) {
+func (f *File) Segment(i int) ([]Word, error) {
 	start := time.Now()
 	defer func() { mDecodeSegSecs.Observe(time.Since(start).Seconds()) }()
 	pb := payBufPool.Get().(*[]byte)

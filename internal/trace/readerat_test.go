@@ -14,11 +14,11 @@ import (
 // decodeStreaming runs the full sequential pipeline (Scanner +
 // DecodeSegment) and returns its outcome; the random-access pipeline
 // must match it bit for bit, error strings included.
-func decodeStreaming(b []byte) ([]Record, error) { return readAll(bytes.NewReader(b)) }
+func decodeStreaming(b []byte) ([]Word, error) { return readAll(bytes.NewReader(b)) }
 
 // decodeRandomAccess runs the full random-access pipeline (OpenReaderAt
 // + parallel Arena + Flatten).
-func decodeRandomAccess(b []byte, workers int) ([]Record, error) {
+func decodeRandomAccess(b []byte, workers int) ([]Word, error) {
 	f, err := OpenReaderAt(bytes.NewReader(b), int64(len(b)))
 	if err != nil {
 		return nil, err
@@ -42,7 +42,7 @@ func TestOpenReaderAtMatchesOpen(t *testing.T) {
 			if err != nil {
 				t.Fatalf("codec %d %s: NewScanner: %v", codec, name, err)
 			}
-			var want []Record
+			var want []Word
 			var segs []SegmentInfo
 			for {
 				seg, err := sc.Next()
@@ -90,7 +90,7 @@ func TestOpenReaderAtMatchesOpen(t *testing.T) {
 	}
 }
 
-func compareRecords(t *testing.T, got, want []Record) {
+func compareRecords(t *testing.T, got, want []Word) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("decoded %d records, want %d", len(got), len(want))
@@ -208,7 +208,7 @@ func TestScanDecodeAllocs(t *testing.T) {
 	const nseg = 16
 	recs := makeTrace(200_000, 3)
 	b := writeSegmented(t, recs, nseg, CodecDelta, "scan")
-	var dst []Record
+	var dst []Word
 	scan := func() {
 		sc, err := NewScanner(bytes.NewReader(b))
 		if err != nil {

@@ -16,26 +16,51 @@ type byteWriter interface {
 	WriteByte(byte) error
 }
 
-func writeRaw(w byteWriter, recs []Record) error {
+// fields is one record as separate values. The reference encoders
+// build each codec's bytes from them field by field, sharing no code
+// with Pack, and a marker keeps whatever width it was given.
+type fields struct {
+	kind  Kind
+	addr  uint32
+	width uint8
+	pid   uint8
+	user  bool
+	phys  bool
+	extra uint16
+}
+
+// word packs f.
+func (f fields) word() Word { return Pack(f.kind, f.addr, f.width, f.pid, f.user, f.phys, f.extra) }
+
+// refByte0 builds byte 0 of the packed layout (and of the delta
+// header, reserved bit clear).
+func refByte0(f fields) byte {
+	var wl byte
+	switch f.width {
+	case 2:
+		wl = 1
+	case 4:
+		wl = 2
+	case 8:
+		wl = 3
+	}
+	b := byte(f.kind)&7 | wl<<3
+	if f.user {
+		b |= 1 << 5
+	}
+	if f.phys {
+		b |= 1 << 6
+	}
+	return b
+}
+
+func writeRaw(w byteWriter, recs []fields) error {
 	var b [RecordBytes]byte
 	for _, r := range recs {
-		var wl byte
-		switch r.Width {
-		case 2:
-			wl = 1
-		case 4:
-			wl = 2
-		}
-		b[0] = byte(r.Kind)&7 | wl<<3
-		if r.User {
-			b[0] |= flagUser
-		}
-		if r.Phys {
-			b[0] |= flagPhys
-		}
-		b[1] = r.PID
-		binary.LittleEndian.PutUint16(b[2:], r.Extra)
-		binary.LittleEndian.PutUint32(b[4:], r.Addr)
+		b[0] = refByte0(r)
+		b[1] = r.pid
+		binary.LittleEndian.PutUint16(b[2:], r.extra)
+		binary.LittleEndian.PutUint32(b[4:], r.addr)
 		if _, err := w.Write(b[:]); err != nil {
 			return err
 		}
@@ -43,51 +68,58 @@ func writeRaw(w byteWriter, recs []Record) error {
 	return nil
 }
 
-func writeDelta(w byteWriter, recs []Record) error {
+func writeDelta(w byteWriter, recs []fields) error {
 	var lastAddr [NumKinds]uint32
 	lastPID := uint8(0)
 	var buf [binary.MaxVarintLen64]byte
 	for _, r := range recs {
-		var wl byte
-		switch r.Width {
-		case 2:
-			wl = 1
-		case 4:
-			wl = 2
-		}
-		h := byte(r.Kind)&7 | wl<<3
-		if r.User {
-			h |= flagUser
-		}
-		if r.Phys {
-			h |= flagPhys
-		}
-		if r.PID != lastPID {
+		h := refByte0(r)
+		if r.pid != lastPID {
 			h |= deltaPIDChanged
 		}
 		if err := w.WriteByte(h); err != nil {
 			return err
 		}
-		if r.PID != lastPID {
-			if err := w.WriteByte(r.PID); err != nil {
+		if r.pid != lastPID {
+			if err := w.WriteByte(r.pid); err != nil {
 				return err
 			}
-			lastPID = r.PID
+			lastPID = r.pid
 		}
-		delta := int64(r.Addr) - int64(lastAddr[r.Kind])
+		delta := int64(r.addr) - int64(lastAddr[r.kind])
 		n := binary.PutVarint(buf[:], delta)
 		if _, err := w.Write(buf[:n]); err != nil {
 			return err
 		}
-		lastAddr[r.Kind] = r.Addr
-		if r.Kind == KindCtxSwitch || r.Kind == KindException {
-			n = binary.PutUvarint(buf[:], uint64(r.Extra))
+		lastAddr[r.kind] = r.addr
+		if r.kind == KindCtxSwitch || r.kind == KindException {
+			n = binary.PutUvarint(buf[:], uint64(r.extra))
 			if _, err := w.Write(buf[:n]); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// refHeaderFields reads kind, width, user and phys out of a packed byte
+// 0 (or a delta header byte). A marker has no reference width.
+func refHeaderFields(b0 byte) fields {
+	f := fields{kind: Kind(b0 & 7), user: b0&(1<<5) != 0, phys: b0&(1<<6) != 0}
+	if f.kind.IsMemRef() {
+		f.width = 1 << (b0 >> 3 & 3)
+	}
+	return f
+}
+
+// refRawWord decodes one packed record field by field: Pack of what the
+// bytes say, with the reserved bit and a marker's width ignored.
+func refRawWord(b []byte) Word {
+	f := refHeaderFields(b[0])
+	f.pid = b[1]
+	f.extra = binary.LittleEndian.Uint16(b[2:])
+	f.addr = binary.LittleEndian.Uint32(b[4:])
+	return f.word()
 }
 
 // This file preserves the pre-batch decoder — one record at a time
@@ -98,10 +130,10 @@ func writeDelta(w byteWriter, recs []Record) error {
 // with DecodeSegment, and it inflates compressed segments with
 // compress/flate directly rather than through the pooled inflater.
 //
-// It also keeps the two []Record encoders the writers used before every
-// encode went through the packed layout (encode.go). They build each
-// codec's bytes field by field from a Record, so they are an oracle the
-// packed encoders share no code with.
+// It also keeps two reference encoders that build each codec's bytes
+// field by field (writeRaw, writeDelta), and decodes each record into
+// fields before packing it, so it is an oracle the packed encoders and
+// the word decoders share no layout code with.
 
 type refStream struct {
 	br       *bufio.Reader // current segment's codec bytes
@@ -115,7 +147,7 @@ type refStream struct {
 // per-record reference path. Its errors are worded like the batch
 // path's for truncated payloads, but it is an oracle for successful
 // decodes only: header validation is the shared parseSegmentHeader.
-func referenceReadAll(r io.Reader) ([]Record, error) {
+func referenceReadAll(r io.Reader) ([]Word, error) {
 	in := bufio.NewReader(r)
 	var m [8]byte
 	if _, err := io.ReadFull(in, m[:]); err != nil {
@@ -136,7 +168,7 @@ func referenceReadAll(r io.Reader) ([]Record, error) {
 	if _, err := io.CopyN(io.Discard, in, int64(metaLen)); err != nil {
 		return nil, fmt.Errorf("trace: reading metadata: %w", promisedEOF(err))
 	}
-	var recs []Record
+	var recs []Word
 	for seg := 0; ; seg++ {
 		sh := make([]byte, 4+segHeaderBytes)
 		if _, err := io.ReadFull(in, sh); err != nil {
@@ -181,52 +213,48 @@ func referenceReadAll(r io.Reader) ([]Record, error) {
 	}
 }
 
-func (d *refStream) refDecodeOne() (Record, error) {
+func (d *refStream) refDecodeOne() (Word, error) {
 	i := d.read
 	if d.codec == CodecRaw {
 		var b [RecordBytes]byte
 		if _, err := io.ReadFull(d.br, b[:]); err != nil {
-			return Record{}, fmt.Errorf("trace: record %d: %w", i, promisedEOF(err))
+			return 0, fmt.Errorf("trace: record %d: %w", i, promisedEOF(err))
 		}
 		if k := b[0] & 7; k >= byte(NumKinds) {
-			return Record{}, fmt.Errorf("trace: record %d: invalid kind %d", i, k)
+			return 0, fmt.Errorf("trace: record %d: invalid kind %d", i, k)
 		}
 		d.read++
-		return DecodeRecord(b[:]), nil
+		return refRawWord(b[:]), nil
 	}
 	h, err := d.br.ReadByte()
 	if err != nil {
-		return Record{}, fmt.Errorf("trace: record %d: %w", i, promisedEOF(err))
+		return 0, fmt.Errorf("trace: record %d: %w", i, promisedEOF(err))
 	}
-	k := Kind(h & 7)
-	if k >= NumKinds {
-		return Record{}, fmt.Errorf("trace: record %d: invalid kind %d", i, h&7)
-	}
-	rec := Record{Kind: k, User: h&flagUser != 0, Phys: h&flagPhys != 0}
-	if k.IsMemRef() {
-		rec.Width = 1 << (h >> 3 & 3)
+	f := refHeaderFields(h)
+	if f.kind >= NumKinds {
+		return 0, fmt.Errorf("trace: record %d: invalid kind %d", i, h&7)
 	}
 	if h&deltaPIDChanged != 0 {
 		p, err := d.br.ReadByte()
 		if err != nil {
-			return Record{}, fmt.Errorf("trace: record %d pid: %w", i, promisedEOF(err))
+			return 0, fmt.Errorf("trace: record %d pid: %w", i, promisedEOF(err))
 		}
 		d.lastPID = p
 	}
-	rec.PID = d.lastPID
+	f.pid = d.lastPID
 	delta, err := binary.ReadVarint(d.br)
 	if err != nil {
-		return Record{}, fmt.Errorf("trace: record %d addr: %w", i, promisedEOF(err))
+		return 0, fmt.Errorf("trace: record %d addr: %w", i, promisedEOF(err))
 	}
-	rec.Addr = uint32(int64(d.lastAddr[rec.Kind]) + delta)
-	d.lastAddr[rec.Kind] = rec.Addr
-	if rec.Kind == KindCtxSwitch || rec.Kind == KindException {
+	f.addr = uint32(int64(d.lastAddr[f.kind]) + delta)
+	d.lastAddr[f.kind] = f.addr
+	if f.kind == KindCtxSwitch || f.kind == KindException {
 		x, err := binary.ReadUvarint(d.br)
 		if err != nil {
-			return Record{}, fmt.Errorf("trace: record %d extra: %w", i, promisedEOF(err))
+			return 0, fmt.Errorf("trace: record %d extra: %w", i, promisedEOF(err))
 		}
-		rec.Extra = uint16(x)
+		f.extra = uint16(x)
 	}
 	d.read++
-	return rec, nil
+	return f.word(), nil
 }

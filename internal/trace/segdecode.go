@@ -41,7 +41,7 @@ type StreamSegment struct {
 // wrapped io.ErrUnexpectedEOF — the same partial-delivery contract as
 // Reader.Decode, so a streamed consumer and a batch re-read of the
 // truncated file observe identical records and identical errors.
-func DecodeSegment(codec uint16, info SegmentInfo, payload []byte, dst []Record, base uint64) ([]Record, error) {
+func DecodeSegment(codec uint16, info SegmentInfo, payload []byte, dst []Word, base uint64) ([]Word, error) {
 	if codec != CodecRaw && codec != CodecDelta {
 		return dst[:0], fmt.Errorf("trace: unknown codec %d", codec)
 	}
@@ -77,7 +77,7 @@ func DecodeSegment(codec uint16, info SegmentInfo, payload []byte, dst []Record,
 		alloc = max
 	}
 	if uint64(cap(dst)) < alloc {
-		dst = make([]Record, alloc)
+		dst = make([]Word, alloc)
 	} else {
 		dst = dst[:alloc]
 	}
@@ -107,7 +107,7 @@ func DecodeSegment(codec uint16, info SegmentInfo, payload []byte, dst []Record,
 		return out, fmt.Errorf("trace: segment %d payload: %w", info.Index, io.ErrUnexpectedEOF)
 	}
 	mDecodeSegments.Inc()
-	mDecodeRecords.Add(uint64(nrec))
+	mDecodedRecords.Add(uint64(nrec))
 	mDecodeBytes.Add(uint64(len(payload)))
 	return out, nil
 }

@@ -14,7 +14,7 @@ import (
 // every teed StreamSegment (the writer reuses its encode buffer, so the
 // tee's payload must be copied to outlive the call) plus the on-disk
 // stream bytes.
-func captureSegments(t *testing.T, recs []Record, n int, codec uint16) ([]StreamSegment, []byte) {
+func captureSegments(t *testing.T, recs []Word, n int, codec uint16) ([]StreamSegment, []byte) {
 	t.Helper()
 	var segs []StreamSegment
 	var buf bytes.Buffer
@@ -56,8 +56,8 @@ func TestDecodeSegmentRoundTrip(t *testing.T) {
 	recs := makeTrace(5000, 21)
 	for _, codec := range []uint16{CodecRaw, CodecDelta} {
 		segs, _ := captureSegments(t, recs, 4, codec)
-		var got []Record
-		var dst []Record
+		var got []Word
+		var dst []Word
 		var base uint64
 		for _, s := range segs {
 			out, err := DecodeSegment(s.Codec, s.Info, s.Payload, dst, base)

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Segment container. ATUM's reserved buffer holds a few seconds of
@@ -163,8 +164,12 @@ func NewSegmentWriter(w io.Writer, codec uint16, meta string) (*SegmentWriter, e
 // already-drained buffer) and always stored raw. Errors are sticky:
 // once the sink fails, every later call reports the same error so a
 // capture loop can fall back to counted-drop mode.
-func (sw *SegmentWriter) WriteSegment(recs []Record, stamp SegmentInfo) (SegmentInfo, error) {
-	sw.packed = appendPacked(sw.packed[:0], recs)
+func (sw *SegmentWriter) WriteSegment(recs []Word, stamp SegmentInfo) (SegmentInfo, error) {
+	// Laid out little endian, the words are the packed bytes.
+	sw.packed = slices.Grow(sw.packed[:0], len(recs)*RecordBytes)[:len(recs)*RecordBytes]
+	for i, w := range recs {
+		binary.LittleEndian.PutUint64(sw.packed[i*RecordBytes:], uint64(w))
+	}
 	return sw.WritePacked(sw.packed, stamp)
 }
 

@@ -11,14 +11,14 @@ import (
 
 // writeSegmented splits recs into n roughly equal segments and writes
 // them through a SegmentWriter.
-func writeSegmented(t *testing.T, recs []Record, n int, codec uint16, meta string) []byte {
+func writeSegmented(t *testing.T, recs []Word, n int, codec uint16, meta string) []byte {
 	t.Helper()
 	return writeSegmentedEnc(t, recs, n, codec, SegEncRaw, meta)
 }
 
 // writeSegmentedEnc is writeSegmented with an explicit per-segment
 // payload encoding.
-func writeSegmentedEnc(t *testing.T, recs []Record, n int, codec uint16, enc uint8, meta string) []byte {
+func writeSegmentedEnc(t *testing.T, recs []Word, n int, codec uint16, enc uint8, meta string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sw, err := NewSegmentWriter(&buf, codec, meta)
@@ -171,7 +171,7 @@ func TestSegmentedStreamingDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got, dst []Record
+	var got, dst []Word
 	for {
 		seg, err := sc.Next()
 		if err == io.EOF {
@@ -203,7 +203,7 @@ func TestSegmentEmptySegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, seg := range [][]Record{nil, recs[:4], nil, recs[4:], nil} {
+	for _, seg := range [][]Word{nil, recs[:4], nil, recs[4:], nil} {
 		if _, err := sw.WriteSegment(seg, SegmentInfo{}); err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,7 @@ type Summary struct {
 }
 
 // Summarize scans a trace once and computes its Summary.
-func Summarize(recs []Record) Summary { return SummarizeSource(Records(recs)) }
+func Summarize(recs []Word) Summary { return SummarizeSource(NewArena(recs)) }
 
 // SummarizeSource computes the Summary of any record source (e.g. an
 // Arena) in one streaming pass.
@@ -38,7 +38,7 @@ func SummarizeSource(src Source) Summary {
 	var s Summary
 	var pids [256]bool
 	pages := stats.NewU64Set(0)
-	_ = src.EachChunk(func(chunk []Record) error {
+	_ = src.EachChunk(func(chunk []Word) error {
 		for _, r := range chunk {
 			s.add(r, &pids, pages)
 		}
@@ -53,10 +53,11 @@ func SummarizeSource(src Source) Summary {
 	return s
 }
 
-func (s *Summary) add(r Record, pids *[256]bool, pages *stats.U64Set) {
+func (s *Summary) add(r Word, pids *[256]bool, pages *stats.U64Set) {
+	k := r.Kind()
 	s.Total++
-	s.ByKind[r.Kind]++
-	switch r.Kind {
+	s.ByKind[k]++
+	switch k {
 	case KindCtxSwitch:
 		s.CtxSwitches++
 		return
@@ -65,12 +66,12 @@ func (s *Summary) add(r Record, pids *[256]bool, pages *stats.U64Set) {
 		return
 	}
 	s.MemRefs++
-	if r.User {
+	if r.User() {
 		s.UserRefs++
 	} else {
 		s.SystemRefs++
 	}
-	switch r.Kind {
+	switch k {
 	case KindIFetch:
 		s.IFetches++
 	case KindDRead, KindPTERead:
@@ -78,13 +79,14 @@ func (s *Summary) add(r Record, pids *[256]bool, pages *stats.U64Set) {
 	case KindDWrite, KindPTEWrite:
 		s.Writes++
 	}
-	pids[r.PID] = true
+	pid, addr := r.PID(), r.Addr()
+	pids[pid] = true
 	// Distinct pages are counted per PID per address space: tag the
 	// page with the PID for process-space addresses, not for system
 	// or physical ones.
-	key := uint64(r.Addr >> mem.PageShift)
-	if !r.Phys && r.Addr>>30 != 2 {
-		key |= uint64(r.PID) << 32
+	key := uint64(addr >> mem.PageShift)
+	if !r.Phys() && addr>>30 != 2 {
+		key |= uint64(pid) << 32
 	}
 	pages.Add(key)
 }

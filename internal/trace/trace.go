@@ -1,7 +1,7 @@
-// Package trace defines the ATUM trace record — the unit the microcode
-// patches write into reserved physical memory — together with the packed
-// in-memory encoding, an on-disk stream format with an optional
-// delta-compressed codec, filters, and summary statistics.
+// Package trace defines the ATUM trace record — the packed 8-byte word
+// the microcode patches write into reserved physical memory — together
+// with an on-disk stream format with an optional delta-compressed codec,
+// filters, and summary statistics.
 package trace
 
 import (
@@ -47,104 +47,132 @@ func (k Kind) String() string {
 // opposed to a marker record).
 func (k Kind) IsMemRef() bool { return k <= KindPTEWrite }
 
-// Record is one decoded trace entry.
-type Record struct {
-	Kind  Kind
-	Addr  uint32 // virtual address (physical when Phys)
-	Width uint8  // reference width in bytes (1, 2 or 4); 0 for marker records
-	PID   uint8
-	User  bool // access made in user mode
-	Phys  bool // Addr is physical (system PTE and PCB references)
-	Extra uint16
-}
-
-func (r Record) String() string {
-	mode := "k"
-	if r.User {
-		mode = "u"
-	}
-	space := ""
-	if r.Phys {
-		space = " phys"
-	}
-	s := fmt.Sprintf("%-9s pid=%-2d %s %08x w%d%s", r.Kind, r.PID, mode, r.Addr, r.Width, space)
-	if r.Kind == KindCtxSwitch || r.Kind == KindException {
-		s += fmt.Sprintf(" extra=%#x", r.Extra)
-	}
-	return s
-}
-
-// RecordBytes is the packed record size in the reserved physical buffer.
-const RecordBytes = 8
-
-// Packed layout:
+// Word is one trace record in the packed layout the collector's trace
+// store writes into reserved memory: read as a little-endian uint64,
+// the 8 bytes of a record are its Word. It is the only in-memory form
+// of a record — decoders produce it, arenas hold it, simulators read it
+// through the accessors below.
 //
 //	byte 0: kind(3) | widthLog2(2) | user(1) | phys(1) | reserved(1)
 //	byte 1: PID
 //	bytes 2-3: Extra, little endian
 //	bytes 4-7: Addr, little endian
+//
+// Pack and the accessors are the only code that knows these positions;
+// the codecs go through them and the constants below.
+type Word uint64
+
+// RecordBytes is the packed record size in the reserved physical buffer.
+const RecordBytes = 8
+
 const (
-	flagUser = 1 << 5
-	flagPhys = 1 << 6
+	kindMask     = 7
+	widthShift   = 3
+	widthMask    = 3 << widthShift
+	flagUser     = 1 << 5
+	flagPhys     = 1 << 6
+	flagReserved = 1 << 7
+	pidShift     = 8
+	extraShift   = 16
+	addrShift    = 32
 )
 
-// Pack returns one record in the packed layout, read as a little-endian
-// uint64 — the value the collector's trace store writes with a single
-// 8-byte store. Encode goes through it too, so the layout is defined
-// here alone.
-func Pack(k Kind, addr uint32, width, pid uint8, user, phys bool, extra uint16) uint64 {
-	var wl uint64
+// Pack returns one record in the packed layout — the value the
+// collector's trace store writes with a single 8-byte store. The width
+// field holds log2 of the width, so widths 1, 2, 4 and 8 round-trip and
+// anything else packs as 1.
+func Pack(k Kind, addr uint32, width, pid uint8, user, phys bool, extra uint16) Word {
+	var wl Word
 	switch width {
 	case 2:
 		wl = 1
 	case 4:
 		wl = 2
+	case 8:
+		wl = 3
 	}
-	b0 := uint64(k)&7 | wl<<3
+	w := Word(k)&kindMask | wl<<widthShift
 	if user {
-		b0 |= flagUser
+		w |= flagUser
 	}
 	if phys {
-		b0 |= flagPhys
+		w |= flagPhys
 	}
-	return b0 | uint64(pid)<<8 | uint64(extra)<<16 | uint64(addr)<<32
+	return w | Word(pid)<<pidShift | Word(extra)<<extraShift | Word(addr)<<addrShift
 }
 
-// Encode packs the record into b (at least RecordBytes long).
-func (r Record) Encode(b []byte) {
-	binary.LittleEndian.PutUint64(b, Pack(r.Kind, r.Addr, r.Width, r.PID, r.User, r.Phys, r.Extra))
+// Kind returns the record kind.
+func (w Word) Kind() Kind { return Kind(w & kindMask) }
+
+// Addr returns the referenced address: virtual, or physical when Phys.
+func (w Word) Addr() uint32 { return uint32(w >> addrShift) }
+
+// Width returns the reference width in bytes (1, 2, 4 or 8). Marker
+// records carry no reference width and read 0.
+func (w Word) Width() uint8 {
+	if !w.Kind().IsMemRef() {
+		return 0
+	}
+	return 1 << w.widthCode()
 }
 
-// DecodeRecord unpacks one record from b. The packed width field cannot
-// represent 0, so marker kinds — which carry no reference width — decode
-// to Width 0 by fiat rather than a phantom 1-byte width.
-func DecodeRecord(b []byte) Record {
-	b0 := b[0]
-	k := Kind(b0 & 7)
-	var w uint8
-	if k.IsMemRef() {
-		w = 1 << (b0 >> 3 & 3)
+// widthCode returns the stored width field whatever the kind: Lint
+// reads it to catch a marker emitted through the memory-reference path.
+func (w Word) widthCode() uint8 { return uint8(w>>widthShift) & 3 }
+
+// PID returns the process the record is attributed to.
+func (w Word) PID() uint8 { return uint8(w >> pidShift & 0xff) }
+
+// User reports whether the access was made in user mode.
+func (w Word) User() bool { return w&flagUser != 0 }
+
+// Phys reports whether Addr is physical (system PTE and PCB references).
+func (w Word) Phys() bool { return w&flagPhys != 0 }
+
+// Extra returns the marker payload: the incoming PID of a context
+// switch, the SCB vector of an exception.
+func (w Word) Extra() uint16 { return uint16(w >> extraShift) }
+
+func (w Word) String() string {
+	mode := "k"
+	if w.User() {
+		mode = "u"
 	}
-	return Record{
-		Kind:  k,
-		Width: w,
-		User:  b0&flagUser != 0,
-		Phys:  b0&flagPhys != 0,
-		PID:   b[1],
-		Extra: binary.LittleEndian.Uint16(b[2:]),
-		Addr:  binary.LittleEndian.Uint32(b[4:]),
+	space := ""
+	if w.Phys() {
+		space = " phys"
 	}
+	s := fmt.Sprintf("%-9s pid=%-2d %s %08x w%d%s", w.Kind(), w.PID(), mode, w.Addr(), w.Width(), space)
+	if k := w.Kind(); k == KindCtxSwitch || k == KindException {
+		s += fmt.Sprintf(" extra=%#x", w.Extra())
+	}
+	return s
 }
 
-// ParseBuffer decodes the packed records in a raw trace-buffer image
-// (length must be a multiple of RecordBytes).
-func ParseBuffer(buf []byte) ([]Record, error) {
+// canonical clears the bits no field reads — byte 0's reserved bit and
+// a marker's width field — so a decoded record is exactly Pack of its
+// fields and two decodes of one capture compare equal.
+func (w Word) canonical() Word {
+	w &^= flagReserved
+	if !w.Kind().IsMemRef() {
+		w &^= widthMask
+	}
+	return w
+}
+
+// wordAt reads the packed record at the start of b, canonical.
+func wordAt(b []byte) Word { return Word(binary.LittleEndian.Uint64(b)).canonical() }
+
+// ParseBuffer copies the packed records out of a raw trace-buffer image
+// (length must be a multiple of RecordBytes), canonical like every
+// decoded record.
+func ParseBuffer(buf []byte) ([]Word, error) {
 	if len(buf)%RecordBytes != 0 {
 		return nil, fmt.Errorf("trace: buffer length %d not a record multiple", len(buf))
 	}
-	out := make([]Record, 0, len(buf)/RecordBytes)
-	for i := 0; i < len(buf); i += RecordBytes {
-		out = append(out, DecodeRecord(buf[i:i+RecordBytes]))
+	out := make([]Word, len(buf)/RecordBytes)
+	for i := range out {
+		out[i] = wordAt(buf[i*RecordBytes:])
 	}
 	return out, nil
 }
@@ -153,37 +181,15 @@ func ParseBuffer(buf []byte) ([]Record, error) {
 // — what a user-level tracing tool would have seen. Marker records from
 // user context are kept; kernel references, PTE references and kernel
 // markers are not. Every user-only filter applies this one predicate.
-func UserRecord(r Record) bool {
-	return r.User && r.Kind != KindPTERead && r.Kind != KindPTEWrite
+func UserRecord(r Word) bool {
+	return r.User() && r.Kind() != KindPTERead && r.Kind() != KindPTEWrite
 }
 
 // FilterUser returns only the records UserRecord keeps.
-func FilterUser(recs []Record) []Record {
-	out := make([]Record, 0, len(recs))
+func FilterUser(recs []Word) []Word {
+	out := make([]Word, 0, len(recs))
 	for _, r := range recs {
 		if UserRecord(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// FilterPID returns only records attributed to one process.
-func FilterPID(recs []Record, pid uint8) []Record {
-	out := make([]Record, 0, len(recs))
-	for _, r := range recs {
-		if r.PID == pid {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// FilterMemRefs drops marker records, keeping actual references.
-func FilterMemRefs(recs []Record) []Record {
-	out := make([]Record, 0, len(recs))
-	for _, r := range recs {
-		if r.Kind.IsMemRef() {
 			out = append(out, r)
 		}
 	}

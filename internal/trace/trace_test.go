@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -15,12 +16,12 @@ import (
 // DecodeSegment per segment based at the records decoded so far — and
 // returns its records and metadata. It is the sequential counterpart
 // of OpenReaderAt + Records, which the tests hold it equal to.
-func scanAll(r io.Reader) ([]Record, string, error) {
+func scanAll(r io.Reader) ([]Word, string, error) {
 	sc, err := NewScanner(r)
 	if err != nil {
 		return nil, "", err
 	}
-	var recs []Record
+	var recs []Word
 	for {
 		seg, err := sc.Next()
 		if err == io.EOF {
@@ -38,14 +39,14 @@ func scanAll(r io.Reader) ([]Record, string, error) {
 }
 
 // readAll is scanAll without the metadata.
-func readAll(r io.Reader) ([]Record, error) {
+func readAll(r io.Reader) ([]Word, error) {
 	recs, _, err := scanAll(r)
 	return recs, err
 }
 
 // writeOneSegment writes recs as a one-segment stream carrying meta —
 // WriteFile with a provenance string.
-func writeOneSegment(w io.Writer, recs []Record, codec uint16, meta string) error {
+func writeOneSegment(w io.Writer, recs []Word, codec uint16, meta string) error {
 	sw, err := NewSegmentWriter(w, codec, meta)
 	if err != nil {
 		return err
@@ -56,33 +57,81 @@ func writeOneSegment(w io.Writer, recs []Record, codec uint16, meta string) erro
 	return sw.Close()
 }
 
-// randomRecord generates structurally valid records for property tests:
-// memory references carry width 1/2/4, markers carry width 0.
-func randomRecord(r *rand.Rand) Record {
-	widths := []uint8{1, 2, 4}
-	k := Kind(r.Intn(int(NumKinds)))
-	rec := Record{
-		Kind: k,
-		Addr: r.Uint32(),
-		PID:  uint8(r.Intn(16)),
-		User: r.Intn(2) == 0,
-		Phys: r.Intn(4) == 0,
+// wordBytes lays words out as the packed bytes the collector stores.
+func wordBytes(recs []Word) []byte {
+	b := make([]byte, 0, len(recs)*RecordBytes)
+	for _, w := range recs {
+		b = binary.LittleEndian.AppendUint64(b, uint64(w))
 	}
-	if k.IsMemRef() {
-		rec.Width = widths[r.Intn(3)]
-	} else {
-		rec.Extra = uint16(r.Intn(1 << 16))
-	}
-	return rec
+	return b
 }
 
+// randomRecord generates structurally valid records for property tests:
+// memory references carry width 1/2/4, markers carry width 0.
+func randomRecord(r *rand.Rand) Word {
+	widths := []uint8{1, 2, 4}
+	k := Kind(r.Intn(int(NumKinds)))
+	addr, pid, user, phys := r.Uint32(), uint8(r.Intn(16)), r.Intn(2) == 0, r.Intn(4) == 0
+	if k.IsMemRef() {
+		return Pack(k, addr, widths[r.Intn(3)], pid, user, phys, 0)
+	}
+	return Pack(k, addr, 0, pid, user, phys, uint16(r.Intn(1<<16)))
+}
+
+// TestPackedRoundTripProperty pins the packed layout over every kind
+// value × width code × User × Phys, with PID, Extra and Addr at 0 and at
+// their maxima: each accessor returns what Pack was given (markers read
+// Width 0 whatever width they were packed with), the fields sit at
+// their documented bytes, and the bytes read back through ParseBuffer as
+// the same record with a marker's stray width cleared.
 func TestPackedRoundTripProperty(t *testing.T) {
+	for k := Kind(0); k <= kindMask; k++ {
+		for _, width := range []uint8{1, 2, 4, 8} {
+			for flags := 0; flags < 4; flags++ {
+				user, phys := flags&1 != 0, flags&2 != 0
+				for edge := 0; edge < 8; edge++ {
+					var pid uint8
+					var extra uint16
+					var addr uint32
+					if edge&1 != 0 {
+						pid = 0xff
+					}
+					if edge&2 != 0 {
+						extra = 0xffff
+					}
+					if edge&4 != 0 {
+						addr = 0xffff_ffff
+					}
+					w := Pack(k, addr, width, pid, user, phys, extra)
+					wantWidth := width
+					if !k.IsMemRef() {
+						wantWidth = 0
+					}
+					if w.Kind() != k || w.Addr() != addr || w.Width() != wantWidth || w.PID() != pid ||
+						w.User() != user || w.Phys() != phys || w.Extra() != extra {
+						t.Fatalf("Pack(%d, %#x, %d, %d, %v, %v, %#x) reads back as %v (extra %#x)",
+							k, addr, width, pid, user, phys, extra, w, w.Extra())
+					}
+					b := wordBytes([]Word{w})
+					if b[1] != pid || binary.LittleEndian.Uint16(b[2:]) != extra || binary.LittleEndian.Uint32(b[4:]) != addr {
+						t.Fatalf("%v: bytes % x do not hold pid, extra and addr at 1, 2-3 and 4-7", w, b)
+					}
+					got, err := ParseBuffer(b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := Pack(k, addr, wantWidth, pid, user, phys, extra); got[0] != want {
+						t.Fatalf("%v: parsed %#x, want %#x", w, uint64(got[0]), uint64(want))
+					}
+				}
+			}
+		}
+	}
+	// Random records survive the byte layout unchanged.
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		rec := randomRecord(r)
-		var b [RecordBytes]byte
-		rec.Encode(b[:])
-		return DecodeRecord(b[:]) == rec
+		rec := randomRecord(rand.New(rand.NewSource(seed)))
+		got, err := ParseBuffer(wordBytes([]Word{rec}))
+		return err == nil && got[0] == rec
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -90,15 +139,12 @@ func TestPackedRoundTripProperty(t *testing.T) {
 }
 
 func TestParseBuffer(t *testing.T) {
-	recs := []Record{
-		{Kind: KindIFetch, Addr: 0x200, Width: 4, User: true, PID: 1},
-		{Kind: KindDWrite, Addr: 0x7FFFFFFC, Width: 4, User: true, PID: 1},
-		{Kind: KindCtxSwitch, Extra: 2, PID: 2},
+	recs := []Word{
+		Pack(KindIFetch, 0x200, 4, 1, true, false, 0),
+		Pack(KindDWrite, 0x7FFFFFFC, 4, 1, true, false, 0),
+		Pack(KindCtxSwitch, 0, 0, 2, false, false, 2),
 	}
-	buf := make([]byte, len(recs)*RecordBytes)
-	for i, r := range recs {
-		r.Encode(buf[i*RecordBytes:])
-	}
+	buf := wordBytes(recs)
 	got, err := ParseBuffer(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -111,23 +157,23 @@ func TestParseBuffer(t *testing.T) {
 	}
 }
 
-func makeTrace(n int, seed int64) []Record {
+func makeTrace(n int, seed int64) []Word {
 	r := rand.New(rand.NewSource(seed))
-	recs := make([]Record, n)
+	recs := make([]Word, n)
 	pc := uint32(0x200)
 	for i := range recs {
 		switch r.Intn(10) {
 		case 0:
-			recs[i] = Record{Kind: KindDRead, Addr: 0x1000 + uint32(r.Intn(4096)), Width: 4, User: true, PID: 1}
+			recs[i] = Pack(KindDRead, 0x1000+uint32(r.Intn(4096)), 4, 1, true, false, 0)
 		case 1:
-			recs[i] = Record{Kind: KindDWrite, Addr: 0x7FFFF000 + uint32(r.Intn(512)), Width: 4, User: true, PID: 1}
+			recs[i] = Pack(KindDWrite, 0x7FFFF000+uint32(r.Intn(512)), 4, 1, true, false, 0)
 		case 2:
-			recs[i] = Record{Kind: KindPTERead, Addr: 0x80010000 + uint32(r.Intn(64))*4, Width: 4, PID: 1}
+			recs[i] = Pack(KindPTERead, 0x80010000+uint32(r.Intn(64))*4, 4, 1, false, false, 0)
 		case 3:
-			recs[i] = Record{Kind: KindCtxSwitch, Extra: uint16(r.Intn(4)), PID: uint8(r.Intn(4))}
+			recs[i] = Pack(KindCtxSwitch, 0, 0, uint8(r.Intn(4)), false, false, uint16(r.Intn(4)))
 		default:
 			pc += uint32(r.Intn(3)) * 4
-			recs[i] = Record{Kind: KindIFetch, Addr: pc, Width: 4, User: r.Intn(3) > 0, PID: 1}
+			recs[i] = Pack(KindIFetch, pc, 4, 1, r.Intn(3) > 0, false, 0)
 		}
 	}
 	return recs
@@ -135,16 +181,25 @@ func makeTrace(n int, seed int64) []Record {
 
 func TestFileRoundTripBothCodecs(t *testing.T) {
 	recs := makeTrace(5000, 42)
+	// Bits no field reads — a marker's width field, byte 0's reserved
+	// bit — do not survive a decode: both codecs give back exactly Pack
+	// of the fields, so their decodes compare equal.
+	in := append(slices.Clone(recs),
+		Pack(KindException, 0x80001234, 4, 1, false, false, 0x40),
+		Pack(KindDRead, 0x1000, 2, 1, true, false, 0)|flagReserved)
+	want := append(slices.Clone(recs),
+		Pack(KindException, 0x80001234, 0, 1, false, false, 0x40),
+		Pack(KindDRead, 0x1000, 2, 1, true, false, 0))
 	for _, codec := range []uint16{CodecRaw, CodecDelta} {
 		var buf bytes.Buffer
-		if err := WriteFile(&buf, recs, codec); err != nil {
+		if err := WriteFile(&buf, in, codec); err != nil {
 			t.Fatalf("codec %d write: %v", codec, err)
 		}
 		got, err := readAll(&buf)
 		if err != nil {
 			t.Fatalf("codec %d read: %v", codec, err)
 		}
-		if !reflect.DeepEqual(got, recs) {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("codec %d: round trip mismatch", codec)
 		}
 	}
@@ -236,9 +291,9 @@ func TestDeltaRejectsInvalidKind(t *testing.T) {
 // the record-indexed error the delta codec gives.
 func TestRawRejectsInvalidKind(t *testing.T) {
 	const want = "trace: record 1: invalid kind 7"
-	good := Record{Kind: KindIFetch, Addr: 0x200, Width: 4}
+	good := Pack(KindIFetch, 0x200, 4, 0, false, false, 0)
 	var buf bytes.Buffer
-	if err := WriteFile(&buf, []Record{good, good}, CodecRaw); err != nil {
+	if err := WriteFile(&buf, []Word{good, good}, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -284,37 +339,29 @@ func TestReadFileHugeCountDoesNotPreallocate(t *testing.T) {
 }
 
 func TestFilters(t *testing.T) {
-	recs := []Record{
-		{Kind: KindIFetch, User: true, PID: 1, Width: 4},
-		{Kind: KindIFetch, User: false, PID: 1, Width: 4},
-		{Kind: KindPTERead, User: true, PID: 1, Width: 4},
-		{Kind: KindDRead, User: true, PID: 2, Width: 4},
-		{Kind: KindCtxSwitch, User: true, PID: 2},
+	recs := []Word{
+		Pack(KindIFetch, 0, 4, 1, true, false, 0),
+		Pack(KindIFetch, 0, 4, 1, false, false, 0),
+		Pack(KindPTERead, 0, 4, 1, true, false, 0),
+		Pack(KindDRead, 0, 4, 2, true, false, 0),
+		Pack(KindCtxSwitch, 0, 0, 2, true, false, 0),
 	}
 	u := FilterUser(recs)
 	if len(u) != 3 { // user ifetch, user dread, user ctxswitch; PTE excluded
 		t.Errorf("FilterUser kept %d, want 3: %v", len(u), u)
 	}
-	p := FilterPID(recs, 2)
-	if len(p) != 2 {
-		t.Errorf("FilterPID kept %d, want 2", len(p))
-	}
-	m := FilterMemRefs(recs)
-	if len(m) != 4 {
-		t.Errorf("FilterMemRefs kept %d, want 4", len(m))
-	}
 }
 
 func TestSummarize(t *testing.T) {
-	recs := []Record{
-		{Kind: KindIFetch, Addr: 0x200, Width: 4, User: true, PID: 1},
-		{Kind: KindIFetch, Addr: 0x80000200, Width: 4, User: false, PID: 1},
-		{Kind: KindDRead, Addr: 0x1000, Width: 4, User: true, PID: 1},
-		{Kind: KindDWrite, Addr: 0x1004, Width: 4, User: true, PID: 1},
-		{Kind: KindPTERead, Addr: 0x80010000, Width: 4, User: false, PID: 1},
-		{Kind: KindCtxSwitch, Extra: 2, PID: 2},
-		{Kind: KindException, Extra: 0xC0, PID: 2},
-		{Kind: KindDRead, Addr: 0x1000, Width: 4, User: true, PID: 2},
+	recs := []Word{
+		Pack(KindIFetch, 0x200, 4, 1, true, false, 0),
+		Pack(KindIFetch, 0x80000200, 4, 1, false, false, 0),
+		Pack(KindDRead, 0x1000, 4, 1, true, false, 0),
+		Pack(KindDWrite, 0x1004, 4, 1, true, false, 0),
+		Pack(KindPTERead, 0x80010000, 4, 1, false, false, 0),
+		Pack(KindCtxSwitch, 0, 0, 2, false, false, 2),
+		Pack(KindException, 0, 0, 2, false, false, 0xC0),
+		Pack(KindDRead, 0x1000, 4, 2, true, false, 0),
 	}
 	s := Summarize(recs)
 	if s.Total != 8 || s.MemRefs != 6 {
@@ -342,9 +389,22 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestRecordString pins the dump line atum-stats -dump prints for each
+// record shape. A marker prints w0 even when packed with a width.
 func TestRecordString(t *testing.T) {
-	r := Record{Kind: KindCtxSwitch, PID: 3, Extra: 4}
-	if s := r.String(); !strings.Contains(s, "ctxswitch") || !strings.Contains(s, "extra=0x4") {
-		t.Errorf("String() = %q", s)
+	for _, c := range []struct {
+		w    Word
+		want string
+	}{
+		{Pack(KindDRead, 0x1000, 4, 1, true, false, 0), "dread     pid=1  u 00001000 w4"},
+		{Pack(KindIFetch, 0x200, 4, 12, true, false, 0), "ifetch    pid=12 u 00000200 w4"},
+		{Pack(KindPTERead, 0x123450, 4, 2, false, true, 0), "pteread   pid=2  k 00123450 w4 phys"},
+		{Pack(KindCtxSwitch, 0, 0, 3, false, false, 3), "ctxswitch pid=3  k 00000000 w0 extra=0x3"},
+		{Pack(KindException, 0x80001234, 0, 3, false, false, 0xc0), "exception pid=3  k 80001234 w0 extra=0xc0"},
+		{Pack(KindException, 0x80001234, 4, 3, false, false, 0xc0), "exception pid=3  k 80001234 w0 extra=0xc0"},
+	} {
+		if got := c.w.String(); got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
+		}
 	}
 }

@@ -26,22 +26,22 @@ func (c SynthConfig) rng() *rand.Rand {
 	return rand.New(rand.NewSource(c.Seed + 1))
 }
 
-func (c SynthConfig) record(r *rand.Rand, addr uint32) trace.Record {
+func (c SynthConfig) record(r *rand.Rand, addr uint32) trace.Word {
 	kind := trace.KindDRead
 	if r.Intn(100) < c.WriteFrac {
 		kind = trace.KindDWrite
 	}
-	return trace.Record{Kind: kind, Addr: addr, Width: 4, User: true, PID: c.PID}
+	return trace.Pack(kind, addr, 4, c.PID, true, false, 0)
 }
 
 // Sequential generates a linear scan: addr, addr+stride, ... (array
 // sweeps; best case for large blocks).
-func Sequential(c SynthConfig, stride uint32) []trace.Record {
+func Sequential(c SynthConfig, stride uint32) []trace.Word {
 	if stride == 0 {
 		stride = 4
 	}
 	r := c.rng()
-	out := make([]trace.Record, c.Records)
+	out := make([]trace.Word, c.Records)
 	addr := c.Base
 	for i := range out {
 		out[i] = c.record(r, addr)
@@ -52,12 +52,12 @@ func Sequential(c SynthConfig, stride uint32) []trace.Record {
 
 // Loop generates cyclic sweeps over a fixed footprint (the LRU-adversary
 // pattern: caches smaller than the loop miss on every reference).
-func Loop(c SynthConfig, footprint uint32, stride uint32) []trace.Record {
+func Loop(c SynthConfig, footprint uint32, stride uint32) []trace.Word {
 	if stride == 0 {
 		stride = 4
 	}
 	r := c.rng()
-	out := make([]trace.Record, c.Records)
+	out := make([]trace.Word, c.Records)
 	off := uint32(0)
 	for i := range out {
 		out[i] = c.record(r, c.Base+off)
@@ -71,9 +71,9 @@ func Loop(c SynthConfig, footprint uint32, stride uint32) []trace.Record {
 
 // WorkingSet generates uniform random references within a footprint —
 // the classic capacity-miss model.
-func WorkingSet(c SynthConfig, footprint uint32) []trace.Record {
+func WorkingSet(c SynthConfig, footprint uint32) []trace.Word {
 	r := c.rng()
-	out := make([]trace.Record, c.Records)
+	out := make([]trace.Word, c.Records)
 	words := int(footprint / 4)
 	if words < 1 {
 		words = 1
@@ -86,7 +86,7 @@ func WorkingSet(c SynthConfig, footprint uint32) []trace.Record {
 
 // Zipf generates references with a heavily skewed popularity
 // distribution over pages (hot-page behaviour typical of real data).
-func Zipf(c SynthConfig, pages int, s float64) []trace.Record {
+func Zipf(c SynthConfig, pages int, s float64) []trace.Word {
 	if pages < 1 {
 		pages = 1
 	}
@@ -95,7 +95,7 @@ func Zipf(c SynthConfig, pages int, s float64) []trace.Record {
 	}
 	r := c.rng()
 	z := rand.NewZipf(r, s, 1, uint64(pages-1))
-	out := make([]trace.Record, c.Records)
+	out := make([]trace.Word, c.Records)
 	for i := range out {
 		page := uint32(z.Uint64())
 		out[i] = c.record(r, c.Base+page<<9+uint32(r.Intn(128))*4)
@@ -105,13 +105,13 @@ func Zipf(c SynthConfig, pages int, s float64) []trace.Record {
 
 // PointerChase generates a dependent-chain pattern: a random permutation
 // of slots walked in order — defeats spatial locality entirely.
-func PointerChase(c SynthConfig, slots int) []trace.Record {
+func PointerChase(c SynthConfig, slots int) []trace.Word {
 	if slots < 2 {
 		slots = 2
 	}
 	r := c.rng()
 	perm := r.Perm(slots)
-	out := make([]trace.Record, c.Records)
+	out := make([]trace.Word, c.Records)
 	cur := 0
 	for i := range out {
 		out[i] = c.record(r, c.Base+uint32(cur)*16)
@@ -122,7 +122,7 @@ func PointerChase(c SynthConfig, slots int) []trace.Record {
 
 // Interleave merges streams round-robin with context-switch markers
 // every quantum records — a synthetic multiprogramming mix.
-func Interleave(quantum int, streams ...[]trace.Record) []trace.Record {
+func Interleave(quantum int, streams ...[]trace.Word) []trace.Word {
 	if quantum < 1 {
 		quantum = 1
 	}
@@ -130,7 +130,7 @@ func Interleave(quantum int, streams ...[]trace.Record) []trace.Record {
 	for _, s := range streams {
 		total += len(s)
 	}
-	out := make([]trace.Record, 0, total+total/quantum+len(streams))
+	out := make([]trace.Word, 0, total+total/quantum+len(streams))
 	idx := make([]int, len(streams))
 	cur := -1
 	for {
@@ -142,10 +142,8 @@ func Interleave(quantum int, streams ...[]trace.Record) []trace.Record {
 			progressed = true
 			if cur != s {
 				cur = s
-				pid := streams[s][idx[s]].PID
-				out = append(out, trace.Record{
-					Kind: trace.KindCtxSwitch, PID: pid, Extra: uint16(pid),
-				})
+				pid := streams[s][idx[s]].PID()
+				out = append(out, trace.Pack(trace.KindCtxSwitch, 0, 0, pid, false, false, uint16(pid)))
 			}
 			n := quantum
 			if rem := len(streams[s]) - idx[s]; rem < n {

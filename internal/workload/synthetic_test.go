@@ -13,7 +13,7 @@ func synthBase() SynthConfig {
 	return SynthConfig{Seed: 7, Records: 20000, PID: 1, Base: 0x10000, WriteFrac: 25}
 }
 
-func runCache(t *testing.T, recs []trace.Record, size uint32) cache.Stats {
+func runCache(t *testing.T, recs []trace.Word, size uint32) cache.Stats {
 	t.Helper()
 	return simulate(t, recs, cache.Config{
 		Label: "synth", SizeBytes: size, BlockBytes: 16, Assoc: 2,
@@ -22,9 +22,9 @@ func runCache(t *testing.T, recs []trace.Record, size uint32) cache.Stats {
 }
 
 // simulate replays recs through one cache configuration.
-func simulate(t *testing.T, recs []trace.Record, cfg cache.Config) cache.Stats {
+func simulate(t *testing.T, recs []trace.Word, cfg cache.Config) cache.Stats {
 	t.Helper()
-	res, err := sweep.Caches(trace.Records(recs), []cache.Config{cfg}, cache.RunOptions{}, 1)
+	res, err := sweep.Caches(trace.NewArena(recs), []cache.Config{cfg}, cache.RunOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +83,9 @@ func TestZipfSkew(t *testing.T) {
 	// than the median page.
 	counts := map[uint32]int{}
 	for _, r := range recs {
-		counts[r.Addr>>9]++
+		counts[r.Addr()>>9]++
 	}
-	if counts[recs[0].Addr>>9] == 0 {
+	if counts[recs[0].Addr()>>9] == 0 {
 		t.Fatal("bad accounting")
 	}
 	hot := counts[0x10000>>9]
@@ -112,7 +112,7 @@ func TestInterleaveStructure(t *testing.T) {
 	mix := Interleave(4, a, b)
 	var switches, refs int
 	for _, r := range mix {
-		if r.Kind == trace.KindCtxSwitch {
+		if r.Kind() == trace.KindCtxSwitch {
 			switches++
 		} else {
 			refs++
@@ -127,9 +127,9 @@ func TestInterleaveStructure(t *testing.T) {
 		t.Errorf("switches = %d, want 6", switches)
 	}
 	// All source records preserved in order per stream.
-	var gotA []trace.Record
+	var gotA []trace.Word
 	for _, r := range mix {
-		if r.Kind != trace.KindCtxSwitch && r.PID == 1 {
+		if r.Kind() != trace.KindCtxSwitch && r.PID() == 1 {
 			gotA = append(gotA, r)
 		}
 	}
