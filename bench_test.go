@@ -284,7 +284,7 @@ func BenchmarkT3Sampling(b *testing.B) {
 func BenchmarkA1PatchCost(b *testing.B) {
 	var dil float64
 	for i := 0; i < b.N; i++ {
-		res, err := atum.MeasureDilation(func() (*micro.Machine, func() error, error) {
+		res, err := baseline.Compare(func() (*micro.Machine, func() error, error) {
 			sys, err := workload.BootMix(benchConfig(), "sieve")
 			if err != nil {
 				return nil, nil, err
@@ -293,11 +293,11 @@ func BenchmarkA1PatchCost(b *testing.B) {
 				_, err := sys.Run(2_000_000_000)
 				return err
 			}, nil
-		}, atum.Options{CostPerRecord: 56})
+		}, baseline.Atum{Opts: atum.Options{CostPerRecord: 56}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		dil = res.Factor()
+		dil = res[0].Dilation()
 	}
 	b.ReportMetric(dil, "dilation-x")
 }

@@ -8,8 +8,8 @@
 //	atum-capture -o solo.trc -workloads matmul -codec raw -cost 72
 //
 // With -segment-bytes the capture streams to disk instead of buffering
-// in memory: every time the reserved region fills to the watermark the
-// kernel spill service appends one segment to the output file, so the
+// in memory: every time the segment buffer in the reserved region fills,
+// the kernel spill service appends one segment to the output file, so the
 // trace length is bounded by disk, not by the reserved region. If the
 // sink stalls mid-capture the collector degrades to counted-drop mode
 // and the stream stays valid up to the last complete segment.

@@ -2,7 +2,7 @@
 // answer to a trace buffer that fills every few seconds. Instead of one
 // oversized in-memory buffer, the kernel spill service bounds the
 // reserved region to a small segment buffer and appends one segment to
-// a file each time the watermark fires — the freeze/dump/resume
+// a file each time that buffer fills — the freeze/dump/resume
 // protocol that turned a few megabytes of reserved memory into
 // half-billion-reference traces.
 //

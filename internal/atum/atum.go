@@ -55,36 +55,11 @@ type Options struct {
 	BufOffset uint32
 
 	// OnFull, if non-nil, is called when the buffer fills (the sample is
-	// complete). The callback typically calls Extract and lets tracing
-	// continue; if it leaves the collector paused, subsequent references
-	// are counted as dropped. If nil, the collector simply pauses.
+	// complete) — the one buffer-full interrupt. The callback typically
+	// calls Extract or ExtractSegment, which resumes recording; if it
+	// leaves the collector paused, subsequent references are counted as
+	// dropped. If nil, the collector simply pauses.
 	OnFull func(*Collector)
-
-	// Watermark, in (0, 1], arms a buffer-full early warning: when the
-	// write pointer crosses Watermark×capacity, OnWatermark fires once.
-	// Unlike OnFull, the collector is still recording when it fires, so
-	// a spill service can drain the buffer before anything is lost — a
-	// Watermark of 1.0 spills exactly at capacity, ahead of the OnFull
-	// pause/drop path. Zero disables the watermark.
-	Watermark float64
-
-	// OnWatermark, if non-nil, is called when the watermark is crossed
-	// (typically to ExtractSegment and stream the sample out). It is
-	// disarmed after firing and re-armed by Extract/ExtractSegment, so a
-	// callback that does not drain the buffer falls through to the
-	// OnFull behavior at capacity.
-	OnWatermark func(*Collector)
-
-	// KindMask selects which record kinds are captured; zero means all.
-	KindMask uint16
-
-	// SampleOn/SampleOff enable time sampling: capture SampleOn
-	// consecutive events, then skip SampleOff events (at negligible
-	// cost — the microcode branches around the trace store), repeating.
-	// Both must be nonzero to take effect. Sampling stretches a fixed
-	// reserved buffer over a longer execution at reduced dilation, at
-	// the price of the inter-sample gaps T3 quantifies.
-	SampleOn, SampleOff uint64
 
 	// Metrics selects the registry the collector's live telemetry goes
 	// to; nil means obs.Default(). Telemetry is Go-side only — it never
@@ -106,15 +81,8 @@ type Collector struct {
 	size uint32 // bytes
 	ptr  uint32 // next write offset
 
-	wmBytes uint32 // watermark write-pointer threshold (0 = disabled)
-	wmArmed bool
-
 	recording bool
 	installed bool
-
-	// Time-sampling phase state.
-	sampleOn  bool
-	phaseLeft uint64
 
 	removes []func()
 
@@ -139,18 +107,16 @@ type Collector struct {
 
 // captureMetrics are the collector's live counters in the obs registry:
 // what the capture has recorded (total and per kind), what it has lost,
-// and how often the watermark and buffer-full interrupts fired. They
-// shadow the exported statistics fields so a monitoring goroutine can
-// watch a capture without touching the (unsynchronised) collector. The
-// record counters advance once per segment — at every watermark, fill,
-// extraction and Uninstall — so they lag the capture by at most one
-// buffer.
+// and how often the buffer-full interrupt fired. They shadow the
+// exported statistics fields so a monitoring goroutine can watch a
+// capture without touching the (unsynchronised) collector. The record
+// counters advance once per segment — at every fill, extraction and
+// Uninstall — so they lag the capture by at most one buffer.
 type captureMetrics struct {
-	records   *obs.Counter
-	dropped   *obs.Counter
-	watermark *obs.Counter
-	fills     *obs.Counter
-	kind      [trace.NumKinds]*obs.Counter
+	records *obs.Counter
+	dropped *obs.Counter
+	fills   *obs.Counter
+	kind    [trace.NumKinds]*obs.Counter
 }
 
 // kindMetricNames spell each record kind into its metric label once, at
@@ -170,10 +136,9 @@ func newCaptureMetrics(r *obs.Registry) captureMetrics {
 		r = obs.Default()
 	}
 	m := captureMetrics{
-		records:   r.Counter("atum_capture_records_total"),
-		dropped:   r.Counter("atum_capture_dropped_total"),
-		watermark: r.Counter("atum_capture_watermark_fires_total"),
-		fills:     r.Counter("atum_capture_fills_total"),
+		records: r.Counter("atum_capture_records_total"),
+		dropped: r.Counter("atum_capture_dropped_total"),
+		fills:   r.Counter("atum_capture_fills_total"),
 	}
 	for k, name := range kindMetricNames {
 		if name == "" {
@@ -211,35 +176,9 @@ func Install(m *micro.Machine, opts Options) (*Collector, error) {
 	}
 	c := &Collector{m: m, phys: m.Mem, opts: opts, base: base, size: size, recording: true, installed: true,
 		met: newCaptureMetrics(opts.Metrics)}
-	if opts.Watermark != 0 {
-		// NaN compares false against every bound, so test for the valid
-		// interval and reject everything else — non-finite values
-		// included — rather than testing for the invalid ones.
-		if !(opts.Watermark > 0 && opts.Watermark <= 1) {
-			return nil, fmt.Errorf("atum: watermark %v out of (0, 1]", opts.Watermark)
-		}
-		// Record-align the threshold (floats only at install time; the
-		// per-record hot path compares integers).
-		c.wmBytes = uint32(opts.Watermark * float64(size))
-		c.wmBytes -= c.wmBytes % trace.RecordBytes
-		if c.wmBytes < trace.RecordBytes {
-			c.wmBytes = trace.RecordBytes
-		}
-		c.wmArmed = true
-	}
-	if opts.SampleOn > 0 && opts.SampleOff > 0 {
-		c.sampleOn = true
-		c.phaseLeft = opts.SampleOn
-	}
-
-	hook := func(ev micro.Event) micro.Hook {
-		return func(mm *micro.Machine, a micro.Access) { c.record(a) }
-	}
+	hook := func(mm *micro.Machine, a micro.Access) { c.record(a) }
 	for ev := micro.Event(0); ev < micro.NumEvents; ev++ {
-		if opts.KindMask != 0 && opts.KindMask&(1<<uint(ev)) == 0 {
-			continue
-		}
-		c.removes = append(c.removes, m.AddHook(ev, hook(ev)))
+		c.removes = append(c.removes, m.AddHook(ev, hook))
 	}
 	return c, nil
 }
@@ -251,23 +190,6 @@ func (c *Collector) record(a micro.Access) {
 		c.Dropped++
 		c.met.dropped.Inc()
 		return
-	}
-	if c.opts.SampleOn > 0 && c.opts.SampleOff > 0 {
-		if !c.sampleOn {
-			c.Dropped++
-			c.met.dropped.Inc()
-			c.phaseLeft--
-			if c.phaseLeft == 0 {
-				c.sampleOn = true
-				c.phaseLeft = c.opts.SampleOn
-			}
-			return
-		}
-		c.phaseLeft--
-		if c.phaseLeft == 0 {
-			c.sampleOn = false
-			c.phaseLeft = c.opts.SampleOff
-		}
 	}
 	c.m.ChargeCycles(c.opts.CostPerRecord)
 	c.DilationCycles += uint64(c.opts.CostPerRecord)
@@ -284,17 +206,6 @@ func (c *Collector) record(a micro.Access) {
 	c.ptr += trace.RecordBytes
 	c.Recorded++
 	c.unpublished[k]++
-	// The watermark interrupt fires before the full check so a spill
-	// service draining at Watermark = 1.0 runs ahead of the pause/drop
-	// path and loses nothing.
-	if c.wmArmed && c.ptr >= c.wmBytes {
-		c.wmArmed = false
-		c.met.watermark.Inc()
-		c.publish()
-		if c.opts.OnWatermark != nil {
-			c.opts.OnWatermark(c)
-		}
-	}
 	if c.ptr >= c.size {
 		c.Samples++
 		c.recording = false
@@ -344,7 +255,7 @@ func (c *Collector) Extract() ([]trace.Word, error) {
 // collector records again — plus the per-segment accounting a spill
 // service stores alongside them: drops and dilation cycles accumulated
 // since the previous extraction. Like Extract it resets the buffer
-// pointer, resumes recording and re-arms the watermark.
+// pointer and resumes recording.
 func (c *Collector) ExtractSegment() ([]byte, SegmentStats, error) {
 	packed, err := c.phys.Bytes(c.base, c.ptr)
 	if err != nil {
@@ -359,9 +270,6 @@ func (c *Collector) ExtractSegment() ([]byte, SegmentStats, error) {
 	c.segCyclesMark = c.DilationCycles
 	c.ptr = 0
 	c.recording = true
-	if c.wmBytes > 0 {
-		c.wmArmed = true
-	}
 	return packed, st, nil
 }
 
@@ -375,14 +283,8 @@ func (c *Collector) Resume() {
 	}
 }
 
-// Recording reports whether references are currently captured.
-func (c *Collector) Recording() bool { return c.recording }
-
 // BufferedRecords returns the number of records currently in the buffer.
 func (c *Collector) BufferedRecords() uint32 { return c.ptr / trace.RecordBytes }
-
-// Capacity returns the buffer capacity in records.
-func (c *Collector) Capacity() uint32 { return c.size / trace.RecordBytes }
 
 // Uninstall removes the patches; the machine runs at full speed again.
 func (c *Collector) Uninstall() {

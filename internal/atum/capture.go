@@ -62,49 +62,3 @@ func Run(m *micro.Machine, opts Options, run func() error) (*Capture, error) {
 	}
 	return cap, nil
 }
-
-// DilationResult reports the measured slowdown of a tracing technique.
-type DilationResult struct {
-	BaseCycles   uint64
-	TracedCycles uint64
-	Instrs       uint64
-	Records      uint64
-}
-
-// Factor returns TracedCycles/BaseCycles.
-func (d DilationResult) Factor() float64 {
-	if d.BaseCycles == 0 {
-		return 0
-	}
-	return float64(d.TracedCycles) / float64(d.BaseCycles)
-}
-
-// MeasureDilation runs an identical deterministic workload twice — once
-// bare, once under ATUM — and reports the slowdown. factory must build a
-// fresh machine and runner each call (the machine is deterministic, so
-// the two runs execute the same instruction stream).
-func MeasureDilation(factory func() (*micro.Machine, func() error, error), opts Options) (DilationResult, error) {
-	var res DilationResult
-
-	m1, run1, err := factory()
-	if err != nil {
-		return res, err
-	}
-	if err := run1(); err != nil {
-		return res, err
-	}
-	res.BaseCycles = m1.Cycles
-
-	m2, run2, err := factory()
-	if err != nil {
-		return res, err
-	}
-	cap, err := Run(m2, opts, run2)
-	if err != nil {
-		return res, err
-	}
-	res.TracedCycles = m2.Cycles
-	res.Instrs = m2.Instrs
-	res.Records = cap.Collector.Recorded
-	return res, nil
-}

@@ -93,7 +93,7 @@ func TestMetricsOffMeasurementPath(t *testing.T) {
 
 // TestCaptureCountersPublished: the trace store counts records in plain
 // fields and publishes them to the obs counters once per segment. By
-// the time OnWatermark runs, and after Uninstall, the published total
+// the time OnFull runs, and after Uninstall, the published total
 // must equal Recorded and the per-kind counters must sum to it; a
 // goroutine polling the counters mid-capture must never see one
 // decrease (run under -race, it also checks the publication is
@@ -121,13 +121,12 @@ func TestCaptureCountersPublished(t *testing.T) {
 
 	sys := buildSystem(t, helloSrc, helloSrc)
 	opts := atum.DefaultOptions()
-	opts.BufBytes = 4096
-	opts.Watermark = 0.75
+	opts.BufBytes = 3072 // 384 records per segment
 	opts.Metrics = reg
 	fires := 0
-	opts.OnWatermark = func(c *atum.Collector) {
+	opts.OnFull = func(c *atum.Collector) {
 		fires++
-		check("OnWatermark", c)
+		check("OnFull", c)
 		if _, _, err := c.ExtractSegment(); err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +171,7 @@ func TestCaptureCountersPublished(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fires < 2 {
-		t.Fatalf("watermark fired %d times, want several", fires)
+		t.Fatalf("buffer filled %d times, want several", fires)
 	}
 	col.Uninstall()
 	check("after Uninstall", col)

@@ -191,9 +191,6 @@ func (s *atumSession) Uninstall() { s.col.Uninstall() }
 // the session as samples complete.
 func (t Atum) Install(m *micro.Machine) (Session, error) {
 	opts := t.Opts
-	if opts.CostPerRecord == 0 {
-		opts = atum.DefaultOptions()
-	}
 	s := &atumSession{}
 	opts.OnFull = func(c *atum.Collector) {
 		recs, err := c.Extract()

@@ -249,7 +249,7 @@ func captureMix(cfg kernel.Config, names ...string) ([]trace.Word, error) {
 
 // captureMixSegmented boots the named workloads and captures the run
 // through the kernel spill service: the reserved buffer is bounded to
-// segBytes and every watermark crossing appends one segment to the
+// segBytes and every time it fills one segment is appended to the
 // returned stream. The stream is a complete segmented trace file image.
 func captureMixSegmented(cfg kernel.Config, segBytes uint32, codec uint16, names ...string) (*bytes.Buffer, *kernel.SpillService, error) {
 	sys, err := workload.BootMix(cfg, names...)
@@ -1133,11 +1133,11 @@ func A1PatchCost(Options) (*Report, error) {
 				return err
 			}, nil
 		}
-		res, err := atum.MeasureDilation(factory, atum.Options{CostPerRecord: cost})
+		res, err := baseline.Compare(factory, baseline.Atum{Opts: atum.Options{CostPerRecord: cost}})
 		if err != nil {
 			return nil, err
 		}
-		tb.AddRow(analysis.N(cost), fmt.Sprintf("%.1fx", res.Factor()), analysis.N(res.Records))
+		tb.AddRow(analysis.N(cost), fmt.Sprintf("%.1fx", res[0].Dilation()), analysis.N(res[0].Records))
 	}
 	return &Report{
 		ID:     "A1",
@@ -1262,7 +1262,7 @@ func A2Codec(Options) (*Report, error) {
 
 // A6SegmentedCapture validates the buffer-full protocol end to end: the
 // kernel spill service bounds the reserved buffer, extracts a segment
-// at every watermark crossing and appends it to a segmented stream.
+// every time the buffer fills and appends it to a segmented stream.
 // Because the freeze/dump/resume takes no machine time (the paper's
 // dump pauses the traced system entirely), the stitched stream must be
 // record-identical to a monolithic capture whatever the segment size —

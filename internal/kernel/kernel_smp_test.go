@@ -218,6 +218,41 @@ func TestSMPMigrationVisibleInTrace(t *testing.T) {
 	}
 }
 
+// TestSMPSpillPartialStartFails: when one core's service cannot start —
+// here CPU 1's sink fails on the stream header — StartSpillCPUs closes
+// the services it already started and returns none, with the error. No
+// collector is left installed: the mix then runs exactly as an untraced
+// boot does, cycle for cycle on every core.
+func TestSMPSpillPartialStartFails(t *testing.T) {
+	sys := smpSystem(t, 2)
+	sinks := []io.Writer{new(bytes.Buffer), &stallingSink{}}
+	svcs, err := kernel.StartSpillCPUs(sys, sinks, kernel.SpillConfig{
+		SegmentBytes: 8 << 10,
+		Codec:        trace.CodecDelta,
+		Meta:         "smp-partial",
+	})
+	if err == nil {
+		t.Fatal("CPU 1's failing sink accepted")
+	}
+	if svcs != nil {
+		t.Fatalf("%d services returned with the error", len(svcs))
+	}
+	bare := smpSystem(t, 2)
+	for _, s := range []*kernel.System{sys, bare} {
+		if _, err := s.Run(2_000_000_000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for c := range bare.Cores {
+		if got, want := sys.Cores[c].Cycles, bare.Cores[c].Cycles; got != want {
+			t.Errorf("cpu %d: %d cycles after the failed start, %d untraced", c, got, want)
+		}
+	}
+	if sys.Console() != bare.Console() {
+		t.Errorf("console %q after the failed start, %q untraced", sys.Console(), bare.Console())
+	}
+}
+
 // TestSMPSpillPollingRace: the monitoring surface of every per-CPU
 // spill service is safe to poll from another goroutine mid-capture.
 // Run with -race; the assertions are in the detector.

@@ -3,11 +3,11 @@
 // fielded the buffer-full condition, froze the machine, dumped the
 // reserved region to stable storage and resumed — turning a few
 // megabytes of reserved memory into arbitrarily long traces. StartSpill
-// is that procedure: it installs a collector with a watermark armed,
-// and every time the watermark interrupt fires it extracts the segment
-// and appends it to a segmented trace stream (internal/trace
-// SegmentWriter). If the sink stalls, capture degrades gracefully to
-// counted-drop mode instead of corrupting the stream.
+// is that procedure: it installs a collector whose buffer-full
+// interrupt extracts the segment and appends it to a segmented trace
+// stream (internal/trace SegmentWriter). If the sink stalls, capture
+// degrades gracefully to counted-drop mode instead of corrupting the
+// stream.
 //
 // The service's counters are part of the observability contract: a
 // monitoring goroutine may poll SpilledRecords/LostRecords/SinkErr (or
@@ -30,19 +30,16 @@ import (
 
 // SpillConfig parameterises a streaming capture.
 type SpillConfig struct {
-	// Options configures the underlying collector. OnWatermark and
-	// OnFull are owned by the spill service and must be nil.
+	// Options configures the underlying collector. The spill service
+	// owns its OnFull, BufBytes and Metrics, which must be unset.
 	Options atum.Options
 
 	// SegmentBytes bounds the reserved buffer used per segment (the
-	// collector's BufBytes). Zero uses Options.BufBytes, or the whole
-	// reserved region.
+	// collector's BufBytes); zero means the whole reserved region. The
+	// service spills when the buffer is full, which is loss-free
+	// because extraction (like the paper's freeze/dump) takes no
+	// machine time.
 	SegmentBytes uint32
-
-	// Watermark overrides the spill threshold; zero defaults to 1.0 —
-	// spill exactly at capacity, which is loss-free because extraction
-	// (like the paper's freeze/dump) takes no machine time.
-	Watermark float64
 
 	// Codec selects the stream codec (trace.CodecRaw or CodecDelta).
 	Codec uint16
@@ -65,8 +62,8 @@ type SpillConfig struct {
 	// capture, and the segment payload is only valid during the call.
 	OnSegment func(trace.StreamSegment)
 
-	// Metrics selects the registry the service instruments into; nil
-	// means obs.Default().
+	// Metrics selects the registry the service and its collector
+	// instrument into; nil means obs.Default().
 	Metrics *obs.Registry
 }
 
@@ -133,7 +130,7 @@ type SpillService struct {
 	closed  bool  // guarded by mu
 
 	// spillMu serializes segment extraction/write bodies with Close's
-	// final drain, so a watermark spill in flight (and its OnSegment
+	// final drain, so a buffer-full spill in flight (and its OnSegment
 	// observer) finishes before the stream is footered — and so a second
 	// Close cannot observe counters mid-update.
 	spillMu sync.Mutex
@@ -146,7 +143,7 @@ type SpillService struct {
 }
 
 // StartSpill installs ATUM on the system's machine and arranges for
-// every watermark crossing to append one segment to w, marked CPU 0
+// every buffer fill to append one segment to w, marked CPU 0
 // with sequence marks 1, 2, 3, ... from the service's own counter. The
 // caller runs the workload, then calls Close to flush the final
 // partial segment and uninstall the patches.
@@ -159,8 +156,10 @@ func StartSpill(sys *System, w io.Writer, cfg SpillConfig) (*SpillService, error
 // into equal per-CPU slices (each core's microcode writes only its own
 // slice), and all services share one sequence counter, so the per-CPU
 // streams carry globally ordered sequence marks and trace.MergeCPUs can
-// reassemble the machine-wide spill order afterwards. Callers close
-// every returned service, even on a partial-start error.
+// reassemble the machine-wide spill order afterwards. If any service
+// fails to start, StartSpillCPUs closes the ones it already started and
+// returns no services with the error; otherwise the caller closes every
+// returned service.
 func StartSpillCPUs(sys *System, sinks []io.Writer, cfg SpillConfig) ([]*SpillService, error) {
 	n := sys.NumCPUs()
 	if len(sinks) != n {
@@ -180,7 +179,6 @@ func StartSpillCPUs(sys *System, sinks []io.Writer, cfg SpillConfig) ([]*SpillSe
 	for c, m := range sys.Cores {
 		ccfg := cfg
 		ccfg.Options.BufOffset = uint32(c) * slice
-		ccfg.Options.BufBytes = ccfg.SegmentBytes
 		s, err := startSpillOn(m, sinks[c], ccfg, uint16(c), seq)
 		if err != nil {
 			for _, prev := range svcs {
@@ -194,8 +192,8 @@ func StartSpillCPUs(sys *System, sinks []io.Writer, cfg SpillConfig) ([]*SpillSe
 }
 
 func startSpillOn(m *micro.Machine, w io.Writer, cfg SpillConfig, cpu uint16, seq *trace.SeqCounter) (*SpillService, error) {
-	if cfg.Options.OnWatermark != nil || cfg.Options.OnFull != nil {
-		return nil, fmt.Errorf("kernel: spill service owns the collector callbacks")
+	if cfg.Options.OnFull != nil || cfg.Options.BufBytes != 0 || cfg.Options.Metrics != nil {
+		return nil, fmt.Errorf("kernel: spill service owns the collector's OnFull, BufBytes and Metrics")
 	}
 	met := newSpillMetrics(cfg.Metrics)
 	cw := &countingWriter{w: w, n: met.bytes}
@@ -211,26 +209,9 @@ func startSpillOn(m *micro.Machine, w io.Writer, cfg SpillConfig, cpu uint16, se
 	}
 	s := &SpillService{sw: sw, cpu: cpu, seq: seq, met: met, done: make(chan struct{})}
 	opts := cfg.Options
-	if opts.Metrics == nil {
-		opts.Metrics = cfg.Metrics
-	}
-	if cfg.SegmentBytes != 0 {
-		opts.BufBytes = cfg.SegmentBytes
-	}
-	opts.Watermark = cfg.Watermark
-	if opts.Watermark == 0 {
-		opts.Watermark = 1.0
-	}
-	opts.OnWatermark = func(c *atum.Collector) { s.spill(c) }
-	// If the sink has stalled the watermark spill stops draining; the
-	// buffer then runs to capacity and OnFull keeps the collector
-	// paused, counting drops — the degraded mode the stream's
-	// per-segment Dropped field reports once the sink recovers.
-	opts.OnFull = func(c *atum.Collector) {
-		if s.SinkErr() == nil {
-			s.spill(c)
-		}
-	}
+	opts.BufBytes = cfg.SegmentBytes
+	opts.Metrics = cfg.Metrics
+	opts.OnFull = s.spill
 	col, err := atum.Install(m, opts)
 	if err != nil {
 		return nil, err
@@ -268,7 +249,7 @@ func (s *SpillService) spillLocked(c *atum.Collector) {
 	}
 	if nrec == 0 && st == (atum.SegmentStats{}) {
 		// Nothing happened since the last spill (a capture ending exactly
-		// on a watermark boundary): no segment to write.
+		// on a buffer boundary): no segment to write.
 		return
 	}
 	start := time.Now()
@@ -337,7 +318,7 @@ func (s *SpillService) Close() error {
 	s.closed = true
 	s.mu.Unlock()
 	defer close(s.done)
-	// The final drain runs under spillMu so a watermark spill already in
+	// The final drain runs under spillMu so a buffer-full spill already in
 	// flight completes (sink write, counters, OnSegment) before the
 	// footer is written.
 	s.spillMu.Lock()

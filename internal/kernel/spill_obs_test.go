@@ -234,7 +234,7 @@ func TestSpillMetricsRegistry(t *testing.T) {
 		"atum_spill_segments_total", "atum_spill_records_total",
 		"atum_spill_bytes_total", "atum_spill_lost_records_total",
 		"atum_spill_sink_stalls_total", "atum_spill_latency_seconds_count",
-		"atum_capture_records_total", "atum_capture_watermark_fires_total",
+		"atum_capture_records_total", "atum_capture_fills_total",
 	} {
 		if !strings.Contains(text, name) {
 			t.Errorf("exposition missing %s", name)

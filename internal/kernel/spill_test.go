@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 
 	"atum/internal/atum"
 	"atum/internal/kernel"
+	"atum/internal/obs"
 	"atum/internal/trace"
 	"atum/internal/vax"
 )
@@ -238,13 +240,24 @@ func (s *stallingSink) Write(p []byte) (int, error) {
 	return s.data.Write(p)
 }
 
-// TestSpillRejectsOwnedCallbacks: the spill service owns the collector
-// callbacks; handing it options with callbacks set is an error.
+// TestSpillRejectsOwnedCallbacks: the spill service owns the
+// collector's OnFull, BufBytes and Metrics (it sets them from its own
+// config); handing it options with any of them set is an error, on a
+// serial start and on an SMP start.
 func TestSpillRejectsOwnedCallbacks(t *testing.T) {
-	sys := spillSystem(t)
-	opts := atum.DefaultOptions()
-	opts.OnFull = func(*atum.Collector) {}
-	if _, err := kernel.StartSpill(sys, &bytes.Buffer{}, kernel.SpillConfig{Options: opts}); err == nil {
-		t.Fatal("OnFull accepted")
+	for name, set := range map[string]func(*atum.Options){
+		"OnFull":   func(o *atum.Options) { o.OnFull = func(*atum.Collector) {} },
+		"BufBytes": func(o *atum.Options) { o.BufBytes = 4 << 10 },
+		"Metrics":  func(o *atum.Options) { o.Metrics = obs.NewRegistry() },
+	} {
+		opts := atum.DefaultOptions()
+		set(&opts)
+		if _, err := kernel.StartSpill(spillSystem(t), &bytes.Buffer{}, kernel.SpillConfig{Options: opts}); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+		sinks := []io.Writer{&bytes.Buffer{}, &bytes.Buffer{}}
+		if _, err := kernel.StartSpillCPUs(smpSystem(t, 2), sinks, kernel.SpillConfig{Options: opts}); err == nil {
+			t.Errorf("%s accepted on an SMP start", name)
+		}
 	}
 }

@@ -30,7 +30,7 @@ type Monitor struct {
 
 	collector *atum.Collector
 	captured  []trace.Word
-	// spills counts watermark extractions since tracing started: the
+	// spills counts buffer-full extractions since tracing started: the
 	// number of times the live buffer filled and was drained in place.
 	spills int
 
@@ -482,11 +482,10 @@ func (m *Monitor) trace(args []string) {
 			opts.BufBytes = uint32(kb) << 10
 		}
 		// Segmented live tracing: spill the buffer into the monitor's
-		// capture log every time it reaches capacity, exactly like the
-		// kernel spill service — extraction takes no machine time, so
-		// the watermark crossing is loss-free and the run resumes.
-		opts.Watermark = 1.0
-		opts.OnWatermark = func(c *atum.Collector) {
+		// capture log every time it fills, exactly like the kernel spill
+		// service — extraction takes no machine time, so the fill is
+		// loss-free and the run resumes.
+		opts.OnFull = func(c *atum.Collector) {
 			recs, err := c.Extract()
 			if err == nil {
 				m.captured = append(m.captured, recs...)

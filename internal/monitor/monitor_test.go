@@ -143,8 +143,8 @@ func TestTracingLifecycle(t *testing.T) {
 }
 
 // TestTracingSegmentedSpill runs live tracing with a deliberately tiny
-// buffer so the watermark fires many times mid-run: each crossing must
-// spill into the monitor's capture log and resume, and the stitched
+// buffer so it fills many times mid-run: each fill must spill into
+// the monitor's capture log and resume, and the stitched
 // result must match a capture with a buffer big enough to never spill.
 func TestTracingSegmentedSpill(t *testing.T) {
 	capture := func(on string) (*Monitor, []trace.Word, string) {

@@ -124,12 +124,6 @@ var DefSecondsBuckets = []float64{
 	1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10,
 }
 
-// DefSizeBuckets is the default size bucket layout (bytes), spanning
-// one record to hundreds of megabytes.
-var DefSizeBuckets = []float64{
-	64, 1 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 16 << 20, 256 << 20,
-}
-
 // Registry is a named set of metrics. Lookups get-or-create, so any
 // layer can resolve the same metric by name without coordination; the
 // exposition walk is sorted by name, so output is deterministic.

@@ -53,8 +53,10 @@ type CreateSessionRequest struct {
 	Workloads []string `json:"workloads,omitempty"`
 
 	// SegmentBytes bounds the reserved capture buffer per segment; zero
-	// picks the server's default. Watermark in (0, 1] overrides the
-	// spill threshold (zero = spill exactly at capacity).
+	// picks the server's default. Watermark in (0, 1], kept from the
+	// first API version, shrinks the segment to that fraction of the
+	// buffer (clamped to the reserved region), rounded down to a whole
+	// record and at least one; zero leaves it whole.
 	SegmentBytes uint32  `json:"segment_bytes,omitempty"`
 	Watermark    float64 `json:"watermark,omitempty"`
 

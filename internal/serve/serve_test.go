@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"atum/internal/cache"
+	"atum/internal/kernel"
 	"atum/internal/obs"
 	"atum/internal/serve/api"
 	"atum/internal/stackdist"
@@ -696,6 +697,11 @@ func TestValidation(t *testing.T) {
 	if _, err := c.CreateSession(api.CreateSessionRequest{Name: "x", Codec: "bogus"}); err == nil {
 		t.Error("bogus codec accepted")
 	}
+	for _, w := range []float64{-0.1, 1.5} {
+		if _, err := c.CreateSession(api.CreateSessionRequest{Name: "x", Watermark: w}); err == nil {
+			t.Errorf("watermark %v accepted", w)
+		}
+	}
 	if _, err := c.UploadTrace("junk", []byte("not a trace at all")); err == nil {
 		t.Error("junk upload accepted")
 	}
@@ -727,6 +733,63 @@ func TestValidation(t *testing.T) {
 		if resp.StatusCode != want {
 			t.Errorf("%s: HTTP %d, want %d", body, resp.StatusCode, want)
 		}
+	}
+}
+
+// TestWatermarkImpliesSegmentSize pins the v1 watermark field to the
+// segment size it implies: w × capacity, where capacity is the segment
+// size clamped to the reserved region and record-aligned, rounded down
+// to a whole record and at least one record. A session with a
+// watermark stores exactly the bytes of a session asking for the
+// implied size (same tenant and session name, so the same stream
+// meta). TestValidation rejects out-of-range watermarks.
+func TestWatermarkImpliesSegmentSize(t *testing.T) {
+	stored := func(budget uint64, req api.CreateSessionRequest) ([]byte, api.TraceInfo) {
+		t.Helper()
+		ts, _ := testServer(t, Options{Budget: budget})
+		c := NewClient(ts.URL, "alpha")
+		req.Name = "wm"
+		req.Workloads = []string{"sieve"}
+		if _, err := c.CreateSession(req); err != nil {
+			t.Fatal(err)
+		}
+		if info := waitDone(t, c, "wm"); info.State != api.SessionDone || info.Dropped != 0 {
+			t.Fatalf("session ended %+v", info)
+		}
+		data, err := c.TraceData("wm")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ti, err := c.Trace("wm")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data, ti
+	}
+	reserved := kernel.DefaultConfig().Machine.ReservedSize
+	for _, tc := range []struct {
+		name     string
+		budget   uint64
+		segBytes uint32
+		w        float64
+		implied  uint32
+	}{
+		{"half", 400_000, 16 << 10, 0.5, 8 << 10},
+		{"clamped to the reserved region", 400_000, 1 << 30, 0.25, reserved / 4},
+		{"one-record floor", 5_000, 64, 0.1, trace.RecordBytes},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, ti := stored(tc.budget, api.CreateSessionRequest{SegmentBytes: tc.segBytes, Watermark: tc.w})
+			want, _ := stored(tc.budget, api.CreateSessionRequest{SegmentBytes: tc.implied})
+			if n := len(ti.Segments); n < 2 || ti.Segments[0].Records != uint64(tc.implied/trace.RecordBytes) {
+				t.Fatalf("watermark %v of %d bytes: %d segments, want several of %d records",
+					tc.w, tc.segBytes, n, tc.implied/trace.RecordBytes)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("watermark %v of %d bytes stored %d bytes, segment_bytes %d stored %d",
+					tc.w, tc.segBytes, len(got), tc.implied, len(want))
+			}
+		})
 	}
 }
 

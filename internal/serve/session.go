@@ -99,8 +99,7 @@ func (t *tenant) startSession(req api.CreateSessionRequest, opts Options) (*sess
 	}
 	svc, err := kernel.StartSpill(sys, st, kernel.SpillConfig{
 		Options:      aopts,
-		SegmentBytes: segBytes,
-		Watermark:    req.Watermark,
+		SegmentBytes: watermarkSegment(segBytes, sys.M.Mem.ReservedSize(), req.Watermark),
 		Codec:        codec,
 		Encoding:     enc,
 		Meta:         fmt.Sprintf("atum-serve tenant=%s session=%s mix=%s", t.name, req.Name, strings.Join(mix, ",")),
@@ -131,6 +130,25 @@ func (t *tenant) startSession(req api.CreateSessionRequest, opts Options) (*sess
 	}
 	go s.run(sys, budget)
 	return s, nil
+}
+
+// watermarkSegment maps a request's watermark onto the segment size it
+// implies: a spill at w × capacity, where capacity is the segment size
+// clamped to the reserved region and record-aligned, rounded down to a
+// whole record and at least one record. A zero watermark, or a capacity
+// too small for one record, leaves the segment size as it is.
+func watermarkSegment(segBytes, reserved uint32, w float64) uint32 {
+	capacity := reserved
+	if segBytes != 0 && segBytes < capacity {
+		capacity = segBytes
+	}
+	capacity -= capacity % trace.RecordBytes
+	if w == 0 || capacity < trace.RecordBytes {
+		return segBytes
+	}
+	n := uint32(w * float64(capacity))
+	n -= n % trace.RecordBytes
+	return max(n, trace.RecordBytes)
 }
 
 // runSlice bounds how many instructions execute between collector

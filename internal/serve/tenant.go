@@ -74,10 +74,10 @@ func (t *tenant) traceNames() []string {
 // when every streamer has fallen more than spoolBytes behind the head,
 // Write fails — which the spill service treats exactly like a stalled
 // disk: the collector degrades to counted-drop mode and the stream
-// stays valid up to the last complete segment. This is the PR 3
-// watermark/degrade protocol reused at the request level; slow clients
-// cost accounted records, never unbounded memory and never a corrupt
-// stream.
+// stays valid up to the last complete segment. This is the spill
+// service's buffer-full/degrade protocol reused at the request level;
+// slow clients cost accounted records, never unbounded memory and never
+// a corrupt stream.
 type storedTrace struct {
 	name string
 	gen  uint64

@@ -1,3 +1,7 @@
+// Package stats holds U64Set, the open-addressing set behind distinct
+// counts on hot paths: the cache simulators' cold-miss accounting
+// (cache.Cache and cache.GridSim) and the distinct-page count of
+// trace.SummarizeSource.
 package stats
 
 // U64Set is an open-addressing set of uint64 keys, for distinct counts
