@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -43,10 +44,10 @@ func smpSystem(t *testing.T, ncpu int) *kernel.System {
 	return sys
 }
 
-// runSMPCapture boots an ncpu system with per-CPU spill services, runs
-// it to a clean halt, and returns the closed services with their
-// per-CPU streams.
-func runSMPCapture(t *testing.T, ncpu int) ([]*kernel.SpillService, []*bytes.Buffer) {
+// runSMPCapture boots an ncpu system with per-CPU spill services
+// writing the given codec and payload encoding, runs it to a clean
+// halt, and returns the closed services with their per-CPU streams.
+func runSMPCapture(t *testing.T, ncpu int, codec uint16, enc uint8) ([]*kernel.SpillService, []*bytes.Buffer) {
 	t.Helper()
 	sys := smpSystem(t, ncpu)
 	sinks := make([]*bytes.Buffer, ncpu)
@@ -57,7 +58,8 @@ func runSMPCapture(t *testing.T, ncpu int) ([]*kernel.SpillService, []*bytes.Buf
 	}
 	svcs, err := kernel.StartSpillCPUs(sys, writers, kernel.SpillConfig{
 		SegmentBytes: 8 << 10,
-		Codec:        trace.CodecDelta,
+		Codec:        codec,
+		Encoding:     enc,
 		Meta:         "smp-test",
 	})
 	if err != nil {
@@ -130,7 +132,7 @@ func TestSMPBootDeterminism(t *testing.T) {
 func TestSMPPerCPUSpillAccounting(t *testing.T) {
 	for _, ncpu := range []int{2, 4} {
 		t.Run(fmt.Sprintf("cpus=%d", ncpu), func(t *testing.T) {
-			svcs, sinks := runSMPCapture(t, ncpu)
+			svcs, sinks := runSMPCapture(t, ncpu, trace.CodecDelta, trace.SegEncRaw)
 			files := make([]*trace.File, ncpu)
 			var total uint64
 			for c, svc := range svcs {
@@ -182,11 +184,97 @@ func TestSMPPerCPUSpillAccounting(t *testing.T) {
 	}
 }
 
+// TestSMPMergeMatchesReencode: on real 2- and 4-core captures of the
+// mix — delta-coded with flate payloads, delta-coded with raw payloads
+// and raw-coded — the spliced merge is byte-identical to the merge done
+// the long way: decode every segment in mark order and write its
+// records again with its original payload encoding and stamps.
+func TestSMPMergeMatchesReencode(t *testing.T) {
+	for _, ncpu := range []int{2, 4} {
+		for _, c := range []struct {
+			codec uint16
+			enc   uint8
+		}{{trace.CodecDelta, trace.SegEncFlate}, {trace.CodecDelta, trace.SegEncRaw}, {trace.CodecRaw, trace.SegEncRaw}} {
+			t.Run(fmt.Sprintf("cpus=%d/codec=%d/enc=%d", ncpu, c.codec, c.enc), func(t *testing.T) {
+				_, sinks := runSMPCapture(t, ncpu, c.codec, c.enc)
+				files := make([]*trace.File, ncpu)
+				for i, sink := range sinks {
+					f, err := trace.OpenReaderAt(bytes.NewReader(sink.Bytes()), int64(sink.Len()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					files[i] = f
+				}
+				var got bytes.Buffer
+				if err := trace.MergeCPUs(&got, "smp-test merged", files...); err != nil {
+					t.Fatal(err)
+				}
+				want := reencodeMerge(t, "smp-test merged", files)
+				if !bytes.Equal(got.Bytes(), want) {
+					t.Fatalf("spliced merge (%d bytes) differs from the re-encoded one (%d bytes)", got.Len(), len(want))
+				}
+				mf, err := trace.OpenReaderAt(bytes.NewReader(got.Bytes()), int64(got.Len()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				flate := 0
+				for _, s := range mf.Segments() {
+					if s.Encoding == trace.SegEncFlate {
+						flate++
+					}
+				}
+				if n := len(mf.Segments()); n <= 2*ncpu || (c.enc == trace.SegEncFlate) != (flate > 0) {
+					t.Fatalf("merged %d segments, %d of them flate-stored: the capture does not exercise the merge", n, flate)
+				}
+			})
+		}
+	}
+}
+
+// reencodeMerge merges per-CPU streams the long way, as the oracle for
+// trace.MergeCPUs.
+func reencodeMerge(t *testing.T, meta string, files []*trace.File) []byte {
+	t.Helper()
+	type seg struct {
+		f    *trace.File
+		i    int
+		info trace.SegmentInfo
+	}
+	var segs []seg
+	for _, f := range files {
+		for i, info := range f.Segments() {
+			segs = append(segs, seg{f, i, info})
+		}
+	}
+	sort.Slice(segs, func(i, j int) bool { return segs[i].info.Seq < segs[j].info.Seq })
+	var buf bytes.Buffer
+	sw, err := trace.NewSegmentWriter(&buf, files[0].Codec(), meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range segs {
+		recs, err := s.f.Segment(s.i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.SetEncoding(s.info.Encoding); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sw.WriteSegment(recs, s.info); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestSMPMigrationVisibleInTrace: the scheduler migrates processes
 // across cores, and the per-CPU streams record it — at least one user
 // PID's references appear on more than one core.
 func TestSMPMigrationVisibleInTrace(t *testing.T) {
-	_, sinks := runSMPCapture(t, 2)
+	_, sinks := runSMPCapture(t, 2, trace.CodecDelta, trace.SegEncRaw)
 	cpus := make(map[uint8]map[int]bool)
 	for c, sink := range sinks {
 		f, err := trace.OpenReaderAt(bytes.NewReader(sink.Bytes()), int64(sink.Len()))

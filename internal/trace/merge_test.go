@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -36,7 +39,7 @@ func splitSMP(recs []Word, ncpu, nseg int) [][]cpuSeg {
 
 // writeCPUStream writes one CPU's segments as a stream stamped with
 // their cpu/seq marks.
-func writeCPUStream(t *testing.T, segs []cpuSeg, codec uint16, enc uint8, meta string) []byte {
+func writeCPUStream(t testing.TB, segs []cpuSeg, codec uint16, enc uint8, meta string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sw, err := NewSegmentWriter(&buf, codec, meta)
@@ -57,7 +60,7 @@ func writeCPUStream(t *testing.T, segs []cpuSeg, codec uint16, enc uint8, meta s
 	return buf.Bytes()
 }
 
-func openStream(t *testing.T, b []byte) *File {
+func openStream(t testing.TB, b []byte) *File {
 	t.Helper()
 	f, err := OpenReaderAt(bytes.NewReader(b), int64(len(b)))
 	if err != nil {
@@ -148,6 +151,179 @@ func TestMergeCPUsDeterminism(t *testing.T) {
 	}
 }
 
+// reencodeMerge is the merge done the long way, kept as the oracle for
+// MergeCPUs's splice: decode every segment in mark order, then write its
+// records again with its original payload encoding and stamps.
+func reencodeMerge(t testing.TB, meta string, files ...*File) []byte {
+	t.Helper()
+	type seg struct {
+		f    *File
+		i    int
+		info SegmentInfo
+	}
+	var segs []seg
+	for _, f := range files {
+		for i, info := range f.Segments() {
+			segs = append(segs, seg{f, i, info})
+		}
+	}
+	sort.Slice(segs, func(i, j int) bool { return segs[i].info.Seq < segs[j].info.Seq })
+	var buf bytes.Buffer
+	sw, err := NewSegmentWriter(&buf, files[0].Codec(), meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range segs {
+		recs, err := s.f.Segment(s.i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.SetEncoding(s.info.Encoding); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sw.WriteSegment(recs, s.info); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestMergeCPUsMatchesReencode: for every CPU count, codec and payload
+// encoding, the spliced merge is byte-identical to decoding each segment
+// and writing it again. The streams carry per-segment counters and an
+// empty segment (a spill that found the buffer drained), and the flate
+// cases hold flate-stored payloads.
+func TestMergeCPUsMatchesReencode(t *testing.T) {
+	recs := makeTrace(6000, 13)
+	for _, ncpu := range []int{1, 2, 4} {
+		for _, codec := range []uint16{CodecRaw, CodecDelta} {
+			for _, enc := range []uint8{SegEncRaw, SegEncFlate} {
+				name := fmt.Sprintf("cpus=%d/codec=%d/enc=%d", ncpu, codec, enc)
+				perCPU := splitSMP(recs, ncpu, 4*ncpu)
+				perCPU[ncpu-1] = append(perCPU[ncpu-1], cpuSeg{cpu: uint16(ncpu - 1), seq: uint64(4*ncpu + 1)})
+				files := make([]*File, ncpu)
+				for c, segs := range perCPU {
+					files[c] = openStream(t, writeMarkedStream(t, segs, codec, enc))
+				}
+				var got bytes.Buffer
+				if err := MergeCPUs(&got, "merged", files...); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if want := reencodeMerge(t, "merged", files...); !bytes.Equal(got.Bytes(), want) {
+					t.Fatalf("%s: spliced merge (%d bytes) differs from the re-encoded one (%d bytes)", name, got.Len(), len(want))
+				}
+				flate := 0
+				for _, s := range openStream(t, got.Bytes()).Segments() {
+					if s.Encoding == SegEncFlate {
+						flate++
+					}
+				}
+				if (enc == SegEncFlate) != (flate > 0) {
+					t.Fatalf("%s: %d flate-stored segments", name, flate)
+				}
+			}
+		}
+	}
+}
+
+// TestMergeCPUsRejectsCorruptPayload: a payload whose header passes the
+// index walk but which does not decode — a raw-codec record of the
+// reserved kind 7, a flate payload whose first block has the reserved
+// block type — fails the merge with an error naming its input and
+// segment, whether it is the first segment merged or the last.
+func TestMergeCPUsRejectsCorruptPayload(t *testing.T) {
+	recs := makeTrace(2000, 17)
+	perCPU := splitSMP(recs, 2, 4) // marks 1 and 3 on CPU 0, 2 and 4 on CPU 1
+	for _, tc := range []struct {
+		name       string
+		codec      uint16
+		enc        uint8
+		input, seg int
+		damage     func(payload []byte)
+		want       string
+	}{
+		{"raw kind 7, first", CodecRaw, SegEncRaw, 0, 0, func(p []byte) { p[0] |= kindMask }, "invalid kind 7"},
+		{"raw kind 7, last", CodecRaw, SegEncRaw, 1, 1, func(p []byte) { p[len(p)-RecordBytes] |= kindMask }, "invalid kind 7"},
+		{"flate block type 3, first", CodecDelta, SegEncFlate, 0, 0, func(p []byte) { p[0] = 0x07 }, "inflate"},
+		{"flate block type 3, last", CodecDelta, SegEncFlate, 1, 1, func(p []byte) { p[0] = 0x07 }, "inflate"},
+	} {
+		streams := make([][]byte, 2)
+		for c, segs := range perCPU {
+			streams[c] = writeCPUStream(t, segs, tc.codec, tc.enc, "smp")
+		}
+		victim := openStream(t, streams[tc.input])
+		if got := victim.Segments()[tc.seg].Encoding; got != tc.enc {
+			t.Fatalf("%s: target segment stored with encoding %d, want %d", tc.name, got, tc.enc)
+		}
+		off := victim.segOff[tc.seg]
+		tc.damage(streams[tc.input][off : off+int64(victim.Segments()[tc.seg].PayloadBytes)])
+		files := []*File{openStream(t, streams[0]), openStream(t, streams[1])}
+		err := MergeCPUs(io.Discard, "m", files...)
+		where := fmt.Sprintf("input %d segment %d", tc.input, tc.seg)
+		if err == nil || !strings.Contains(err.Error(), where) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: merge error %v, want one naming %q and %q", tc.name, err, where, tc.want)
+		}
+	}
+}
+
+// TestMergeCPUsAllocs: the merge allocates in proportion to its largest
+// segment, not to the capture. Eight times the segments, all of one
+// size, may cost at most a quarter more bytes (the slot per segment).
+// Payloads are stored raw so no pooled inflater is involved: the race
+// detector drops pooled items at random, which would show as
+// allocation here.
+func TestMergeCPUsAllocs(t *testing.T) {
+	const segRecs = 2000
+	allocated := func(nseg int) uint64 {
+		perCPU := splitSMP(makeTrace(nseg*segRecs, 19), 2, nseg)
+		files := make([]*File, 2)
+		for c, segs := range perCPU {
+			files[c] = openStream(t, writeCPUStream(t, segs, CodecDelta, SegEncRaw, "smp"))
+		}
+		var ms runtime.MemStats
+		least := ^uint64(0)
+		for i := 0; i < 3; i++ {
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			if err := MergeCPUs(io.Discard, "merged", files...); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms)
+			least = min(least, ms.TotalAlloc-before)
+		}
+		return least
+	}
+	small, large := allocated(4), allocated(32)
+	if float64(large) > 1.25*float64(small) {
+		t.Errorf("merging 32 segments allocated %d bytes, 4 segments %d: want at most 1.25x", large, small)
+	}
+}
+
+// BenchmarkMergeCPUs merges a workload-shaped capture spilled by two
+// CPUs as the SMP capture path writes it: delta codec, flate payloads,
+// 16 segments per CPU. Bytes are the stored input bytes merged.
+func BenchmarkMergeCPUs(b *testing.B) {
+	perCPU := splitSMP(makeBenchTrace(200_000, 3), 2, 32)
+	files := make([]*File, 2)
+	var size int64
+	for c, segs := range perCPU {
+		s := writeCPUStream(b, segs, CodecDelta, SegEncFlate, "smp")
+		files[c] = openStream(b, s)
+		size += int64(len(s))
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := MergeCPUs(io.Discard, "merged", files...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestMergeCPUsRejects: inputs that are not one capture's coherent set
 // of per-CPU streams are errors, not silent corruption.
 func TestMergeCPUsRejects(t *testing.T) {
@@ -181,8 +357,8 @@ func TestMergeCPUsRejects(t *testing.T) {
 // own marks do not strictly increase) never reach it. Whenever the
 // merge succeeds, its output opens with strictly increasing marks,
 // replays the inputs' segments in mark order record for record (with
-// their cpu/seq stamps and counters), and is byte-identical for every
-// input order.
+// their cpu/seq stamps and counters), equals reencodeMerge byte for
+// byte, and is byte-identical for every input order.
 func FuzzMergeCPUs(f *testing.F) {
 	material := func(nseg int) []byte {
 		var b []byte
@@ -300,6 +476,9 @@ func FuzzMergeCPUs(f *testing.F) {
 		}
 		if len(got) != len(wantRecs) || (len(got) > 0 && !reflect.DeepEqual(got, wantRecs)) {
 			t.Fatalf("merged stream replays %d records, inputs in mark order hold %d (or content differs)", len(got), len(wantRecs))
+		}
+		if want := reencodeMerge(t, "fuzz", files...); !bytes.Equal(out.Bytes(), want) {
+			t.Fatalf("spliced merge (%d bytes) differs from the re-encoded one (%d bytes)", out.Len(), len(want))
 		}
 		for _, order := range [][]*File{reversed(files), append(files[1:len(files):len(files)], files[0])} {
 			var other bytes.Buffer

@@ -301,13 +301,18 @@ func (f *File) SegmentPayload(i int) ([]byte, error) {
 	return f.payload(i, &buf)
 }
 
+// storedLen returns how many bytes of segment i's stored payload the
+// file holds. Only the final segment can come up short of its header's
+// PayloadBytes (the index walk stops there).
+func (f *File) storedLen(i int) int64 {
+	return min(int64(f.segs[i].PayloadBytes), max(f.size-f.segOff[i], 0))
+}
+
 // payload fetches what the file holds of segment i's stored payload:
 // a slice of the mapping when there is one, otherwise a read into *buf
-// (grown as needed). Only the final segment can come up short of its
-// header's PayloadBytes (the index walk stops there).
+// (grown as needed).
 func (f *File) payload(i int, buf *[]byte) ([]byte, error) {
-	off := f.segOff[i]
-	n := min(int64(f.segs[i].PayloadBytes), max(f.size-off, 0))
+	off, n := f.segOff[i], f.storedLen(i)
 	if f.mapped != nil {
 		return f.mapped[off : off+n], nil
 	}

@@ -99,6 +99,8 @@ type SegmentWriter struct {
 	err     error // first write error; sticky
 
 	tee func(StreamSegment) // observes segments after they reach the sink
+
+	hdr [4 + segHeaderBytes]byte // segment header, reused: a local array escapes to the sink
 }
 
 // SetEncoding selects the payload encoding for subsequently written
@@ -187,12 +189,6 @@ func (sw *SegmentWriter) WritePacked(packed []byte, stamp SegmentInfo) (SegmentI
 	if len(packed)%RecordBytes != 0 {
 		return SegmentInfo{}, fmt.Errorf("trace: packed segment length %d not a record multiple", len(packed))
 	}
-	seq := stamp.Seq
-	if seq == 0 {
-		seq = sw.lastSeq + 1
-	} else if seq <= sw.lastSeq {
-		return SegmentInfo{}, fmt.Errorf("trace: sequence mark %d not above previous %d", seq, sw.lastSeq)
-	}
 	// Encode to memory first: payLen must precede the payload, and a
 	// sink error mid-segment must not leave a half-written segment
 	// unaccounted for.
@@ -212,29 +208,43 @@ func (sw *SegmentWriter) WritePacked(packed []byte, stamp SegmentInfo) (SegmentI
 			enc, stored = SegEncFlate, sw.comp.Bytes()
 		}
 	}
-	info := SegmentInfo{
-		Index:          sw.next,
+	return sw.writeFrame(SegmentInfo{
 		Records:        uint64(len(packed) / RecordBytes),
 		Dropped:        stamp.Dropped,
 		DilationCycles: stamp.DilationCycles,
-		PayloadBytes:   uint64(len(stored)),
 		Encoding:       enc,
 		RawBytes:       uint64(len(raw)),
 		CPU:            stamp.CPU,
-		Seq:            seq,
+		Seq:            stamp.Seq,
+	}, stored)
+}
+
+// writeFrame appends one segment: a header framed at the writer's next
+// index, then the stored payload unchanged. It flushes the segment to
+// the sink and then hands it to the tee. info supplies every other
+// header field but PayloadBytes, which is len(stored). A zero Seq means
+// one past the previous mark; any other Seq must exceed it. Callers
+// check the sticky error and Close first.
+func (sw *SegmentWriter) writeFrame(info SegmentInfo, stored []byte) (SegmentInfo, error) {
+	if info.Seq == 0 {
+		info.Seq = sw.lastSeq + 1
+	} else if info.Seq <= sw.lastSeq {
+		return SegmentInfo{}, fmt.Errorf("trace: sequence mark %d not above previous %d", info.Seq, sw.lastSeq)
 	}
-	var hdr [4 + segHeaderBytes]byte
+	info.Index = sw.next
+	info.PayloadBytes = uint64(len(stored))
+	hdr := sw.hdr[:]
 	copy(hdr[:4], segMarker[:])
 	binary.LittleEndian.PutUint32(hdr[4:], info.Index)
 	binary.LittleEndian.PutUint64(hdr[8:], info.Records)
 	binary.LittleEndian.PutUint64(hdr[16:], info.Dropped)
 	binary.LittleEndian.PutUint64(hdr[24:], info.DilationCycles)
 	binary.LittleEndian.PutUint64(hdr[32:], info.PayloadBytes)
-	hdr[40] = enc
+	hdr[40] = info.Encoding
 	binary.LittleEndian.PutUint64(hdr[41:], info.RawBytes)
 	binary.LittleEndian.PutUint16(hdr[49:], info.CPU)
 	binary.LittleEndian.PutUint64(hdr[51:], info.Seq)
-	if _, err := sw.w.Write(hdr[:]); err != nil {
+	if _, err := sw.w.Write(hdr); err != nil {
 		return SegmentInfo{}, sw.fail(err)
 	}
 	if _, err := sw.w.Write(stored); err != nil {
@@ -247,7 +257,7 @@ func (sw *SegmentWriter) WritePacked(packed []byte, stamp SegmentInfo) (SegmentI
 		sw.tee(StreamSegment{Codec: sw.codec, Info: info, Payload: stored})
 	}
 	sw.next++
-	sw.lastSeq = seq
+	sw.lastSeq = info.Seq
 	return info, nil
 }
 

@@ -97,21 +97,25 @@ func Assemble(src string) (*Program, error) {
 		symbols: map[string]uint32{},
 		known:   map[string]bool{},
 	}
-	// Pass 1 sizes everything and collects label values; pass 2 emits.
+	srcLines := strings.Split(src, "\n")
+	// Pass 1 sizes everything and collects label values, storing no
+	// bytes; pass 2 emits into a buffer of exactly the size pass 1 found.
 	var lines []LineInfo
 	for pass := 1; pass <= 2; pass++ {
 		a.pass = pass
 		a.loc = 0
 		a.orgSet = false
-		a.out = a.out[:0]
+		if pass == 2 {
+			a.out = make([]byte, 0, a.size)
+		}
+		a.size = 0
 		a.errs = a.errs[:0]
-		for i, line := range strings.Split(src, "\n") {
+		for i, line := range srcLines {
 			a.line = i + 1
-			before := a.loc
-			emitted := len(a.out)
+			before, emitted := a.loc, a.size
 			a.doLine(line)
-			if pass == 2 && len(a.out) > emitted {
-				lines = append(lines, LineInfo{Line: i + 1, Addr: before, Len: len(a.out) - emitted})
+			if pass == 2 && a.size > emitted {
+				lines = append(lines, LineInfo{Line: i + 1, Addr: before, Len: a.size - emitted})
 			}
 		}
 		if len(a.errs) > 0 {
@@ -122,7 +126,7 @@ func Assemble(src string) (*Program, error) {
 			a.known[s] = true
 		}
 	}
-	return &Program{Origin: a.origin, Bytes: append([]byte(nil), a.out...), Symbols: a.symbols, Lines: lines}, nil
+	return &Program{Origin: a.origin, Bytes: a.out, Symbols: a.symbols, Lines: lines}, nil
 }
 
 // Listing renders a MACRO-style assembly listing: address, emitted
@@ -161,7 +165,8 @@ type assembler struct {
 	loc     uint32 // current virtual address
 	origin  uint32
 	orgSet  bool
-	out     []byte
+	size    int    // bytes emitted so far in this pass
+	out     []byte // the image; filled in pass 2 only
 	symbols map[string]uint32
 	known   map[string]bool // defined by the end of pass 1
 	errs    AsmErrors
@@ -172,8 +177,20 @@ func (a *assembler) errorf(format string, args ...any) {
 }
 
 func (a *assembler) emit(b ...byte) {
-	a.out = append(a.out, b...)
+	if a.pass == 2 {
+		a.out = append(a.out, b...)
+	}
+	a.size += len(b)
 	a.loc += uint32(len(b))
+}
+
+// emitZeros emits n zero bytes without building them first.
+func (a *assembler) emitZeros(n uint32) {
+	if a.pass == 2 {
+		a.out = append(a.out, make([]byte, n)...)
+	}
+	a.size += int(n)
+	a.loc += n
 }
 
 func (a *assembler) emitWord(v uint16) {
@@ -262,7 +279,7 @@ func (a *assembler) doDirective(d, args string) {
 			a.errorf(".org requires a constant expression")
 			return
 		}
-		if len(a.out) != 0 {
+		if a.size != 0 {
 			a.errorf(".org must precede emitted code")
 			return
 		}
@@ -303,7 +320,7 @@ func (a *assembler) doDirective(d, args string) {
 			a.errorf(".space requires a constant expression")
 			return
 		}
-		a.emit(make([]byte, v)...)
+		a.emitZeros(v)
 
 	case ".align":
 		v, known := a.eval(args)
