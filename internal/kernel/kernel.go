@@ -558,13 +558,12 @@ func (s *System) Rusage(p *Proc) (syscalls, faults, switches uint32, err error) 
 // all processes have exited and every CPU executed HALT — or the budget
 // is exhausted.
 //
-// On a multiprocessor the cores are interleaved by a deterministic
-// rule: each step executes the non-halted core with the smallest cycle
-// count (ties to the lowest CPU id), the discrete-event equivalent of
-// cores running at the same clock rate. One instruction at a time on
-// one goroutine makes memory sequentially consistent and every
+// A uniprocessor runs micro.Machine.Run. A multiprocessor runs
+// micro.RunCores, which steps the non-halted core with the smallest
+// cycle count (ties to the lowest CPU id): one instruction at a time on
+// one goroutine, so memory is sequentially consistent and every
 // instruction atomic — the model the kernel's interlocked-instruction
-// spinlocks assume — and makes an N-core run a pure function of the
+// spinlocks assume — and an N-core run is a pure function of the
 // configuration, so captures replay bit-for-bit.
 func (s *System) Run(maxInstrs uint64) (micro.StopReason, error) {
 	if !s.finalized {
@@ -573,37 +572,7 @@ func (s *System) Run(maxInstrs uint64) (micro.StopReason, error) {
 	if len(s.Cores) == 1 {
 		return s.M.Run(maxInstrs)
 	}
-	var start uint64
-	for _, c := range s.Cores {
-		start += c.Instrs
-	}
-	for {
-		var next *micro.Machine
-		var executed uint64
-		for _, c := range s.Cores {
-			executed += c.Instrs
-			if c.Halted() {
-				continue
-			}
-			if next == nil || c.Cycles < next.Cycles {
-				next = c
-			}
-		}
-		if next == nil {
-			return micro.StopHalt, nil
-		}
-		for _, c := range s.Cores {
-			if c.TakeStopRequest() {
-				return micro.StopRequested, nil
-			}
-		}
-		if maxInstrs > 0 && executed-start >= maxInstrs {
-			return micro.StopInstrLimit, nil
-		}
-		if err := next.Step(); err != nil {
-			return micro.StopHalt, err
-		}
-	}
+	return micro.RunCores(s.Cores, maxInstrs)
 }
 
 // NumCPUs reports how many processors the system was built with.

@@ -7,9 +7,13 @@ import (
 
 // ---- instruction stream ----
 
+// ibufValid is the prefetch buffer tag's valid bit. The tag's other bits
+// are the buffered longword's address, which is aligned, so bit 0 is free.
+const ibufValid = 1
+
 // refillIBuf loads the aligned longword containing va into the prefetch
 // buffer, firing an EvIFetch micro-event. Aligned longwords never cross a
-// 512-byte page, so one translation suffices.
+// 512-byte page, so one translation and one load suffice.
 func (m *Machine) refillIBuf(va uint32) {
 	aligned := va &^ 3
 	pa, fault := m.MMU.Translate(aligned, m.userMode(), false)
@@ -18,26 +22,22 @@ func (m *Machine) refillIBuf(va uint32) {
 	}
 	m.Cycles += uint64(m.Costs.IFetchRefill)
 	m.fire(Access{Ev: EvIFetch, VA: aligned, Width: 4, Mode: m.mode(), PID: m.CurPID})
-	for i := uint32(0); i < 4; i++ {
-		b, err := m.Mem.Load8(pa + i)
-		if err != nil {
-			raise(vax.VecMachineCheck, true)
-		}
-		m.ibufData[i] = b
+	w, err := m.Mem.Load32(pa)
+	if err != nil {
+		raise(vax.VecMachineCheck, true)
 	}
-	m.ibufAddr = aligned
-	m.ibufValid = true
+	m.ibuf = w
+	m.ibufTag = aligned | ibufValid
 }
 
 // fetchByte consumes the next instruction-stream byte at PC.
 func (m *Machine) fetchByte() byte {
 	pc := m.CPU.R[vax.PC]
-	if !m.ibufValid || pc&^3 != m.ibufAddr {
+	if pc&^3|ibufValid != m.ibufTag {
 		m.refillIBuf(pc)
 	}
-	b := m.ibufData[pc&3]
 	m.CPU.R[vax.PC] = pc + 1
-	return b
+	return byte(m.ibuf >> (8 * (pc & 3)))
 }
 
 func (m *Machine) fetchWord() uint16 {
@@ -55,7 +55,7 @@ func (m *Machine) fetchLong() uint32 {
 }
 
 // flushIBuf invalidates the prefetch buffer (taken branches, REI, ...).
-func (m *Machine) flushIBuf() { m.ibufValid = false }
+func (m *Machine) flushIBuf() { m.ibufTag = 0 }
 
 // cpuFetcher adapts the machine to vax.Fetcher for skimOperand, the one
 // interpreter path that still decodes through vax.DecodeOperand.

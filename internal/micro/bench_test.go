@@ -92,7 +92,8 @@ func benchmarkInterpreter(b *testing.B, src string) {
 
 // TestStepAllocs pins the interpreter's steady state at zero heap
 // allocations per instruction over every operand mode, with a hook on
-// every event class: an escaping operand or a boxed fetcher would show.
+// every event class, through Step and through Run's loop: an escaping
+// operand, a boxed fetcher or a handler that escapes would show.
 func TestStepAllocs(t *testing.T) {
 	m := benchMachine(t, operandModesLoop)
 	var n uint64
@@ -108,11 +109,19 @@ func TestStepAllocs(t *testing.T) {
 			err = e
 		}
 	})
+	runAllocs := testing.AllocsPerRun(500, func() {
+		if _, e := m.Run(20); e != nil {
+			err = e
+		}
+	})
 	if err != nil || m.Halted() {
 		t.Fatalf("step: err=%v halted=%v", err, m.Halted())
 	}
 	if allocs != 0 {
 		t.Errorf("%v allocs per Step, want 0", allocs)
+	}
+	if runAllocs != 0 {
+		t.Errorf("%v allocs per Run(20), want 0", runAllocs)
 	}
 	if n == 0 {
 		t.Error("hooks saw no events")

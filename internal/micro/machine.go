@@ -203,10 +203,10 @@ type Machine struct {
 	undoLog  []regDelta
 	inExcept bool // dispatching an exception (nested fault = machine check)
 
-	// Instruction prefetch buffer: one aligned longword.
-	ibufAddr  uint32
-	ibufValid bool
-	ibufData  [4]byte
+	// Instruction prefetch buffer: one aligned longword, little-endian,
+	// tagged with its address ORed with ibufValid (zero when empty).
+	ibuf    uint32
+	ibufTag uint32
 
 	pendingTimer bool
 
@@ -309,15 +309,6 @@ func (m *Machine) RequestStop() { m.stopRequest = true }
 // Halted reports whether the machine executed HALT.
 func (m *Machine) Halted() bool { return m.halted }
 
-// TakeStopRequest reports whether a hook requested a stop and clears
-// the flag. External run loops (the SMP driver steps cores itself
-// instead of delegating to Run) poll it between instructions.
-func (m *Machine) TakeStopRequest() bool {
-	r := m.stopRequest
-	m.stopRequest = false
-	return r
-}
-
 func (m *Machine) mode() uint8 { return uint8(vax.CurMode(m.CPU.PSL)) }
 
 func (m *Machine) userMode() bool { return vax.CurMode(m.CPU.PSL) == vax.ModeUser }
@@ -336,12 +327,26 @@ func raise(vector uint16, restart bool, params ...uint32) {
 
 // Step executes one instruction (possibly preceded by an interrupt
 // dispatch). It returns a MachineCheck error for unrecoverable faults.
+// The monitor single-steps with it; Run and RunCores loop over step
+// under one handler of their own.
 func (m *Machine) Step() (err error) {
 	if m.halted {
 		return &MachineCheck{PC: m.CPU.R[vax.PC], Reason: "step after halt"}
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = m.deliverRecovered(r)
+		}
+	}()
+	return m.step()
+}
+
+// step executes one instruction, or dispatches one pending interrupt
+// instead. A trap the instruction raises panics through to the caller,
+// whose deferred handler passes it to deliverRecovered.
+func (m *Machine) step() error {
 	m.pollTimer()
-	if m.takeInterrupt() {
+	if (m.pendingTimer || m.SISR != 0) && m.takeInterrupt() {
 		return nil
 	}
 
@@ -349,16 +354,6 @@ func (m *Machine) Step() (err error) {
 	m.savedCC = m.CPU.PSL & (vax.PSLN | vax.PSLZ | vax.PSLV | vax.PSLC)
 	m.undoLog = m.undoLog[:0]
 	traceBit := m.CPU.PSL&vax.PSLT != 0
-
-	defer func() {
-		if r := recover(); r != nil {
-			t, ok := r.(*trap)
-			if !ok {
-				panic(r)
-			}
-			err = m.deliver(t)
-		}
-	}()
 
 	opc := m.fetchByte()
 	routine := m.Microstore.Lookup(opc)
@@ -377,6 +372,16 @@ func (m *Machine) Step() (err error) {
 		return m.deliver(&trap{vector: vax.VecTraceTrap})
 	}
 	return nil
+}
+
+// deliverRecovered delivers the trap a step panicked with, given the
+// value recover returned. Any other panic is raised again.
+func (m *Machine) deliverRecovered(r any) error {
+	t, ok := r.(*trap)
+	if !ok {
+		panic(r)
+	}
+	return m.deliver(t)
 }
 
 // deliver performs the exception microroutine for t. Faulting inside
@@ -438,7 +443,7 @@ func (m *Machine) deliver(t *trap) error {
 	}
 
 	m.CPU.R[vax.PC] = handler
-	m.ibufValid = false
+	m.flushIBuf()
 	m.Cycles += uint64(m.Costs.Exception)
 	m.fire(Access{Ev: EvException, VA: pushPC, Mode: m.mode(), PID: m.CurPID, Extra: t.vector})
 	return nil
@@ -519,18 +524,102 @@ func (m *Machine) dispatchInterrupt(vector uint16, ipl int) {
 func (m *Machine) Run(maxInstrs uint64) (StopReason, error) {
 	start := m.Instrs
 	for {
+		if stop, reason, err := m.runUntilTrap(start, maxInstrs); stop {
+			return reason, err
+		}
+	}
+}
+
+// runUntilTrap is Run's loop between traps. Its one deferred handler
+// delivers a trap and returns with stop false, and Run enters the loop
+// again, so the handler is set up once per trap, not once per
+// instruction.
+func (m *Machine) runUntilTrap(start, maxInstrs uint64) (stop bool, reason StopReason, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if err = m.deliverRecovered(r); err != nil {
+				stop, reason = true, StopHalt
+			}
+		}
+	}()
+	for {
 		if m.halted {
-			return StopHalt, nil
+			return true, StopHalt, nil
 		}
 		if m.stopRequest {
 			m.stopRequest = false
-			return StopRequested, nil
+			return true, StopRequested, nil
 		}
 		if maxInstrs > 0 && m.Instrs-start >= maxInstrs {
-			return StopInstrLimit, nil
+			return true, StopInstrLimit, nil
 		}
-		if err := m.Step(); err != nil {
-			return StopHalt, err
+		if err := m.step(); err != nil {
+			return true, StopHalt, err
+		}
+	}
+}
+
+// RunCores runs the processors of a multiprocessor for at most
+// maxInstrs instructions across all of them (0 = unlimited). It returns
+// when every core has halted, a hook on any core requests a stop, or the
+// budget is exhausted.
+//
+// The cores are interleaved by a deterministic rule: each step executes
+// the non-halted core with the smallest cycle count (ties to the lowest
+// index), the discrete-event equivalent of cores running at the same
+// clock rate. Stop requests and the budget are checked before every
+// step. One instruction at a time on one goroutine makes memory
+// sequentially consistent and every instruction atomic, and makes an
+// N-core run a pure function of its start state.
+func RunCores(cores []*Machine, maxInstrs uint64) (StopReason, error) {
+	var start uint64
+	for _, c := range cores {
+		start += c.Instrs
+	}
+	for {
+		if stop, reason, err := runCoresUntilTrap(cores, start, maxInstrs); stop {
+			return reason, err
+		}
+	}
+}
+
+// runCoresUntilTrap is RunCores' loop between traps, with one deferred
+// handler as in runUntilTrap.
+func runCoresUntilTrap(cores []*Machine, start, maxInstrs uint64) (stop bool, reason StopReason, err error) {
+	var next *Machine
+	defer func() {
+		if r := recover(); r != nil {
+			if err = next.deliverRecovered(r); err != nil {
+				stop, reason = true, StopHalt
+			}
+		}
+	}()
+	for {
+		next = nil
+		var executed uint64
+		for _, c := range cores {
+			executed += c.Instrs
+			if c.halted {
+				continue
+			}
+			if next == nil || c.Cycles < next.Cycles {
+				next = c
+			}
+		}
+		if next == nil {
+			return true, StopHalt, nil
+		}
+		for _, c := range cores {
+			if c.stopRequest {
+				c.stopRequest = false
+				return true, StopRequested, nil
+			}
+		}
+		if maxInstrs > 0 && executed-start >= maxInstrs {
+			return true, StopInstrLimit, nil
+		}
+		if err := next.step(); err != nil {
+			return true, StopHalt, err
 		}
 	}
 }

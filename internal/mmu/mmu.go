@@ -143,6 +143,42 @@ func New(m *mem.Physical, tbEntries int) *Unit {
 	return u
 }
 
+// hitShift brings a PTE's modify bit and protection code (bits 26-30)
+// down to an index into hitAllows.
+const hitShift = 26
+
+// hitAllows holds, for each value of PTE bits 26-30 (the modify bit and
+// the protection code), one bit per access kind, indexed by
+// hitAccess(userMode, write): set when a TB hit with those bits resolves
+// the access with no further work. That is, protAllows permits it, and a
+// write finds the modify bit already set.
+var hitAllows = func() (t [32]uint8) {
+	for bits := uint32(0); bits < 32; bits++ {
+		pte := bits << hitShift
+		prot, modified := (pte&PTEProtMask)>>PTEProtShift, pte&PTEModify != 0
+		for _, user := range []bool{false, true} {
+			for _, write := range []bool{false, true} {
+				if protAllows(prot, user, write) && (modified || !write) {
+					t[bits] |= 1 << hitAccess(user, write)
+				}
+			}
+		}
+	}
+	return t
+}()
+
+// hitAccess numbers the four access kinds for hitAllows.
+func hitAccess(userMode, write bool) uint8 {
+	var a uint8
+	if userMode {
+		a = 2
+	}
+	if write {
+		a++
+	}
+	return a
+}
+
 // Translate maps a virtual address to a physical address for an access of
 // the given kind. userMode selects protection checking; write selects
 // write permission and modify-bit maintenance. On failure the returned
@@ -152,7 +188,25 @@ func New(m *mem.Physical, tbEntries int) *Unit {
 // performs one Translate per memory reference at the reference's address
 // (unaligned references that cross a page boundary translate each
 // affected page).
+//
+// A TB hit whose PTE permits the access resolves here. Everything else
+// (mapping off, a miss, a protection fault, a first write to a clean
+// page) takes translateSlow, which counts and reports exactly what it
+// always has.
 func (u *Unit) Translate(va uint32, userMode, write bool) (uint32, *Fault) {
+	if u.MapEn {
+		if pte, ok := u.TB.probe(va); ok && hitAllows[(pte&(PTEProtMask|PTEModify))>>hitShift]&(1<<hitAccess(userMode, write)) != 0 {
+			u.Stats.Accesses++
+			u.Stats.TBHits++
+			return (pte&PTEPFNMask)<<mem.PageShift | va&(mem.PageSize-1), nil
+		}
+	}
+	return u.translateSlow(va, userMode, write)
+}
+
+// translateSlow is the full translation: the TB probe, the page-table
+// walk on a miss, the protection check and the modify-bit write.
+func (u *Unit) translateSlow(va uint32, userMode, write bool) (uint32, *Fault) {
 	u.Stats.Accesses++
 	if !u.MapEn {
 		return va, nil

@@ -3,6 +3,7 @@ package vax
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -92,6 +93,9 @@ func (es AsmErrors) Error() string {
 // Rn/ap/fp/sp/pc, (Rn), (Rn)+, -(Rn), @(Rn)+, expr(Rn), @expr(Rn),
 // @#expr (absolute), bare expr (PC-relative), and any memory form with an
 // [Rx] index suffix. Branch operands take a bare expression.
+//
+// A line that would carry the location counter past 0xffffffff, or grow
+// the image past MaxImageBytes, is an error, and assembly stops there.
 func Assemble(src string) (*Program, error) {
 	a := &assembler{
 		symbols: map[string]uint32{},
@@ -114,7 +118,18 @@ func Assemble(src string) (*Program, error) {
 			a.line = i + 1
 			before, emitted := a.loc, a.size
 			a.doLine(line)
-			if pass == 2 && a.size > emitted {
+			if a.size == emitted {
+				continue
+			}
+			if uint64(before)+uint64(a.size-emitted) > math.MaxUint32 {
+				a.errorf("location counter passes %#x", uint32(math.MaxUint32))
+				break
+			}
+			if a.size > MaxImageBytes {
+				a.errorf("image grows past %d bytes", MaxImageBytes)
+				break
+			}
+			if pass == 2 {
 				lines = append(lines, LineInfo{Line: i + 1, Addr: before, Len: a.size - emitted})
 			}
 		}
@@ -128,6 +143,12 @@ func Assemble(src string) (*Program, error) {
 	}
 	return &Program{Origin: a.origin, Bytes: a.out, Symbols: a.symbols, Lines: lines}, nil
 }
+
+// MaxImageBytes bounds the image Assemble builds: 4 MB, half the default
+// machine's memory and about 20 times the kernel's image. Pass 1 only
+// counts bytes, so a source that asks for more (a short ".space" line
+// can ask for 4 GB) fails before pass 2 allocates anything.
+const MaxImageBytes = 4 << 20
 
 // Listing renders a MACRO-style assembly listing: address, emitted
 // bytes, and the source line. src must be the source the program was
@@ -170,6 +191,7 @@ type assembler struct {
 	symbols map[string]uint32
 	known   map[string]bool // defined by the end of pass 1
 	errs    AsmErrors
+	fields  []string // splitArgs' buffer, reused by every line
 }
 
 func (a *assembler) errorf(format string, args ...any) {
@@ -288,7 +310,8 @@ func (a *assembler) doDirective(d, args string) {
 		a.orgSet = true
 
 	case ".byte", ".word", ".long":
-		for _, f := range splitArgs(args) {
+		a.fields = splitArgs(a.fields, args)
+		for _, f := range a.fields {
 			v, known := a.eval(f)
 			if a.pass == 2 && !known {
 				a.errorf("undefined symbol in %s operand %q", d, f)
@@ -328,9 +351,7 @@ func (a *assembler) doDirective(d, args string) {
 			a.errorf(".align requires a constant power of two")
 			return
 		}
-		for a.loc%v != 0 {
-			a.emit(0)
-		}
+		a.emitZeros((v - a.loc%v) % v)
 
 	default:
 		a.errorf("unknown directive %q", d)
@@ -338,18 +359,21 @@ func (a *assembler) doDirective(d, args string) {
 }
 
 func (a *assembler) doInstruction(mnemonic, args string) {
-	info, ok := ByName[strings.ToLower(mnemonic)]
+	info, ok := ByName[mnemonic]
+	if !ok {
+		info, ok = ByName[strings.ToLower(mnemonic)]
+	}
 	if !ok {
 		a.errorf("unknown instruction %q", mnemonic)
 		return
 	}
-	fields := splitArgs(args)
-	if len(fields) != len(info.Operands) {
-		a.errorf("%s takes %d operands, got %d", info.Name, len(info.Operands), len(fields))
+	a.fields = splitArgs(a.fields, args)
+	if len(a.fields) != len(info.Operands) {
+		a.errorf("%s takes %d operands, got %d", info.Name, len(info.Operands), len(a.fields))
 		return
 	}
 	a.emit(info.Opcode)
-	for i, f := range fields {
+	for i, f := range a.fields {
 		a.encodeOperand(f, info.Operands[i], info.Name)
 	}
 }
@@ -892,14 +916,14 @@ func splitMnemonic(s string) (mnemonic, args string) {
 	return s[:i], strings.TrimSpace(s[i+1:])
 }
 
-// splitArgs splits on commas that are not inside quotes, parens or
-// brackets.
-func splitArgs(s string) []string {
+// splitArgs splits s on commas that are not inside quotes, parens or
+// brackets, and returns the trimmed fields in out's storage.
+func splitArgs(out []string, s string) []string {
+	out = out[:0]
 	s = strings.TrimSpace(s)
 	if s == "" {
-		return nil
+		return out
 	}
-	var out []string
 	depth := 0
 	inStr := false
 	start := 0
@@ -961,7 +985,8 @@ func parseString(s string) (string, error) {
 }
 
 func regNum(s string) (int, bool) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
+	s = strings.ToLower(strings.TrimSpace(s))
+	switch s {
 	case "ap":
 		return AP, true
 	case "fp":
@@ -971,12 +996,14 @@ func regNum(s string) (int, bool) {
 	case "pc":
 		return PC, true
 	}
-	s = strings.ToLower(strings.TrimSpace(s))
-	if strings.HasPrefix(s, "r") {
-		n, err := strconv.Atoi(s[1:])
-		if err == nil && n >= 0 && n <= 15 {
-			return n, true
-		}
+	// Labels like "resched" start with r too: turn them away before Atoi,
+	// whose error would be allocated.
+	if len(s) < 2 || s[0] != 'r' || strings.IndexByte("+-0123456789", s[1]) < 0 {
+		return 0, false
+	}
+	n, err := strconv.Atoi(s[1:])
+	if err == nil && n >= 0 && n <= 15 {
+		return n, true
 	}
 	return 0, false
 }

@@ -1,6 +1,9 @@
 package vax
 
 import (
+	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -207,6 +210,51 @@ func TestAssembleErrors(t *testing.T) {
 		_, err := Assemble(c.src)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Assemble(%q) error = %v, want containing %q", c.src, err, c.want)
+		}
+	}
+}
+
+// TestAssembleBounds: a line that would carry the location counter past
+// 0xffffffff, or grow the image past MaxImageBytes, fails with an
+// AsmError naming it, before any image is allocated; lines that stay
+// just inside either bound assemble.
+func TestAssembleBounds(t *testing.T) {
+	cases := []struct {
+		src  string
+		line int // 0: assembles
+		want string
+	}{
+		{"\t.space 0x4000000\n\t.space 0x4000000\n", 1, "image grows past"},
+		{"\t.space 0xffffffff\n", 1, "image grows past"},
+		{"\t.byte 1\n\t.space 0xffffffff\n", 2, "location counter passes 0xffffffff"},
+		{"\t.org 0xfffffff0\n\t.space 0x20\nafter:\t.long after\n", 2, "location counter passes 0xffffffff"},
+		{"\t.org 0xfffffff0\n\t.space 0x10\n", 2, "location counter passes"},
+		{"\t.org 0xfffffffd\n\t.align 4\n", 2, "location counter passes"},
+		{"\t.org 0xfffffffe\n\tmovl r0, r1\n", 2, "location counter passes"},
+		{"\t.org 0xfffffff0\n\t.space 0xf\n", 0, ""},
+		{fmt.Sprintf("\t.space %d\n", MaxImageBytes), 0, ""},
+		{fmt.Sprintf("\t.space %d\n\t.byte 1\n", MaxImageBytes), 2, "image grows past"},
+		{"\t.byte 1\n\t.align 0x80000000\n", 2, "image grows past"},
+	}
+	for _, c := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, err := Assemble(c.src)
+		runtime.ReadMemStats(&after)
+		if c.line == 0 {
+			if err != nil {
+				t.Errorf("Assemble(%.40q): %v", c.src, err)
+			} else if p.End() < p.Origin {
+				t.Errorf("Assemble(%.40q): image %#x..%#x wraps", c.src, p.Origin, p.End())
+			}
+			continue
+		}
+		var es AsmErrors
+		if !errors.As(err, &es) || len(es) != 1 || es[0].Line != c.line || !strings.Contains(es[0].Msg, c.want) {
+			t.Errorf("Assemble(%.40q) error = %v, want one on line %d containing %q", c.src, err, c.line, c.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("Assemble(%.40q) allocated %d bytes before failing", c.src, grew)
 		}
 	}
 }

@@ -20,6 +20,8 @@ func FuzzAssemble(f *testing.F) {
 	f.Add(";;; comment only")
 	f.Add("\t.org\nstart = \n")
 	f.Add("\tmovl #-1, r0\n\tashl #-31, r0, r1\n")
+	f.Add("\t.space 0x4000000\n\t.space 0x4000000\n")
+	f.Add("\t.org 0xfffffff0\n\t.space 0x20\nafter:\t.long after\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := Assemble(src)
 		if err != nil {
