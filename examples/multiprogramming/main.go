@@ -1,8 +1,15 @@
-// multiprogramming studies context-switch effects: the same four-process
+// multiprogramming studies context-switch effects: the same three-process
 // mix is captured at several scheduling quanta, and each trace is run
 // through a cache that flushes on context switch (mid-80s hardware
 // without PID tags). Shorter quanta mean less time to re-warm the cache
 // after each switch.
+//
+// Each capture runs at most budget instructions, which bounds the
+// records it keeps. At the shortest quantum the mix does not halt within
+// it: tracing dilates simulated time, so the interval timer fires ever
+// more often per instruction and the kernel spends its time in the clock
+// interrupt. The "halted" column says which captures ran the mix to its
+// end.
 package main
 
 import (
@@ -13,27 +20,34 @@ import (
 	"atum/internal/atum"
 	"atum/internal/cache"
 	"atum/internal/kernel"
+	"atum/internal/micro"
 	"atum/internal/sweep"
 	"atum/internal/trace"
 	"atum/internal/workload"
 )
 
-func capture(icr uint32) ([]trace.Word, error) {
+// budget is the instruction budget of each traced run.
+const budget = 5_000_000
+
+// capture traces the mix at one timer period and reports whether it
+// halted within the budget.
+func capture(icr uint32) ([]trace.Word, bool, error) {
 	cfg := kernel.DefaultConfig()
 	cfg.ICRCycles = icr
 	cfg.QuantumTicks = 1
 	sys, err := workload.BootMix(cfg, "sieve", "hash", "strops")
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	cap, err := atum.Run(sys.M, atum.DefaultOptions(), func() error {
-		_, err := sys.Run(2_000_000_000)
+	var reason micro.StopReason
+	cap, err := atum.Run(sys.M, atum.DefaultOptions(), func() (err error) {
+		reason, err = sys.Run(budget)
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return cap.All(), nil
+	return cap.All(), reason == micro.StopHalt, nil
 }
 
 func main() {
@@ -48,13 +62,17 @@ func main() {
 
 	tb := &analysis.Table{
 		Title: "Context-switch cost in a 64KB cache (three-process mix)",
-		Headers: []string{"quantum (cycles)", "switches", "mean run (refs)",
+		Headers: []string{"quantum (cycles)", "halted", "switches", "mean run (refs)",
 			"miss rate (flush)", "miss rate (PID tags)"},
 	}
 	for _, icr := range []uint32{10_000, 40_000, 160_000, 640_000} {
-		recs, err := capture(icr)
+		recs, halted, err := capture(icr)
 		if err != nil {
 			log.Fatal(err)
+		}
+		end := "yes"
+		if !halted {
+			end = "no (budget)"
 		}
 		s := trace.Summarize(recs)
 		runs := analysis.RunLengths(recs)
@@ -62,7 +80,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tb.AddRow(analysis.N(icr), analysis.N(s.CtxSwitches),
+		tb.AddRow(analysis.N(icr), end, analysis.N(s.CtxSwitches),
 			analysis.F(analysis.MeanU64(runs), 0),
 			analysis.Pct(res[0].Stats.MissRate()),
 			analysis.Pct(res[1].Stats.MissRate()))

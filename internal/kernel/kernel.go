@@ -14,6 +14,7 @@ package kernel
 
 import (
 	"fmt"
+	"sync"
 
 	"atum/internal/mem"
 	"atum/internal/micro"
@@ -110,6 +111,7 @@ type System struct {
 	// memory and one swap device but have private architectural state
 	// (registers, TB, interval timer) and private ATUM microstores — a
 	// collector installs on one core and sees that core's references.
+	// Kernel is the kernel image every System shares, read-only.
 	M      *micro.Machine
 	Cores  []*micro.Machine
 	Kernel *vax.Program
@@ -122,10 +124,14 @@ type System struct {
 	finalized bool
 }
 
-// NewSystem assembles and loads the kernel and prepares the machine. Call
-// Spawn for each process, then Finalize, then Run.
+// image assembles Source, a constant, once per process. Every System
+// shares the one image as its Kernel and only reads it.
+var image = sync.OnceValues(func() (*vax.Program, error) { return vax.Assemble(Source) })
+
+// NewSystem loads the kernel and prepares the machine. Call Spawn for
+// each process, then Finalize, then Run.
 func NewSystem(cfg Config) (*System, error) {
-	kprog, err := vax.Assemble(Source)
+	kprog, err := image()
 	if err != nil {
 		return nil, fmt.Errorf("kernel: assembling: %w", err)
 	}
@@ -512,12 +518,13 @@ func (s *System) Finalize() error {
 
 	first := s.allocPA / mem.PageSize
 	limit := s.M.Mem.ReservedBase() / mem.PageSize
+	freestk := s.kernPA("freestk") // one symbol lookup, not one per frame
 	n := 0
 	for f := first; f < limit; f++ {
 		if s.cfg.FreeFrameCap != 0 && uint32(n) >= s.cfg.FreeFrameCap {
 			break
 		}
-		if err := s.pokeArr("freestk", n, f); err != nil {
+		if err := s.M.Mem.Store32(freestk+4*uint32(n), f); err != nil {
 			return err
 		}
 		n++

@@ -39,14 +39,19 @@ func (e *BoundsError) Error() string {
 // The top ReservedBytes of RAM form the reserved region. Reads and writes
 // there are legal (the ATUM patches and the extraction tool use them) but
 // the kernel's frame allocator is built to exclude them.
+//
+// On Unix, RAM is an anonymous mapping whose pages are faulted in when
+// first written, and it is unmapped once the Physical is unreachable.
+// Race builds, and other platforms, keep RAM on the Go heap.
 type Physical struct {
 	ram      []byte
 	reserved uint32 // bytes reserved at top
 	console  []byte // bytes written to ConsoleTX
 }
 
-// NewPhysical allocates size bytes of RAM with reserved bytes held back at
-// the top for the trace region. size and reserved must be page multiples.
+// NewPhysical allocates size bytes of zeroed RAM with reserved bytes held
+// back at the top for the trace region. size and reserved must be page
+// multiples. A RAM mapping the host refuses is an error.
 func NewPhysical(size, reserved uint32) (*Physical, error) {
 	if size == 0 || size%PageSize != 0 {
 		return nil, fmt.Errorf("mem: size %#x is not a positive page multiple", size)
@@ -54,7 +59,11 @@ func NewPhysical(size, reserved uint32) (*Physical, error) {
 	if reserved%PageSize != 0 || reserved > size {
 		return nil, fmt.Errorf("mem: reserved %#x invalid for size %#x", reserved, size)
 	}
-	return &Physical{ram: make([]byte, size), reserved: reserved}, nil
+	p := &Physical{reserved: reserved}
+	if err := newRAM(p, size); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // Size returns the total RAM size in bytes.
@@ -149,6 +158,8 @@ func (p *Physical) LoadBytes(pa uint32, b []byte) error {
 }
 
 // Bytes returns a read-only view of n bytes at pa (extraction-tool use).
+// The view aliases RAM, so it is valid only while p is reachable: once
+// p is collected, its RAM is unmapped.
 func (p *Physical) Bytes(pa, n uint32) ([]byte, error) {
 	if pa+n < pa || pa+n > uint32(len(p.ram)) {
 		return nil, &BoundsError{PA: pa, Size: int(n)}

@@ -140,3 +140,47 @@ func TestLoadBytesAndView(t *testing.T) {
 		t.Error("overflowing Bytes accepted")
 	}
 }
+
+// TestFreshRAMReadsZero: new RAM reads zero at the first and last byte of
+// every 64 KB and throughout the reserved region, and every accessor
+// past the end fails with the same BoundsError wherever RAM lives.
+func TestFreshRAMReadsZero(t *testing.T) {
+	const size, reserved = 8 << 20, 512 << 10
+	p := mustNew(t, size, reserved)
+	for pa := uint32(0); pa < size; pa += 64 << 10 {
+		for _, a := range []uint32{pa, pa + 64<<10 - 1} {
+			if v, err := p.Load8(a); err != nil || v != 0 {
+				t.Fatalf("byte %#x: %#x, %v", a, v, err)
+			}
+		}
+	}
+	for pa := p.ReservedBase(); pa < size; pa += 4 {
+		if v, err := p.Load32(pa); err != nil || v != 0 {
+			t.Fatalf("reserved longword %#x: %#x, %v", pa, v, err)
+		}
+	}
+	bounds := []struct {
+		name string
+		err  error
+		pa   uint32
+		size int
+	}{
+		{"Load8", second(p.Load8(size)), size, 1},
+		{"Load16", second(p.Load16(size - 1)), size - 1, 2},
+		{"Load32", second(p.Load32(size - 2)), size - 2, 4},
+		{"Store8", p.Store8(size, 1), size, 1},
+		{"Store16", p.Store16(0xFFFFFFFF, 1), 0xFFFFFFFF, 2},
+		{"Store32", p.Store32(size-3, 1), size - 3, 4},
+		{"Store64", p.Store64(size-4, 1), size - 4, 8},
+		{"LoadBytes", p.LoadBytes(size-1, []byte{1, 2}), size - 1, 2},
+		{"Bytes", second(p.Bytes(size-1, 2)), size - 1, 2},
+	}
+	for _, b := range bounds {
+		be, ok := b.err.(*BoundsError)
+		if !ok || be.PA != b.pa || be.Size != b.size {
+			t.Errorf("%s: error %v, want a BoundsError at %#x size %d", b.name, b.err, b.pa, b.size)
+		}
+	}
+}
+
+func second[T any](_ T, err error) error { return err }

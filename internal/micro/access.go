@@ -40,18 +40,46 @@ func (m *Machine) fetchByte() byte {
 	return byte(m.ibuf >> (8 * (pc & 3)))
 }
 
+// fetchWord consumes the next two instruction-stream bytes, shifting them
+// out of the buffered longword in one step. A word whose high byte lies in
+// the next longword takes its low byte first and refills with PC at that
+// byte: the events, cycles and faults of two fetchByte calls.
 func (m *Machine) fetchWord() uint16 {
-	lo := uint16(m.fetchByte())
-	hi := uint16(m.fetchByte())
-	return hi<<8 | lo
+	pc := m.CPU.R[vax.PC]
+	if pc&^3|ibufValid != m.ibufTag {
+		m.refillIBuf(pc)
+	}
+	if pc&3 != 3 {
+		m.CPU.R[vax.PC] = pc + 2
+		return uint16(m.ibuf >> (8 * (pc & 3)))
+	}
+	lo := uint16(m.ibuf >> 24)
+	m.CPU.R[vax.PC] = pc + 1
+	m.refillIBuf(pc + 1)
+	m.CPU.R[vax.PC] = pc + 2
+	return uint16(m.ibuf)<<8 | lo
 }
 
+// fetchLong consumes the next four instruction-stream bytes: the buffered
+// longword itself when PC is aligned, else its high bytes and then the low
+// bytes of the next longword, refilled with PC at its first byte as four
+// fetchByte calls would.
 func (m *Machine) fetchLong() uint32 {
-	var v uint32
-	for i := 0; i < 4; i++ {
-		v |= uint32(m.fetchByte()) << (8 * i)
+	pc := m.CPU.R[vax.PC]
+	if pc&^3|ibufValid != m.ibufTag {
+		m.refillIBuf(pc)
 	}
-	return v
+	sh := 8 * (pc & 3)
+	if sh == 0 {
+		m.CPU.R[vax.PC] = pc + 4
+		return m.ibuf
+	}
+	lo := m.ibuf >> sh
+	next := pc&^3 + 4
+	m.CPU.R[vax.PC] = next
+	m.refillIBuf(next)
+	m.CPU.R[vax.PC] = pc + 4
+	return m.ibuf<<(32-sh) | lo
 }
 
 // flushIBuf invalidates the prefetch buffer (taken branches, REI, ...).

@@ -2,6 +2,7 @@ package mmu
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -159,6 +160,9 @@ func TestTranslateHitMatchesWalk(t *testing.T) {
 		if !slices.Equal(gm, wm) {
 			t.Fatalf("seed %d: memory differs", seed)
 		}
+		// A view of RAM is valid only while its memory is reachable.
+		runtime.KeepAlive(got.Mem)
+		runtime.KeepAlive(want.Mem)
 	}
 	for _, class := range []string{"mapping off", "miss", "hit, protection fault", "hit, first write to a clean page", "hit, resolved"} {
 		if classes[class] < 50 {

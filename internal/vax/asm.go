@@ -11,7 +11,9 @@ import (
 
 // Program is the output of the assembler: a byte image with a load origin
 // and the symbol table. The simulator's loaders place Bytes at virtual
-// address Origin.
+// address Origin. The kernel and workload packages assemble each source
+// once per process and share that Program with every caller, so a
+// Program from them is read-only: loaders copy Bytes and never write it.
 type Program struct {
 	Origin  uint32
 	Bytes   []byte

@@ -7,6 +7,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"atum/internal/kernel"
 	"atum/internal/vax"
@@ -23,12 +24,27 @@ type Workload struct {
 	Source    string
 }
 
-// Program assembles the workload.
+// programs holds every workload image assembled so far, keyed by its
+// source text.
+var (
+	programsMu sync.Mutex
+	programs   = map[string]*vax.Program{}
+)
+
+// Program returns the workload's assembled image. Each source is
+// assembled once per process, and every caller gets the same image: it
+// is shared and read-only.
 func (w Workload) Program() (*vax.Program, error) {
+	programsMu.Lock()
+	defer programsMu.Unlock()
+	if p, ok := programs[w.Source]; ok {
+		return p, nil
+	}
 	p, err := vax.Assemble(w.Source + libSource)
 	if err != nil {
 		return nil, fmt.Errorf("workload %s: %w", w.Name, err)
 	}
+	programs[w.Source] = p
 	return p, nil
 }
 
