@@ -121,26 +121,34 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-type line struct {
-	valid bool
-	tag   uint32
-	pid   uint8
-	dirty bool
-	// lastUse for LRU; insertTime for FIFO.
-	stamp uint64
-}
+// A line is one uint64: the block number in bits 0-31, the PID tag in
+// bits 32-39 (0 without PID tags), a valid bit and a dirty bit. An
+// invalid line is 0, and a line holds a reference's block when its bits
+// below lineDirty equal the reference's key (see slot).
+const (
+	lineValid = 1 << 40
+	lineDirty = 1 << 41
+	lineKey   = lineDirty - 1
+)
 
-// Cache is one simulated cache.
+// Cache is one simulated cache. Each set keeps its valid lines first,
+// in its policy's order: most recently used first under LRU, most
+// recently inserted first under FIFO, way order under Random. A
+// reference to a set's first line is therefore a hit that changes at
+// most the dirty bit under every policy, which is what UnifiedSim.Feed
+// settles without a call.
 type Cache struct {
 	cfg Config
 
-	sets     uint32
+	setMask  uint32
+	ways     uint32
 	blkShift uint32
-	lines    []line // sets*assoc
-	clock    uint64
+	pidMask  uint8    // 0xff with PID tags, 0 without
+	dirty    uint64   // lineDirty under write-back, 0 under write-through
+	lines    []uint64 // sets*ways
 	rng      uint32
 
-	seen *stats.U64Set // block addresses ever touched (cold-miss accounting)
+	seen *stats.U64Set // line keys ever referenced (cold-miss accounting)
 
 	Stats Stats
 }
@@ -152,9 +160,11 @@ func New(cfg Config) (*Cache, error) {
 	}
 	sets := cfg.SizeBytes / cfg.BlockBytes / cfg.Assoc
 	c := &Cache{
-		cfg:  cfg,
-		sets: sets,
-		rng:  0x9E3779B9,
+		cfg:     cfg,
+		setMask: sets - 1,
+		ways:    cfg.Assoc,
+		rng:     0x9E3779B9,
+		lines:   make([]uint64, sets*cfg.Assoc),
 		// A trace that misses at all touches at least as many distinct
 		// blocks as the cache holds; presize for that so early misses
 		// don't rehash.
@@ -163,104 +173,113 @@ func New(cfg Config) (*Cache, error) {
 	for cfg.BlockBytes>>c.blkShift != 1 {
 		c.blkShift++
 	}
-	c.lines = make([]line, sets*cfg.Assoc)
+	if cfg.PIDTags {
+		c.pidMask = 0xff
+	}
+	if cfg.WritePolicy == WriteBack {
+		c.dirty = lineDirty
+	}
 	return c, nil
 }
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
+// slot returns the index of the first line of the set addr maps to, and
+// the key of a line holding addr's block for pid.
+func (c *Cache) slot(addr uint32, pid uint8) (int, uint64) {
+	block := addr >> c.blkShift
+	return int(block&c.setMask) * int(c.ways), uint64(block) | uint64(pid&c.pidMask)<<32 | lineValid
+}
+
 // Access simulates one reference and reports whether it hit.
 func (c *Cache) Access(addr uint32, write bool, pid uint8) bool {
-	c.clock++
+	i, key := c.slot(addr, pid)
+	return c.settle(i, key, write)
+}
+
+// settle simulates one reference to the set whose first line is at i.
+// A hit moves to the front under LRU and stays in place otherwise. An
+// LRU or FIFO miss inserts at the front and drops the last line of a
+// full set; a Random miss fills the first invalid way, or replaces an
+// xorshift-picked way of a full set.
+func (c *Cache) settle(i int, key uint64, write bool) bool {
 	c.Stats.Accesses++
-
-	block := addr >> c.blkShift
-	set := block & (c.sets - 1)
-	tag := block >> 0 // full block number kept as tag for simplicity
-	base := set * c.cfg.Assoc
-	ways := c.lines[base : base+c.cfg.Assoc]
-
-	for i := range ways {
-		l := &ways[i]
-		if l.valid && l.tag == tag && (!c.cfg.PIDTags || l.pid == pid) {
+	set := c.lines[i : i+int(c.ways) : i+int(c.ways)]
+	n := len(set) // valid lines
+	for d, l := range set {
+		if l&lineKey == key {
 			c.Stats.Hits++
 			if write {
-				if c.cfg.WritePolicy == WriteBack {
-					l.dirty = true
-				}
+				l |= c.dirty
 			}
 			if c.cfg.Replacement == LRU {
-				l.stamp = c.clock
+				copy(set[1:d+1], set[:d])
+				d = 0
 			}
+			set[d] = l
 			return true
+		}
+		if l == 0 {
+			n = d
+			break
 		}
 	}
 
 	c.Stats.Misses++
-	key := uint64(block)
-	if c.cfg.PIDTags {
-		key |= uint64(pid) << 40
-	}
 	if c.seen.Add(key) {
 		c.Stats.ColdMisses++
 	}
-
 	if write && !c.cfg.WriteAllocate {
 		return false // write miss without allocation: no line changes
 	}
-
-	// Choose a victim: invalid line first, else by policy.
-	victim := -1
-	for i := range ways {
-		if !ways[i].valid {
-			victim = i
-			break
-		}
+	l := key
+	if write {
+		l |= c.dirty
 	}
-	if victim < 0 {
-		switch c.cfg.Replacement {
-		case LRU, FIFO:
-			victim = 0
-			for i := 1; i < len(ways); i++ {
-				if ways[i].stamp < ways[victim].stamp {
-					victim = i
-				}
-			}
-		case Random:
-			c.rng ^= c.rng << 13
-			c.rng ^= c.rng >> 17
-			c.rng ^= c.rng << 5
-			victim = int(c.rng % uint32(len(ways)))
+	var victim uint64
+	switch {
+	case c.cfg.Replacement != Random:
+		if n == len(set) {
+			n--
+			victim = set[n]
 		}
+		copy(set[1:n+1], set[:n])
+		set[0] = l
+	case n < len(set):
+		set[n] = l
+	default:
+		c.rng ^= c.rng << 13
+		c.rng ^= c.rng >> 17
+		c.rng ^= c.rng << 5
+		d := c.rng % uint32(len(set))
+		victim, set[d] = set[d], l
 	}
-	v := &ways[victim]
-	if v.valid && v.dirty {
+	if victim&lineDirty != 0 {
 		c.Stats.Writebacks++
 	}
-	*v = line{valid: true, tag: tag, pid: pid, dirty: write && c.cfg.WritePolicy == WriteBack, stamp: c.clock}
 	return false
 }
 
 // Flush invalidates the whole cache (context switch without PID tags).
 func (c *Cache) Flush() {
 	c.Stats.Flushes++
-	for i := range c.lines {
-		if c.lines[i].valid {
+	for _, l := range c.lines {
+		if l != 0 {
 			c.Stats.Invalidated++
-			if c.lines[i].dirty {
+			if l&lineDirty != 0 {
 				c.Stats.Writebacks++
 			}
-			c.lines[i].valid = false
 		}
 	}
+	clear(c.lines)
 }
 
 // ResidentLines counts valid lines (inspection/testing).
 func (c *Cache) ResidentLines() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
+	for _, l := range c.lines {
+		if l != 0 {
 			n++
 		}
 	}

@@ -22,9 +22,15 @@ const (
 // space, RunOptions.IncludePTE and set sampling; UnifiedSim,
 // HierarchySim and GridSim each route every record through it.
 type router struct {
-	ops  [256]refOp // by record kind
+	ops  [256]refOp // by record header (trace.Word.Header)
 	samp sampler
 }
+
+// refShared marks, in a router's op table, a reference to a physical
+// address: its space is shared, so it carries PID tag 0. Reading that
+// from the table instead of testing Phys keeps route within the
+// inliner's budget, so every Feed loop routes without a call.
+const refShared refOp = 8
 
 func newRouter(opts RunOptions, blockBytes uint32) (router, error) {
 	samp, err := newSampler(opts.SampleSets, opts.SampleOffset, blockBytes)
@@ -32,13 +38,22 @@ func newRouter(opts RunOptions, blockBytes uint32) (router, error) {
 		return router{}, err
 	}
 	rt := router{samp: samp}
-	rt.ops[trace.KindCtxSwitch] = opSwitch
-	rt.ops[trace.KindIFetch] = opIFetch
-	rt.ops[trace.KindDRead] = opRead
-	rt.ops[trace.KindDWrite] = opWrite
+	var byKind [trace.NumKinds + 1]refOp // every 3-bit kind code: kind 7 routes nowhere
+	byKind[trace.KindCtxSwitch] = opSwitch
+	byKind[trace.KindIFetch] = opIFetch
+	byKind[trace.KindDRead] = opRead
+	byKind[trace.KindDWrite] = opWrite
 	if opts.IncludePTE {
-		rt.ops[trace.KindPTERead] = opRead
-		rt.ops[trace.KindPTEWrite] = opWrite
+		byKind[trace.KindPTERead] = opRead
+		byKind[trace.KindPTEWrite] = opWrite
+	}
+	for h := range len(rt.ops) {
+		w := trace.Word(h) // a record whose header is h
+		op := byKind[w.Kind()]
+		if w.Phys() && op >= opIFetch {
+			op |= refShared
+		}
+		rt.ops[h] = op
 	}
 	return rt, nil
 }
@@ -50,7 +65,7 @@ func newRouter(opts RunOptions, blockBytes uint32) (router, error) {
 // hardware gives kernel addresses (and what the machine's own TB does
 // for its system half).
 func (rt *router) route(r trace.Word) (refOp, uint8) {
-	op := rt.ops[r.Kind()]
+	op := rt.ops[r.Header()]
 	if op < opIFetch {
 		return op, 0
 	}
@@ -58,8 +73,8 @@ func (rt *router) route(r trace.Word) (refOp, uint8) {
 	if rt.samp.skip(addr) {
 		return opNone, 0
 	}
-	if r.Phys() || addr>>30 == 2 {
-		return op, 0
+	if op >= refShared || addr>>30 == 2 {
+		return op &^ refShared, 0
 	}
 	return op, r.PID()
 }

@@ -37,17 +37,30 @@ func NewUnifiedSim(cfg Config, opts RunOptions) (*UnifiedSim, error) {
 // context-switch flushes. The chunk is only read; it may be reused by
 // the caller after Feed returns.
 func (s *UnifiedSim) Feed(chunk []trace.Word) error {
+	c := s.c
+	var first uint64 // hits on the first line of their set
 	for _, r := range chunk {
-		switch op, pid := s.rt.route(r); op {
-		case opNone:
-		case opSwitch:
-			if s.cfg.FlushOnSwitch {
-				s.c.Flush()
+		op, pid := s.rt.route(r)
+		if op < opIFetch {
+			if op == opSwitch && s.cfg.FlushOnSwitch {
+				c.Flush()
 			}
-		default:
-			s.c.Access(r.Addr(), op == opWrite, pid)
+			continue
 		}
+		// A hit on the first line of its set changes at most the dirty
+		// bit, under every policy (see Cache).
+		i, key := c.slot(r.Addr(), pid)
+		if l := c.lines[i]; l&lineKey == key {
+			first++
+			if op == opWrite {
+				c.lines[i] = l | c.dirty
+			}
+			continue
+		}
+		c.settle(i, key, op == opWrite)
 	}
+	c.Stats.Accesses += first
+	c.Stats.Hits += first
 	return nil
 }
 

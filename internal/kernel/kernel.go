@@ -14,6 +14,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"atum/internal/mem"
@@ -124,17 +125,56 @@ type System struct {
 	finalized bool
 }
 
-// image assembles Source, a constant, once per process. Every System
-// shares the one image as its Kernel and only reads it.
-var image = sync.OnceValues(func() (*vax.Program, error) { return vax.Assemble(Source) })
+// image assembles Source, a constant, once per process, and finds the
+// chunks of it a boot loads. Every System shares the one image as its
+// Kernel and only reads it.
+var image = sync.OnceValues(func() (*kernelImage, error) {
+	prog, err := vax.Assemble(Source)
+	if err != nil {
+		return nil, err
+	}
+	img := &kernelImage{prog: prog}
+	for off := 0; off < len(prog.Bytes); off += imageChunk {
+		if slices.ContainsFunc(prog.Bytes[off:min(off+imageChunk, len(prog.Bytes))], func(b byte) bool { return b != 0 }) {
+			img.chunks = append(img.chunks, uint32(off))
+		}
+	}
+	return img, nil
+})
+
+// imageChunk is the unit in which a boot loads the kernel image: a
+// host page on common platforms.
+const imageChunk = 4096
+
+// kernelImage is the assembled kernel and the offsets of its
+// imageChunk-byte chunks that hold a nonzero byte. Most of the image is
+// zero tables.
+type kernelImage struct {
+	prog   *vax.Program
+	chunks []uint32
+}
+
+// load copies the image to physical 0 of fresh RAM, which reads zero
+// until written: only the chunks holding a nonzero byte are copied, so
+// the pages under the zero tables stay untouched.
+func (img *kernelImage) load(ram *mem.Physical) error {
+	for _, off := range img.chunks {
+		end := min(off+imageChunk, uint32(len(img.prog.Bytes)))
+		if err := ram.LoadBytes(off, img.prog.Bytes[off:end]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // NewSystem loads the kernel and prepares the machine. Call Spawn for
 // each process, then Finalize, then Run.
 func NewSystem(cfg Config) (*System, error) {
-	kprog, err := image()
+	img, err := image()
 	if err != nil {
 		return nil, fmt.Errorf("kernel: assembling: %w", err)
 	}
+	kprog := img.prog
 	if kprog.Origin != KVBase {
 		return nil, fmt.Errorf("kernel: origin %#x, want %#x", kprog.Origin, KVBase)
 	}
@@ -145,7 +185,7 @@ func NewSystem(cfg Config) (*System, error) {
 	s := &System{M: m, Kernel: kprog, cfg: cfg}
 
 	// Kernel image at physical 0.
-	if err := m.Mem.LoadBytes(0, kprog.Bytes); err != nil {
+	if err := img.load(m.Mem); err != nil {
 		return nil, fmt.Errorf("kernel: image: %w", err)
 	}
 	s.allocPA = pageAlign(uint32(len(kprog.Bytes)))

@@ -93,19 +93,22 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-type entry struct {
-	valid bool
-	vpn   uint32
-	pid   uint8
-	stamp uint64
-}
+// An entry is one uint64: the VPN in bits 0-31, the PID tag in bits
+// 32-39 (0 without PID tags, and for system pages) and a valid bit. An
+// invalid entry is 0; an entry translates a reference when it equals
+// the reference's key (see slot).
+const entryValid = 1 << 40
 
-// TB is one simulated translation buffer (LRU within sets).
+// TB is one simulated translation buffer, LRU within sets. Each set
+// keeps its valid entries first, most recently used first, so a
+// reference to a set's first entry is a hit that changes nothing: Sim
+// settles it without a call.
 type TB struct {
 	cfg     Config
 	sets    uint32 // sets per half (or total when not split)
-	entries []entry
-	clock   uint64
+	half    int    // index of the system half's first entry; 0 when not split
+	pidMask uint8  // 0xff with PID tags, 0 without
+	entries []uint64
 
 	Stats Stats
 }
@@ -115,80 +118,85 @@ func New(cfg Config) (*TB, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	t := &TB{cfg: cfg}
-	sets := cfg.Entries / cfg.Assoc
+	t := &TB{cfg: cfg, sets: cfg.Entries / cfg.Assoc, entries: make([]uint64, cfg.Entries)}
 	if cfg.SplitSystem {
-		sets /= 2
+		t.sets /= 2
+		t.half = int(cfg.Entries / 2)
 	}
-	t.sets = sets
-	t.entries = make([]entry, cfg.Entries)
+	if cfg.PIDTags {
+		t.pidMask = 0xff
+	}
 	return t, nil
 }
 
 // Access simulates translating one reference address.
 func (t *TB) Access(addr uint32, pid uint8) bool {
-	return t.access(addr, pid, true)
+	i, key := t.slot(addr, pid)
+	return t.settle(i, key, true)
 }
 
 // Touch updates TB state for a reference without counting it in the
 // statistics — used for the translation microcode's own PTE lookups,
 // which occupy and evict entries but are not architectural translations
 // (the hardware's miss counter does not see them either).
-func (t *TB) Touch(addr uint32, pid uint8) { t.access(addr, pid, false) }
-
-func (t *TB) access(addr uint32, pid uint8, count bool) bool {
-	t.clock++
-	if count {
-		t.Stats.Accesses++
-	}
-	vpn := addr >> mem.PageShift
-	system := addr>>30 == 2
-
-	set := vpn & (t.sets - 1)
-	base := set * t.cfg.Assoc
-	if t.cfg.SplitSystem && system {
-		base += t.sets * t.cfg.Assoc // upper half
-	}
-	ways := t.entries[base : base+t.cfg.Assoc]
-
-	effPID := pid
-	if system {
-		effPID = 0 // system space is shared
-	}
-	for i := range ways {
-		e := &ways[i]
-		if e.valid && e.vpn == vpn && (!t.cfg.PIDTags || e.pid == effPID) {
-			if count {
-				t.Stats.Hits++
-			}
-			e.stamp = t.clock
-			return true
-		}
-	}
-	if count {
-		t.Stats.Misses++
-	}
-	victim := 0
-	for i := range ways {
-		if !ways[i].valid {
-			victim = i
-			break
-		}
-		if ways[i].stamp < ways[victim].stamp {
-			victim = i
-		}
-	}
-	ways[victim] = entry{valid: true, vpn: vpn, pid: effPID, stamp: t.clock}
-	return false
+func (t *TB) Touch(addr uint32, pid uint8) {
+	i, key := t.slot(addr, pid)
+	t.settle(i, key, false)
 }
 
-// FlushProcess invalidates non-system entries (context switch).
+// slot returns the index of the first entry of the set addr maps to,
+// and the key of an entry translating addr for pid. System space is
+// shared, so its pages carry PID tag 0.
+func (t *TB) slot(addr uint32, pid uint8) (int, uint64) {
+	vpn := addr >> mem.PageShift
+	i := int(vpn&(t.sets-1)) * int(t.cfg.Assoc)
+	if addr>>30 == 2 {
+		pid = 0
+		i += t.half
+	}
+	return i, uint64(vpn) | uint64(pid&t.pidMask)<<32 | entryValid
+}
+
+// settle looks key up in the set whose first entry is at i, counting
+// the lookup when count is set. A hit moves to the front; a miss enters
+// at the front and drops the last entry of a full set.
+func (t *TB) settle(i int, key uint64, count bool) bool {
+	set := t.entries[i : i+int(t.cfg.Assoc) : i+int(t.cfg.Assoc)]
+	// Stop at the key, the first invalid entry or the last entry: the
+	// shift below overwrites an invalid one and drops a last valid one.
+	d := 0
+	for d < len(set)-1 && set[d] != key && set[d] != 0 {
+		d++
+	}
+	hit := set[d] == key
+	copy(set[1:d+1], set[:d])
+	set[0] = key
+	if count {
+		t.Stats.Accesses++
+		if hit {
+			t.Stats.Hits++
+		} else {
+			t.Stats.Misses++
+		}
+	}
+	return hit
+}
+
+// FlushProcess invalidates non-system entries (context switch),
+// keeping each set's surviving system entries first, in their order.
 func (t *TB) FlushProcess() {
 	t.Stats.Flushes++
-	for i := range t.entries {
-		if t.entries[i].valid && t.entries[i].vpn>>21 != 2 {
-			t.entries[i].valid = false
+	assoc := int(t.cfg.Assoc)
+	for base := 0; base < len(t.entries); base += assoc {
+		set := t.entries[base : base+assoc]
+		n := 0
+		for _, e := range set {
+			if uint32(e)>>21 == 2 { // a system page: VA bits 31-30 are 10
+				set[n] = e
+				n++
+			}
 		}
+		clear(set[n:])
 	}
 }
 
@@ -214,28 +222,40 @@ func NewSim(cfg Config) (*Sim, error) {
 // Feed routes one chunk of records into the TB. The chunk is only read;
 // it may be reused by the caller after Feed returns.
 func (s *Sim) Feed(chunk []trace.Word) error {
+	t := s.t
+	var first uint64 // counted lookups that hit the first entry of their set
 	for _, r := range chunk {
+		count := true
 		switch r.Kind() {
 		case trace.KindCtxSwitch:
 			if s.cfg.FlushOnSwitch {
-				s.t.FlushProcess()
+				t.FlushProcess()
 			}
 			continue
 		case trace.KindIFetch, trace.KindDRead, trace.KindDWrite:
-			if r.Phys() {
+			if r.Phys() || !s.cfg.IncludeSystem && !r.User() {
 				continue
 			}
-			if !s.cfg.IncludeSystem && !r.User() {
-				continue
-			}
-			s.t.Access(r.Addr(), r.PID())
 		case trace.KindPTERead, trace.KindPTEWrite:
 			if !s.cfg.WalkRefs || r.Phys() {
 				continue
 			}
-			s.t.Touch(r.Addr(), r.PID())
+			count = false
+		default:
+			continue
 		}
+		// A hit on the first entry of its set changes nothing.
+		i, key := t.slot(r.Addr(), r.PID())
+		if t.entries[i] == key {
+			if count {
+				first++
+			}
+			continue
+		}
+		t.settle(i, key, count)
 	}
+	t.Stats.Accesses += first
+	t.Stats.Hits += first
 	return nil
 }
 

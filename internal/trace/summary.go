@@ -33,17 +33,61 @@ type Summary struct {
 func Summarize(recs []Word) Summary { return SummarizeSource(NewArena(recs)) }
 
 // SummarizeSource computes the Summary of any record source (e.g. an
-// Arena) in one streaming pass.
+// Arena) in one streaming pass. The pass counts records by kind and
+// mode and derives the totals afterwards; a reference whose page key
+// equals the last one of its kind skips the distinct-page set, which
+// would not change.
 func SummarizeSource(src Source) Summary {
-	var s Summary
+	var n [NumKinds][2]uint64 // records by kind, then system (0) or user (1)
 	var pids [256]bool
+	var last [NumKinds]uint64
+	for k := range last {
+		last[k] = ^uint64(0) // no page key: keys fit in 40 bits
+	}
 	pages := stats.NewU64Set(0)
 	_ = src.EachChunk(func(chunk []Word) error {
 		for _, r := range chunk {
-			s.add(r, &pids, pages)
+			k := r.Kind()
+			mode := 0
+			if r.User() {
+				mode = 1
+			}
+			n[k][mode]++
+			if !k.IsMemRef() {
+				continue
+			}
+			pid, addr := r.PID(), r.Addr()
+			pids[pid] = true
+			// Distinct pages are counted per PID per address space: tag
+			// the page with the PID for process-space addresses, not for
+			// system or physical ones.
+			key := uint64(addr >> mem.PageShift)
+			if !r.Phys() && addr>>30 != 2 {
+				key |= uint64(pid) << 32
+			}
+			if key != last[k] {
+				pages.Add(key)
+				last[k] = key
+			}
 		}
 		return nil
 	})
+
+	var s Summary
+	for k, byMode := range n {
+		s.ByKind[k] = byMode[0] + byMode[1]
+		s.Total += s.ByKind[k]
+		if Kind(k).IsMemRef() {
+			s.SystemRefs += byMode[0]
+			s.UserRefs += byMode[1]
+		}
+	}
+	s.MemRefs = s.UserRefs + s.SystemRefs
+	s.IFetches = s.ByKind[KindIFetch]
+	s.Reads = s.ByKind[KindDRead] + s.ByKind[KindPTERead]
+	s.Writes = s.ByKind[KindDWrite] + s.ByKind[KindPTEWrite]
+	s.CtxSwitches = s.ByKind[KindCtxSwitch]
+	s.Exceptions = s.ByKind[KindException]
 	for _, seen := range pids {
 		if seen {
 			s.DistinctPIDs++
@@ -51,44 +95,6 @@ func SummarizeSource(src Source) Summary {
 	}
 	s.DistinctPages = pages.Len()
 	return s
-}
-
-func (s *Summary) add(r Word, pids *[256]bool, pages *stats.U64Set) {
-	k := r.Kind()
-	s.Total++
-	s.ByKind[k]++
-	switch k {
-	case KindCtxSwitch:
-		s.CtxSwitches++
-		return
-	case KindException:
-		s.Exceptions++
-		return
-	}
-	s.MemRefs++
-	if r.User() {
-		s.UserRefs++
-	} else {
-		s.SystemRefs++
-	}
-	switch k {
-	case KindIFetch:
-		s.IFetches++
-	case KindDRead, KindPTERead:
-		s.Reads++
-	case KindDWrite, KindPTEWrite:
-		s.Writes++
-	}
-	pid, addr := r.PID(), r.Addr()
-	pids[pid] = true
-	// Distinct pages are counted per PID per address space: tag the
-	// page with the PID for process-space addresses, not for system
-	// or physical ones.
-	key := uint64(addr >> mem.PageShift)
-	if !r.Phys() && addr>>30 != 2 {
-		key |= uint64(pid) << 32
-	}
-	pages.Add(key)
 }
 
 // PercentUser returns user references as a percentage of memory refs.

@@ -31,18 +31,17 @@ func mapDistinct(recs []trace.Word) (pids, pages int) {
 	return len(pidSet), len(pageSet)
 }
 
-// TestSummarizeMatchesMapReference checks the summary's distinct counts
-// against the map-based oracle on random records — every PID value,
-// page zero, system and physical addresses, repeats — and on a real
-// capture of a multiprogrammed mix.
+// TestSummarizeMatchesMapReference pins SummarizeSource's counting
+// pass, every field, to the per-record model and its map-based distinct
+// counts: on random records — every PID value, page zero, system and
+// physical addresses, both modes — on random records that repeat recent
+// page keys of their own or another kind, on page zero alone, and on
+// captures of a multiprogrammed mix and of every named mix.
 func TestSummarizeMatchesMapReference(t *testing.T) {
 	check := func(name string, recs []trace.Word) {
 		t.Helper()
-		s := trace.SummarizeSource(trace.NewArena(recs))
-		pids, pages := mapDistinct(recs)
-		if s.Total != uint64(len(recs)) || s.DistinctPIDs != pids || s.DistinctPages != pages {
-			t.Errorf("%s: total %d, pids %d, pages %d; reference %d, %d, %d",
-				name, s.Total, s.DistinctPIDs, s.DistinctPages, len(recs), pids, pages)
+		if got, want := trace.SummarizeSource(trace.NewArena(recs)), summaryModel(recs); got != want {
+			t.Errorf("%s:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
 
@@ -60,6 +59,19 @@ func TestSummarizeMatchesMapReference(t *testing.T) {
 	}
 	check("random", recs)
 
+	recs = nil
+	for range 100_000 {
+		k := trace.Kind(r.Intn(int(trace.NumKinds)))
+		addr := uint32(r.Intn(4))<<30 | uint32(r.Intn(8))<<mem.PageShift | uint32(r.Intn(mem.PageSize))
+		recs = append(recs, trace.Pack(k, addr, 4, uint8(r.Intn(4)), r.Intn(2) == 0, r.Intn(8) == 0, 0))
+		if n := r.Intn(4); n > 0 && len(recs) > n {
+			recs = append(recs, recs[len(recs)-n])
+		}
+	}
+	check("repeats", recs)
+	check("empty", nil)
+	check("zero key", []trace.Word{trace.Pack(trace.KindIFetch, 0, 4, 0, false, false, 0)})
+
 	sys, err := workload.BootMix(kernel.DefaultConfig(), "sieve", "qsort", "list")
 	if err != nil {
 		t.Fatal(err)
@@ -72,4 +84,61 @@ func TestSummarizeMatchesMapReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("capture", cap.All())
+
+	// The named mixes at the benchmark's 100k-cycle timer: at the
+	// default, tracing dilates the 13-process mix into tens of millions
+	// of records.
+	cfg := kernel.DefaultConfig()
+	cfg.ICRCycles = 100_000
+	for name, mix := range workload.Mixes {
+		sys, err := workload.BootMix(cfg, mix...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cap, err := atum.Run(sys.M, atum.DefaultOptions(), func() error {
+			_, err := sys.Run(50_000_000)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name, cap.All())
+	}
+}
+
+// summaryModel is the per-record loop SummarizeSource ran before it
+// counted by kind and mode, every field incremented as each record is
+// read, with mapDistinct's distinct counts. It stays here as the
+// oracle.
+func summaryModel(recs []trace.Word) trace.Summary {
+	var s trace.Summary
+	for _, r := range recs {
+		k := r.Kind()
+		s.Total++
+		s.ByKind[k]++
+		switch k {
+		case trace.KindCtxSwitch:
+			s.CtxSwitches++
+			continue
+		case trace.KindException:
+			s.Exceptions++
+			continue
+		}
+		s.MemRefs++
+		if r.User() {
+			s.UserRefs++
+		} else {
+			s.SystemRefs++
+		}
+		switch k {
+		case trace.KindIFetch:
+			s.IFetches++
+		case trace.KindDRead, trace.KindPTERead:
+			s.Reads++
+		case trace.KindDWrite, trace.KindPTEWrite:
+			s.Writes++
+		}
+	}
+	s.DistinctPIDs, s.DistinctPages = mapDistinct(recs)
+	return s
 }

@@ -104,6 +104,12 @@ func Pack(k Kind, addr uint32, width, pid uint8, user, phys bool, extra uint16) 
 // Kind returns the record kind.
 func (w Word) Kind() Kind { return Kind(w & kindMask) }
 
+// Header returns the record's first byte, which holds its Kind, Width,
+// User and Phys and nothing else the accessors read: records with equal
+// headers agree in all four, and Word(h) reads them back for header h.
+// A 256-entry table indexed by Header classifies a record in one load.
+func (w Word) Header() uint8 { return uint8(w) }
+
 // Addr returns the referenced address: virtual, or physical when Phys.
 func (w Word) Addr() uint32 { return uint32(w >> addrShift) }
 
