@@ -196,8 +196,8 @@ func crossesPage(va uint32, width uint8) bool {
 	return va>>9 != (va+uint32(width)-1)>>9
 }
 
-// push/pop operate on the current stack (R[SP]). push decrements SP
-// through the undo log, so a fault on the stack write restarts the
+// push/pop operate on the current stack (R[SP]). Both move SP through
+// the undo log, so a fault on a later stack reference restarts the
 // instruction with SP where it was.
 func (m *Machine) push(v uint32) {
 	sp := m.CPU.R[vax.SP] - 4
@@ -207,7 +207,7 @@ func (m *Machine) push(v uint32) {
 
 func (m *Machine) pop() uint32 {
 	v := m.readVirt(m.CPU.R[vax.SP], 4)
-	m.CPU.R[vax.SP] += 4
+	m.setReg(vax.SP, m.CPU.R[vax.SP]+4)
 	return v
 }
 

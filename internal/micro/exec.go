@@ -391,7 +391,7 @@ func stockExec(info *vax.InstrInfo) func(*Machine) {
 			mask := m.readRef(m.evalOperand(op[0]), vax.W)
 			for r := 0; r <= 14; r++ {
 				if mask&(1<<uint(r)) != 0 {
-					m.CPU.R[r] = m.pop()
+					m.setReg(byte(r), m.pop())
 				}
 			}
 		}

@@ -199,6 +199,83 @@ data:	.long	0
 	}
 }
 
+// TestPopFaultRestoresRegisters pins pop's undo: an instruction whose
+// stack pop faults after earlier pops succeeded (here the next pop reads
+// past the end of RAM) restarts with SP, every register it had already
+// popped into and PSL back at their values before the instruction. The
+// handler records the kernel SP it was entered with and the USP; the
+// exception frame at that SP holds the restart PC and the saved PSL.
+func TestPopFaultRestoresRegisters(t *testing.T) {
+	top := testConfig().MemSize
+	user := uint32(vax.ModeUser) << vax.PSLCurModShift
+	for _, tc := range []struct {
+		name, instr string
+		psl, sp     uint32
+		regs        map[int]uint32    // register values before the instruction
+		mem         map[uint32]uint32 // longwords on the stack being popped
+	}{
+		// R0 pops from the last longword of RAM; R1's pop faults.
+		{name: "popr", instr: "popr\t#0x03", psl: user | vax.PSLZ, sp: top - 4,
+			regs: map[int]uint32{0: 0xaaaa, 1: 0xbbbb}},
+		// A CALLS frame saving R0 and R1 whose last longword is past
+		// RAM: SP, AP, FP, PC and R0 are written before R1's pop faults.
+		{name: "ret", instr: "ret", psl: user | vax.PSLC, sp: 0x8000,
+			regs: map[int]uint32{0: 0xaaaa, 1: 0xbbbb, vax.AP: 0x5555, vax.FP: top - 24},
+			mem:  map[uint32]uint32{top - 20: 0x3 << 16, top - 16: 0x1111, top - 12: 0x2222, top - 8: 0x3333, top - 4: 0x4444}},
+		// REI pops the PC from the last longword of RAM; the PSL pop faults.
+		{name: "rei", instr: "rei", psl: vax.PSLN, sp: top - 4,
+			mem: map[uint32]uint32{top - 4: 0x1234}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := `
+	.org 0x1000
+start:	` + tc.instr + `
+	halt
+handler: movl	sp, r8		; kernel SP: the exception frame
+	mfpr	#3, r9		; USP as the handler sees it
+	halt
+`
+			prog, err := vax.Assemble(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := load(t, src)
+			setupSCB(t, m, map[uint16]uint32{vax.VecMachineCheck: prog.MustSymbol("handler")})
+			for a, v := range tc.mem {
+				if err := m.Mem.Store32(a, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for r, v := range tc.regs {
+				m.CPU.R[r] = v
+			}
+			m.CPU.KSP = 0xF000
+			m.CPU.R[vax.SP] = tc.sp
+			m.CPU.PSL = tc.psl
+			run(t, m)
+
+			frame := m.CPU.R[8]
+			if tc.psl&vax.PSLCurModMask != 0 { // user mode: SP is the USP
+				if m.CPU.R[9] != tc.sp {
+					t.Errorf("USP in handler = %#x, want %#x", m.CPU.R[9], tc.sp)
+				}
+			} else if frame != tc.sp-8 {
+				t.Errorf("kernel SP in handler = %#x, want %#x (the PSL and PC pushed below SP %#x)", frame, tc.sp-8, tc.sp)
+			}
+			for r, v := range tc.regs {
+				if m.CPU.R[r] != v {
+					t.Errorf("R%d = %#x after the fault, want %#x", r, m.CPU.R[r], v)
+				}
+			}
+			pc, _ := m.Mem.Load32(frame)
+			psl, _ := m.Mem.Load32(frame + 4)
+			if pc != prog.MustSymbol("start") || psl != tc.psl {
+				t.Errorf("exception frame PC, PSL = %#x, %#x; want %#x, %#x", pc, psl, prog.MustSymbol("start"), tc.psl)
+			}
+		})
+	}
+}
+
 func TestJmpIndexed(t *testing.T) {
 	m := runSrc(t, `
 	.org 0x1000

@@ -335,22 +335,23 @@ func execCALLS(op []vax.OperandSpec) func(*Machine) {
 	}
 }
 
-// execRET unwinds a CALLS frame.
+// execRET unwinds a CALLS frame. Every register it writes goes through
+// the undo log, so a fault on any pop restarts it with the frame intact.
 func execRET(m *Machine) {
-	m.CPU.R[vax.SP] = m.CPU.R[vax.FP]
+	m.setReg(vax.SP, m.CPU.R[vax.FP])
 	_ = m.pop() // condition handler
 	status := m.pop()
-	m.CPU.R[vax.AP] = m.pop()
-	m.CPU.R[vax.FP] = m.pop()
-	m.CPU.R[vax.PC] = m.pop()
+	m.setReg(vax.AP, m.pop())
+	m.setReg(vax.FP, m.pop())
+	m.setReg(vax.PC, m.pop())
 	mask := status >> 16 & 0xFFF
 	for r := 0; r <= 11; r++ {
 		if mask&(1<<uint(r)) != 0 {
-			m.CPU.R[r] = m.pop()
+			m.setReg(byte(r), m.pop())
 		}
 	}
 	n := m.pop() // argument count pushed by CALLS
-	m.CPU.R[vax.SP] += 4 * n
+	m.setReg(vax.SP, m.CPU.R[vax.SP]+4*n)
 	m.CPU.PSL = m.CPU.PSL&^(vax.PSLN|vax.PSLZ|vax.PSLV|vax.PSLC) |
 		status&(vax.PSLN|vax.PSLZ|vax.PSLV|vax.PSLC)
 	m.flushIBuf()

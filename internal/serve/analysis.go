@@ -8,9 +8,34 @@ import (
 	"atum/internal/serve/api"
 	"atum/internal/stackdist"
 	"atum/internal/sweep"
-	"atum/internal/tlbsim"
 	"atum/internal/trace"
 )
+
+// maxSimLines bounds what one analysis request may ask for: the cache
+// lines of all its configurations (a hierarchy counts L1 I, L1 D and L2)
+// plus all TB entries, about 96 MiB at 24 B a line and 8 B an entry.
+// cachesim's default size sweep (1 KB to 256 KB) asks for under 2^15.
+const maxSimLines = 1 << 22
+
+// simLines totals the lines and entries the request asks for.
+func simLines(req api.AnalysisRequest) (n uint64) {
+	lines := func(c cache.Config) uint64 {
+		if c.BlockBytes == 0 {
+			return 0 // Validate rejects it before anything is built
+		}
+		return uint64(c.SizeBytes / c.BlockBytes)
+	}
+	for _, c := range req.Caches {
+		n += lines(c)
+	}
+	for _, h := range req.Hierarchies {
+		n += 2*lines(h.L1) + lines(h.L2)
+	}
+	for _, c := range req.TBs {
+		n += uint64(c.Entries)
+	}
+	return n
+}
 
 // runAnalysis executes one analysis request against a stored trace.
 // The trace must be complete: a live capture's spool can end mid-byte
@@ -20,6 +45,9 @@ import (
 // over the very same decoded records, so a -remote run marshals
 // byte-identical reports.
 func (s *Server) runAnalysis(t *tenant, req api.AnalysisRequest) (*api.AnalysisResponse, error) {
+	if n := simLines(req); n > maxSimLines {
+		return nil, fmt.Errorf("request asks for %d cache lines and TB entries, over the limit of %d", n, maxSimLines)
+	}
 	st, err := t.trace(req.Trace)
 	if err != nil {
 		return nil, err
@@ -60,27 +88,17 @@ func (s *Server) runAnalysis(t *tenant, req api.AnalysisRequest) (*api.AnalysisR
 		if len(req.Caches) == 0 {
 			return nil, fmt.Errorf("kind %q needs at least one cache config", req.Kind)
 		}
-		resp.Caches, resp.DroppedRecords, err = sweepSims(src, req, func(p *sweep.Pipeline) (func() ([]cache.Result, error), error) {
-			return sweep.AddCaches(p, req.Caches, req.Run)
-		})
+		resp.Caches, err = sweep.Caches(src, req.Caches, req.Run, req.Workers)
 	case api.KindHierarchies:
 		if len(req.Hierarchies) == 0 {
 			return nil, fmt.Errorf("kind %q needs at least one hierarchy config", req.Kind)
 		}
-		resp.Hierarchies, resp.DroppedRecords, err = sweepSims(src, req, func(p *sweep.Pipeline) (func() ([]cache.HierarchyResult, error), error) {
-			return sweep.AddSims(p, req.Hierarchies, func(cfg cache.HierarchyConfig) (sweep.Sim[cache.HierarchyResult], error) {
-				return cache.NewHierarchySim(cfg, req.Run)
-			})
-		})
+		resp.Hierarchies, err = sweep.Hierarchies(src, req.Hierarchies, req.Run, req.Workers)
 	case api.KindTBs:
 		if len(req.TBs) == 0 {
 			return nil, fmt.Errorf("kind %q needs at least one TB config", req.Kind)
 		}
-		resp.TBs, resp.DroppedRecords, err = sweepSims(src, req, func(p *sweep.Pipeline) (func() ([]tlbsim.Stats, error), error) {
-			return sweep.AddSims(p, req.TBs, func(cfg tlbsim.Config) (sweep.Sim[tlbsim.Stats], error) {
-				return tlbsim.NewSim(cfg)
-			})
-		})
+		resp.TBs, err = sweep.TBs(src, req.TBs, req.Workers)
 	case api.KindStackdist:
 		opts := stackdist.Options{}
 		if req.Stackdist != nil {
@@ -100,28 +118,4 @@ func (s *Server) runAnalysis(t *tenant, req api.AnalysisRequest) (*api.AnalysisR
 		return nil, err
 	}
 	return resp, nil
-}
-
-// sweepSims runs the simulators register adds through one pipeline
-// under the request's backpressure policy: Block replays every record
-// (results identical to a local sweep); Drop sheds counted records when
-// the bounded queue backs up — the same degrade-never-stall stance the
-// capture side takes.
-func sweepSims[R any](src trace.Source, req api.AnalysisRequest, register func(*sweep.Pipeline) (func() ([]R, error), error)) ([]R, uint64, error) {
-	policy, err := sweep.ParseBackpressure(req.Backpressure)
-	if err != nil {
-		return nil, 0, err
-	}
-	p := sweep.NewPipeline(req.Workers)
-	collect, err := register(p)
-	if err != nil {
-		return nil, 0, err
-	}
-	p.SetBackpressure(policy, req.QueueChunks)
-	p.FeedSource(src)
-	if err := p.Drain(); err != nil {
-		return nil, 0, err
-	}
-	out, err := collect()
-	return out, p.DroppedRecords(), err
 }

@@ -8,7 +8,10 @@
 // Version prefix. Within a version the types only grow — new optional
 // fields with omitempty, never renamed or re-typed fields — so old
 // clients keep working against new daemons; a breaking change mints
-// /v2 alongside /v1. The simulator configuration and result structs
+// /v2 alongside /v1. A field is retired within a version only where old
+// clients cannot tell: decoding ignores a retired request field, and a
+// retired response field was omitempty, so it reads as its zero value.
+// The simulator configuration and result structs
 // (cache.Config, cache.Result, tlbsim.Config, …) are embedded directly
 // rather than mirrored: their exported fields are part of the v1 wire
 // contract and are frozen by the same rule, which is also what makes
@@ -119,9 +122,10 @@ type TraceInfo struct {
 
 // AnalysisRequest names a stored trace and the sweep to run over it.
 // Exactly the config slice matching Kind is consulted. The execution
-// knobs (Workers, DecodeWorkers, Backpressure) never change results —
-// except Backpressure "drop", which may shed records under load and
-// reports what it shed.
+// knobs (Workers, DecodeWorkers) never change results: an analysis
+// replays every record of a complete trace. A request still carrying a
+// retired field — "backpressure" or "queue_chunks" here, SkipPhys in
+// Run — is answered as if the field were absent.
 type AnalysisRequest struct {
 	Trace string `json:"trace"`
 	Kind  string `json:"kind"`
@@ -143,15 +147,12 @@ type AnalysisRequest struct {
 	// than silently analysing nothing.
 	CPU *int `json:"cpu,omitempty"`
 
-	Workers       int    `json:"workers,omitempty"`
-	DecodeWorkers int    `json:"decode_workers,omitempty"`
-	Backpressure  string `json:"backpressure,omitempty"` // "block" (default) or "drop"
-	QueueChunks   int    `json:"queue_chunks,omitempty"`
+	Workers       int `json:"workers,omitempty"`
+	DecodeWorkers int `json:"decode_workers,omitempty"`
 }
 
 // AnalysisResponse carries the result matching the request's Kind; the
-// other fields stay empty. DroppedRecords is nonzero only under the
-// "drop" backpressure policy.
+// other fields stay empty.
 type AnalysisResponse struct {
 	Trace string `json:"trace"`
 	Kind  string `json:"kind"`
@@ -161,8 +162,6 @@ type AnalysisResponse struct {
 	TBs         []tlbsim.Stats          `json:"tbs,omitempty"`
 	Stackdist   *stackdist.Profile      `json:"stackdist,omitempty"`
 	Summary     *trace.Summary          `json:"summary,omitempty"`
-
-	DroppedRecords uint64 `json:"dropped_records,omitempty"`
 }
 
 // LintResponse is the stored-trace lint endpoint's body: the shared

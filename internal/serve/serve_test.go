@@ -50,14 +50,14 @@ func makeRecords(n int) []trace.Word {
 
 // makeSegmentedTrace encodes recs as a segmented stream image with
 // segsize records per segment.
-func makeSegmentedTrace(t *testing.T, recs []trace.Word, segsize int) []byte {
+func makeSegmentedTrace(t testing.TB, recs []trace.Word, segsize int) []byte {
 	t.Helper()
 	return makeSegmentedTraceEnc(t, recs, segsize, trace.SegEncRaw)
 }
 
 // makeSegmentedTraceEnc is makeSegmentedTrace with a chosen per-segment
 // payload encoding.
-func makeSegmentedTraceEnc(t *testing.T, recs []trace.Word, segsize int, enc uint8) []byte {
+func makeSegmentedTraceEnc(t testing.TB, recs []trace.Word, segsize int, enc uint8) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sw, err := trace.NewSegmentWriter(&buf, trace.CodecDelta, "synthetic test trace")
@@ -331,33 +331,28 @@ func TestAnalysisRemoteVsLocal(t *testing.T) {
 		t.Fatal("wire forms differ")
 	}
 
-	// A request still carrying the retired SkipPhys run option is
-	// answered as if the field were absent.
+	// A request still carrying a retired field — the SkipPhys run option,
+	// or the backpressure policy and its queue size — is answered as if
+	// the field were absent.
 	cj, _ := json.Marshal(cfgs)
-	body := `{"trace":"syn","kind":"caches","caches":` + string(cj) + `,"run":{"IncludePTE":true,"SkipPhys":true}}`
-	hresp, err := http.Post(ts.URL+"/v1/tenants/alpha/analyses", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var old api.AnalysisResponse
-	err = json.NewDecoder(hresp.Body).Decode(&old)
-	hresp.Body.Close()
-	if err != nil || hresp.StatusCode != http.StatusOK {
-		t.Fatalf("request with SkipPhys: HTTP %d, %v", hresp.StatusCode, err)
-	}
-	if !reflect.DeepEqual(old.Caches, local) {
-		t.Fatalf("request with SkipPhys: results differ from local:\n%+v\nvs\n%+v", old.Caches, local)
-	}
-
-	// The drop policy must still produce a response (possibly shedding);
-	// with no contention on a small trace it typically sheds nothing.
-	resp, err = c.Analyze(api.AnalysisRequest{Trace: "syn", Kind: api.KindCaches, Caches: cfgs[:1], Run: run,
-		Backpressure: "drop", QueueChunks: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Caches[0].Stats.Accesses+resp.DroppedRecords == 0 {
-		t.Fatal("drop-policy analysis neither fed nor dropped anything")
+	for _, retired := range []string{
+		`"run":{"IncludePTE":true,"SkipPhys":true}`,
+		`"run":{"IncludePTE":true},"backpressure":"drop","queue_chunks":8`,
+	} {
+		body := `{"trace":"syn","kind":"caches","caches":` + string(cj) + `,` + retired + `}`
+		hresp, err := http.Post(ts.URL+"/v1/tenants/alpha/analyses", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var old api.AnalysisResponse
+		err = json.NewDecoder(hresp.Body).Decode(&old)
+		hresp.Body.Close()
+		if err != nil || hresp.StatusCode != http.StatusOK {
+			t.Fatalf("request with %s: HTTP %d, %v", retired, hresp.StatusCode, err)
+		}
+		if !reflect.DeepEqual(old.Caches, local) {
+			t.Fatalf("request with %s: results differ from local:\n%+v\nvs\n%+v", retired, old.Caches, local)
+		}
 	}
 
 	// UserOnly filtering matches the local FilterUser path.

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -18,61 +17,14 @@ import (
 // Streaming telemetry: segments and records that entered the pipeline,
 // the payload bytes they arrived as, per-chunk fan-out latency, and the
 // most recent feed rate — the live counters monitor `status` surfaces
-// during a capture. The backpressure family reports what the explicit
-// policy did: how often (and for how long) a blocking producer waited
-// on the simulators, how many records a dropping producer shed, and the
-// current queue depth.
+// during a capture.
 var (
 	mStreamSegments = obs.Default().Counter("atum_stream_segments_total")
 	mStreamRecords  = obs.Default().Counter("atum_stream_records_total")
 	mStreamBytes    = obs.Default().Counter("atum_stream_payload_bytes_total")
 	mStreamFeedSecs = obs.Default().Histogram("atum_stream_feed_seconds", obs.DefSecondsBuckets)
 	mStreamRate     = obs.Default().Gauge("atum_stream_replay_rate_recs_per_sec")
-
-	mBPBlocks  = obs.Default().Counter("atum_stream_backpressure_blocks_total")
-	mBPWait    = obs.Default().Histogram("atum_stream_backpressure_wait_seconds", obs.DefSecondsBuckets)
-	mBPDropped = obs.Default().Counter("atum_stream_backpressure_dropped_records_total")
-	mBPQueue   = obs.Default().Gauge("atum_stream_backpressure_queue_chunks")
 )
-
-// Backpressure is the pipeline's policy when the producer outruns the
-// simulators: Block (the default, and the only behavior before the
-// policy existed) makes Feed wait until every simulator has consumed
-// the chunk; Drop hands the chunk to a bounded queue drained by a
-// background goroutine and sheds whole chunks — with an exact dropped
-// count — when the queue is full, so a capture machine is never stalled
-// by a slow analysis tee. Block keeps the byte-identical determinism
-// guarantee; Drop trades it for bounded producer latency, exactly like
-// the collector's own buffer-full protocol.
-type Backpressure int
-
-const (
-	BackpressureBlock Backpressure = iota
-	BackpressureDrop
-)
-
-// String returns the wire name used by flags and the serve API.
-func (b Backpressure) String() string {
-	switch b {
-	case BackpressureBlock:
-		return "block"
-	case BackpressureDrop:
-		return "drop"
-	}
-	return fmt.Sprintf("Backpressure(%d)", int(b))
-}
-
-// ParseBackpressure maps the wire name back; "" means Block (the
-// default policy).
-func ParseBackpressure(s string) (Backpressure, error) {
-	switch s {
-	case "", "block":
-		return BackpressureBlock, nil
-	case "drop":
-		return BackpressureDrop, nil
-	}
-	return 0, fmt.Errorf("sweep: unknown backpressure policy %q (want block or drop)", s)
-}
 
 // Sim is the incremental simulator contract the pipeline drives: Feed
 // consumes one read-only record chunk (which the pipeline reuses after
@@ -109,8 +61,9 @@ type Pipeline struct {
 
 	// err is the sticky first failure (lowest simulator index within the
 	// failing chunk, par.Map's contract); once set the pipeline drops
-	// further input and every collector reports it. Guarded by mu: in
-	// Drop mode the drain goroutine sets it while the producer reads it.
+	// further input and every collector reports it. Guarded by mu:
+	// collectors and Err may be called from goroutines other than the
+	// producer's.
 	mu  sync.Mutex
 	err error
 
@@ -127,15 +80,6 @@ type Pipeline struct {
 	filter func(trace.Word) bool
 	fbuf   []trace.Word  // reused filter scratch
 	fed    atomic.Uint64 // records the simulators consumed (post-filter)
-
-	// Backpressure state. explicit marks that SetBackpressure was
-	// called, which turns on the wait telemetry in Block mode; queue and
-	// drained exist only in Drop mode.
-	explicit bool
-	queue    chan []trace.Word
-	drained  chan struct{}
-	dropped  atomic.Uint64
-	pool     sync.Pool // recycled chunk copies for the drop queue
 }
 
 // NewPipeline returns an empty pipeline; workers bounds the per-chunk
@@ -167,47 +111,6 @@ func AddSim[R any](p *Pipeline, name string, sim Sim[R]) func() (R, error) {
 // before the first Feed.
 func (p *Pipeline) SetFilter(keep func(trace.Word) bool) { p.filter = keep }
 
-// SetBackpressure selects the policy for a producer that outruns the
-// simulators; call it after registration and before the first Feed. In
-// Drop mode queueChunks bounds the number of in-flight chunk copies
-// (<= 0 selects a small default) and a background goroutine drains the
-// queue: the caller must Drain() after the last Feed and before reading
-// collectors. In Block mode nothing changes except the wait telemetry
-// turning on for pushed chunks.
-func (p *Pipeline) SetBackpressure(policy Backpressure, queueChunks int) {
-	p.explicit = true
-	if policy != BackpressureDrop {
-		return
-	}
-	if queueChunks <= 0 {
-		queueChunks = 4
-	}
-	p.queue = make(chan []trace.Word, queueChunks)
-	p.drained = make(chan struct{})
-	go func() {
-		defer close(p.drained)
-		for chunk := range p.queue {
-			mBPQueue.Set(float64(len(p.queue)))
-			p.fanOut(chunk)
-			p.pool.Put(&chunk)
-		}
-		mBPQueue.Set(0)
-	}()
-}
-
-// Drain closes the Drop-mode queue and waits for the background drain
-// to finish feeding everything that was accepted; collectors are
-// consistent only after it returns. It returns the sticky error, if
-// any, and is a no-op (beyond that) under the Block policy.
-func (p *Pipeline) Drain() error {
-	if p.queue != nil {
-		close(p.queue)
-		<-p.drained
-		p.queue = nil
-	}
-	return p.Err()
-}
-
 // Err returns the sticky pipeline error, if any.
 func (p *Pipeline) Err() error {
 	p.mu.Lock()
@@ -225,19 +128,18 @@ func (p *Pipeline) fail(err error) {
 }
 
 // RecordsFed returns how many records the simulators have consumed
-// (post-filter). In Drop mode it is consistent after Drain.
+// (post-filter).
 func (p *Pipeline) RecordsFed() uint64 { return p.fed.Load() }
 
-// DroppedRecords returns how many records the Drop policy shed because
-// the queue was full; always 0 under Block.
-func (p *Pipeline) DroppedRecords() uint64 { return p.dropped.Load() }
+// DroppedRecords is always 0: Feed hands every chunk to every simulator
+// before it returns, so the pipeline never sheds a record. It stays for
+// the benchmark's stream lane, which reports it.
+func (p *Pipeline) DroppedRecords() uint64 { return 0 }
 
-// Feed accepts one chunk from the producer; the chunk may be reused as
-// soon as Feed returns. Under the Block policy (the default) it fans
-// the chunk across every registered simulator and waits for all of
-// them; a simulator error is sticky and every collector reports it.
-// Under Drop it copies the chunk into the bounded queue — or sheds it,
-// counted, when the queue is full — and returns immediately.
+// Feed accepts one chunk from the producer and fans it across every
+// registered simulator, returning once all of them have consumed it;
+// the chunk may be reused as soon as Feed returns. A simulator error is
+// sticky and every collector reports it.
 func (p *Pipeline) Feed(chunk []trace.Word) error {
 	if err := p.Err(); err != nil {
 		return err
@@ -254,35 +156,6 @@ func (p *Pipeline) Feed(chunk []trace.Word) error {
 	if len(chunk) == 0 {
 		return nil
 	}
-	if p.queue != nil {
-		var cp []trace.Word
-		if bp := p.pool.Get(); bp != nil {
-			cp = (*bp.(*[]trace.Word))[:0]
-		}
-		cp = append(cp, chunk...)
-		select {
-		case p.queue <- cp:
-			mBPQueue.Set(float64(len(p.queue)))
-		default:
-			p.pool.Put(&cp)
-			p.dropped.Add(uint64(len(chunk)))
-			mBPDropped.Add(uint64(len(chunk)))
-		}
-		return p.Err()
-	}
-	start := time.Now()
-	p.fanOut(chunk)
-	if p.explicit {
-		mBPBlocks.Inc()
-		mBPWait.Observe(time.Since(start).Seconds())
-	}
-	return p.Err()
-}
-
-// fanOut feeds one chunk to every simulator over the worker pool and
-// does the shared accounting; it is the single consumer-side path for
-// both policies.
-func (p *Pipeline) fanOut(chunk []trace.Word) {
 	start := time.Now()
 	_, err := par.Map(p.workers, len(p.feeders), func(i int) (struct{}, error) {
 		return struct{}{}, p.feeders[i](chunk)
@@ -297,6 +170,7 @@ func (p *Pipeline) fanOut(chunk []trace.Word) {
 	if err != nil {
 		p.fail(err)
 	}
+	return p.Err()
 }
 
 // HandleSegment decodes one teed segment into the pipeline's reusable
@@ -337,11 +211,11 @@ func (p *Pipeline) OnSegment() func(trace.StreamSegment) {
 // simulator. The source can be read again, so each simulator replays the
 // whole of it in turn on the worker pool: one simulator's state stays in
 // cache for the entire replay, which measures faster than fanning every
-// chunk out to every simulator. With a Drop queue or a filter installed
-// the source is pushed chunk by chunk through Feed instead, so both
-// apply exactly as they do to streamed input.
+// chunk out to every simulator. With a filter installed the source is
+// pushed chunk by chunk through Feed instead, so the filter applies
+// exactly as it does to streamed input.
 func (p *Pipeline) FeedSource(src trace.Source) error {
-	if p.queue != nil || p.filter != nil {
+	if p.filter != nil {
 		_ = src.EachChunk(p.Feed)
 		return p.Err()
 	}

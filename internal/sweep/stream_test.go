@@ -379,6 +379,51 @@ func TestStreamStickyError(t *testing.T) {
 	}
 }
 
+// TestBackpressureBlockIsDefaultPath pins Feed's synchronous contract:
+// the producer waits in Feed until every simulator has consumed the
+// chunk, so no record is ever shed, whatever the worker count.
+func TestBackpressureBlockIsDefaultPath(t *testing.T) {
+	recs := stressTrace(1_000)
+	for _, workers := range []int{1, 4} {
+		p := NewPipeline(workers)
+		sims := []*countSim{{}, {}}
+		collect := AddSim[uint64](p, "a", sims[0])
+		AddSim[uint64](p, "b", sims[1])
+		for i := 100; i <= len(recs); i += 100 {
+			if err := p.Feed(recs[i-100 : i]); err != nil {
+				t.Fatal(err)
+			}
+			for j, s := range sims {
+				if s.n != uint64(i) {
+					t.Fatalf("workers=%d: after %d records sim %d has consumed %d", workers, i, j, s.n)
+				}
+			}
+		}
+		if p.RecordsFed() != 1_000 || p.DroppedRecords() != 0 {
+			t.Errorf("workers=%d: fed %d, dropped %d; want 1000, 0", workers, p.RecordsFed(), p.DroppedRecords())
+		}
+		if got, err := collect(); err != nil || got != 1_000 {
+			t.Fatalf("workers=%d: collect = %d, %v; want 1000", workers, got, err)
+		}
+	}
+}
+
+// countSim counts the records it is fed, or fails every Feed with fail.
+type countSim struct {
+	n    uint64
+	fail error
+}
+
+func (s *countSim) Feed(chunk []trace.Word) error {
+	if s.fail != nil {
+		return s.fail
+	}
+	s.n += uint64(len(chunk))
+	return nil
+}
+
+func (s *countSim) Result() (uint64, error) { return s.n, nil }
+
 // collectSim is a pipeline simulator that simply accumulates the records
 // it is fed (copying element values, so buffer reuse is safe).
 type collectSim struct{ recs []trace.Word }
